@@ -6,8 +6,15 @@ transformations, and reproduce the bundled verification cases.  Reports
 are emitted as text or as JSON with the fixed claim schema
 {case, claims: [{id, status, residual, paper_ref, millis}]}.
 
-Exit codes: 0 all claims verified, 1 a refutation was found, 2 usage or
-parse error.
+Exit codes:
+
+- 0: every claim verified (an exact zero), or the object was built;
+- 1: a claim was refuted, certified by a nonzero witness;
+- 2: usage or parse error, including an order outside the supported range;
+- 3: undecided: no witness was found for a nonzero residual, or the
+  kernel could not decide (inconclusive zero test, inexact integration,
+  failed elimination, numeric singularity, jet order limit) or failed
+  internally.  Never a refutation.
 """
 
 from __future__ import annotations
@@ -15,13 +22,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import sympy as sp
 
 from . import casebook, maxsym, noether, transform
-from .exprcore import SOL_U, SOL_V, UnsupportedForm, canon
+from .exprcore import (
+    MAX_JET_ORDER,
+    SOL_U,
+    SOL_V,
+    Inconclusive,
+    UnsupportedForm,
+    canon,
+    numeric_witness,
+)
 from .grammar import ParseError, parse, render
-from .jetcalc import DiffEq, Lagrangian, VectorField
+from .jetcalc import DiffEq, JetOrderLimit, Lagrangian, NotExact, VectorField
+
+# Kernel outcomes that leave a claim undecided (exit code 3).
+_UNDECIDED = (
+    Inconclusive,
+    NotExact,
+    maxsym.EliminationFailed,
+    casebook.SingularityEncountered,
+    JetOrderLimit,
+)
+
+# Options whose value is an expression and may start with "-".
+_EXPRESSION_OPTIONS = ("--vf", "--q", "--eq", "--lagrangian", "--integral", "--map")
 
 
 class UsageError(ValueError):
@@ -96,10 +124,8 @@ def emit_report(report: dict, fmt: str = "text") -> str:
     for claim in report.get("claims", []):
         status = claim["status"]
         line = f"  {claim['id']}: {status}"
-        if status == "refuted-witness" and claim["residual"] not in ("0", ""):
+        if status != "verified" and claim["residual"] not in ("0", ""):
             line += f"  residual = {claim['residual']}"
-        elif case is None or status != "verified":
-            pass
         if claim.get("paper_ref"):
             line += f"  [{claim['paper_ref']}]"
         lines.append(line)
@@ -202,7 +228,12 @@ def _cmd_check(args) -> int:
             raise UsageError(str(err)) from err
         checker = noether.lie_symmetry_check if args.kind == "lie" else noether.divergence_check
         verdict = checker(vf, eq, ctx)
-    status = "verified" if verdict.holds else "refuted-witness"
+    if verdict.holds:
+        status, code = "verified", 0
+    elif numeric_witness(verdict.witness) is not None:
+        status, code = "refuted-witness", 1
+    else:
+        status, code = "undecided", 3
     report = {
         "case": None,
         "claims": [
@@ -216,7 +247,7 @@ def _cmd_check(args) -> int:
         ],
     }
     _deliver(report, args)
-    return 0 if verdict.holds else 1
+    return code
 
 
 def _cmd_first_integral(args) -> int:
@@ -354,13 +385,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_expression_values(argv) -> list:
+    """Rewrite "--eq VALUE" as "--eq=VALUE" for the expression options, so
+    that a value starting with "-" (such as "-x;y") is not taken for an
+    option; a following "--name" is left alone as a missing value."""
+    out = list(argv)
+    i = 0
+    while i < len(out) - 1:
+        if out[i] in _EXPRESSION_OPTIONS and not out[i + 1].startswith("--"):
+            out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
+        i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_expression_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "n", None) is not None and args.n > MAX_JET_ORDER:
+            raise maxsym.BadOrder(f"order {args.n} exceeds the jet registry limit {MAX_JET_ORDER}")
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -368,6 +415,13 @@ def main(argv=None) -> int:
     except (maxsym.BadOrder, maxsym.OddOrder) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except _UNDECIDED as err:
+        print(f"undecided: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
+    except Exception:
+        traceback.print_exc()
+        print("undecided: internal error", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

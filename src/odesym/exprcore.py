@@ -13,11 +13,16 @@ All atoms carry positive-real assumptions, matching the sampling domain
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 MAX_JET_ORDER = 24
 
@@ -50,13 +55,10 @@ COEF_Q = _ladder("q")
 PARAM_NAMES = ("k1", "k2", "k3", "lam", "theta", "alpha", "a0", "a1", "a2", "a3")
 PARAMS = {name: sp.Symbol(name, positive=True) for name in PARAM_NAMES}
 
-_LADDERS = {"y": JET, "u": SOL_U, "v": SOL_V, "q": COEF_Q}
 _REGISTRY = {str(s): s for fam in (JET, SOL_U, SOL_V, COEF_Q) for s in fam}
 _REGISTRY["x"] = X
 _REGISTRY.update({name: sym for name, sym in PARAMS.items()})
 
-_JET_SET = frozenset(JET)
-_SOLDER_SET = frozenset(SOL_U) | frozenset(SOL_V) | frozenset(COEF_Q)
 _PARAM_SET = frozenset(PARAMS.values())
 
 
@@ -70,18 +72,6 @@ def jet(k: int) -> sp.Symbol:
 def resolve_name(name: str) -> sp.Symbol | None:
     """Registry symbol for a grammar identifier, or None."""
     return _REGISTRY.get(name)
-
-
-def atom_kind(sym: sp.Symbol) -> str | None:
-    if sym is X:
-        return "x"
-    if sym in _JET_SET:
-        return "jet"
-    if sym in _SOLDER_SET:
-        return str(sym)[0]
-    if sym in _PARAM_SET:
-        return "param"
-    return None
 
 
 def base_rates() -> dict:
@@ -103,34 +93,95 @@ def max_jet_order(e) -> int:
     return max(orders, default=-1)
 
 
-def _validate(e, inside_elementary=False) -> None:
+def _validate(e, inside_elementary=False) -> bool:
+    """Reject forms outside the atom grammar; True when e is rational."""
     if isinstance(e, sp.Symbol):
-        return
+        return True
     if isinstance(e, (sp.Integer, sp.Rational)):
-        return
+        return True
     if isinstance(e, sp.Float):
         raise UnsupportedForm(f"inexact coefficient {e}; use exact rationals")
     if isinstance(e, (sp.Add, sp.Mul)):
+        rational = True
         for a in e.args:
-            _validate(a, inside_elementary)
-        return
+            rational = _validate(a, inside_elementary) and rational
+        return rational
     if isinstance(e, sp.Pow):
         base, exponent = e.args
         if isinstance(exponent, sp.Integer):
-            _validate(base, inside_elementary)
-            return
+            return _validate(base, inside_elementary)
         if isinstance(exponent, sp.Rational):
             if inside_elementary:
                 raise UnsupportedForm(f"nested elementary application in {e}")
             _validate(base, inside_elementary=True)
-            return
+            return False
         raise UnsupportedForm(f"non-rational exponent in {e}")
     if isinstance(e, (sp.log, sp.exp)):
         if inside_elementary:
             raise UnsupportedForm(f"nested elementary application in {e}")
         _validate(e.args[0], inside_elementary=True)
-        return
+        return False
     raise UnsupportedForm(f"unsupported node {type(e).__name__} in {e}")
+
+
+@functools.lru_cache(maxsize=512)
+def _ring(gens: tuple) -> PolyRing:
+    return PolyRing(gens, QQ)
+
+
+def _as_fraction(e, R, gen_of) -> tuple:
+    """A (numerator, denominator) pair in R for a rational expression.
+
+    Not reduced: a sum adds the numerators over each distinct denominator
+    and brings the groups to the lcm of their denominators, so the only
+    gcd work left is one cancellation of the final pair.
+    """
+    if e.is_Symbol:
+        return gen_of[e], R.one
+    if e.is_Rational:
+        return R.ground_new(QQ(e.p, e.q)), R.one
+    if e.is_Pow:
+        num, den = _as_fraction(e.base, R, gen_of)
+        k = int(e.exp)
+        if k < 0:
+            if not num:
+                raise ZeroDivisionError(f"zero base of a negative power in {e}")
+            num, den, k = den, num, -k
+        return num**k, den**k
+    if e.is_Mul:
+        num, den = R.one, R.one
+        for a in e.args:
+            n, d = _as_fraction(a, R, gen_of)
+            num, den = num * n, den * d
+        return num, den
+    groups = {}
+    for a in e.args:
+        n, d = _as_fraction(a, R, gen_of)
+        groups[d] = groups.get(d, R.zero) + n
+    den = functools.reduce(lambda a, b: a.lcm(b), groups)
+    return sum((n * den.exquo(d) for d, n in groups.items()), R.zero), den
+
+
+def _rational_normal_form(e, gens) -> sp.Expr:
+    """``sp.cancel(sp.together(e))`` for a rational e, computed in QQ[gens].
+
+    cancel's result is the unique p/q with integer coefficients, no common
+    factor (integer contents included) and a positive leading coefficient
+    of q in lex order over the sorted gens; the reduced pair from the ring
+    gives the same p and q after clearing its rational coefficients.
+    """
+    R = _ring(_sort_gens(gens))
+    num, den = _as_fraction(e, R, dict(zip(R.symbols, R.gens)))
+    num, den = num.cancel(den)
+    cn, num = num.clear_denoms()
+    cd, den = den.clear_denoms()
+    num, den = num.mul_ground(cd), den.mul_ground(cn)
+    g = math.gcd(*(int(c.numerator) for c in (*num.itercoeffs(), *den.itercoeffs())))
+    if den.LC < 0:
+        g = -g
+    if g != 1:
+        num, den = num.quo_ground(g), den.quo_ground(g)
+    return num.as_expr() / den.as_expr()
 
 
 def canon(e) -> sp.Expr:
@@ -138,9 +189,16 @@ def canon(e) -> sp.Expr:
 
     Idempotent, and the zero test for rational expressions: a rational
     expression is identically zero iff its canonical form is literal 0.
+    The result is srepr-identical to ``sp.cancel(sp.together(e))``; a
+    rational expression is reduced as a numerator/denominator pair of
+    polynomials over QQ in its atoms, one with ln/exp/radicals goes
+    through cancel itself.
     """
     e = sp.sympify(e)
-    _validate(e)
+    if _validate(e):
+        gens = e.free_symbols
+        if gens:
+            return _rational_normal_form(e, gens)
     return sp.cancel(sp.together(e))
 
 
@@ -168,24 +226,89 @@ def _seeded_rng(e) -> random.Random:
     return random.Random(int(digest[:16], 16))
 
 
-def _sample_point(rng, symbols) -> dict:
-    return {
-        s: sp.Rational(Fraction(rng.randint(10, 1000), 100)) for s in symbols
-    }
+def _exact_value(e, values) -> Fraction:
+    """Exact value of a rational expression, atoms bound to Fractions."""
+    if e.is_Symbol:
+        return values[e]
+    if e.is_Rational:
+        return Fraction(e.p, e.q)
+    if e.is_Add:
+        return sum((_exact_value(a, values) for a in e.args), Fraction(0))
+    if e.is_Mul:
+        out = Fraction(1)
+        for a in e.args:
+            out *= _exact_value(a, values)
+        return out
+    base, exponent = e.args  # Pow with an integer exponent
+    return _exact_value(base, values) ** int(exponent)
 
 
-def _eval_at(e, subs):
-    """(value, magnitude reference) at a sample point, or None if singular."""
-    terms = sp.Add.make_args(sp.expand(e))
-    total = sp.Float(0, 30)
-    ref = sp.Float(0, 30)
-    for t in terms:
-        val = t.subs(subs).evalf(30)
-        if not val.is_number or val.has(sp.zoo, sp.oo, sp.nan) or not val.is_real:
+def _exact_evaluator(c):
+    """(value, ref) of a rational canonical form at a point, exactly.
+
+    value is the sum of the numerator's terms n_i and ref is
+    max(|d|, sum |n_i|), so |value|/ref is the relative size that the
+    30-digit path computes term by term; None where d vanishes.
+    """
+    numer, denom = sp.fraction(c)
+    terms = sp.Add.make_args(numer)
+
+    def evaluate(draws):
+        values = {s: Fraction(k, 100) for s, k in draws.items()}
+        try:
+            d = _exact_value(denom, values)
+            vals = [_exact_value(t, values) for t in terms]
+        except ZeroDivisionError:
             return None
-        total += val
-        ref += abs(val)
-    return total, ref
+        if d == 0:
+            return None
+        return sum(vals, Fraction(0)), max(abs(d), sum(map(abs, vals), Fraction(0)))
+
+    return evaluate
+
+
+def _float_evaluator(c):
+    """(value, ref) at 30 digits over the expanded terms t_i of c:
+    value = sum t_i and ref = max(1, sum |t_i|); None at a singular point."""
+    terms = sp.Add.make_args(sp.expand(c))
+
+    def evaluate(draws):
+        point = {s: sp.Rational(k, 100) for s, k in draws.items()}
+        total = sp.Float(0, 30)
+        ref = sp.Float(0, 30)
+        for t in terms:
+            val = t.subs(point).evalf(30)
+            if not val.is_number or val.has(sp.zoo, sp.oo, sp.nan) or not val.is_real:
+                return None
+            total += val
+            ref += abs(val)
+        return total, max(sp.Float(1, 30), ref)
+
+    return evaluate
+
+
+def _samples(c, points):
+    """Seeded regular sample points of a canonical form.
+
+    Yields (point, value, ref) at up to ``points`` points with every atom
+    drawn from (1/10, 10), from an RNG seeded by the form itself, skipping
+    singular points and giving up after 40*points draws; |value|/ref is the
+    relative size of c at the point.  Rational forms are evaluated exactly,
+    any other at 30 digits.
+    """
+    rng = _seeded_rng(c)
+    symbols = sorted(c.free_symbols, key=str)
+    evaluate = _exact_evaluator(c) if is_rational_expr(c) else _float_evaluator(c)
+    taken = 0
+    for _ in range(40 * points):
+        if taken == points:
+            return
+        draws = {s: rng.randint(10, 1000) for s in symbols}
+        result = evaluate(draws)
+        if result is None:
+            continue
+        taken += 1
+        yield {s: sp.Rational(k, 100) for s, k in draws.items()}, *result
 
 
 def _symbolic_confirm(e) -> bool:
@@ -223,8 +346,13 @@ def zero_test(e, points: int = 20, tol=sp.Rational(1, 10**9)) -> bool:
         if abs(val) > tol:
             return False
         return _confirm_or_raise(c)
-    if _any_sample_nonzero(c, points, tol):
-        return False
+    taken = 0
+    for _, value, ref in _samples(c, points):
+        if abs(value) > tol * ref:
+            return False
+        taken += 1
+    if taken < points:
+        raise Inconclusive(c, "could not find regular sample points")
     return _confirm_or_raise(c)
 
 
@@ -234,50 +362,27 @@ def _confirm_or_raise(c) -> bool:
     raise Inconclusive(c)
 
 
-def _any_sample_nonzero(c, points, tol) -> bool:
-    rng = _seeded_rng(c)
-    symbols = sorted(c.free_symbols, key=str)
-    taken = 0
-    attempts = 0
-    while taken < points:
-        attempts += 1
-        if attempts > 40 * points:
-            raise Inconclusive(c, "could not find regular sample points")
-        result = _eval_at(c, _sample_point(rng, symbols))
-        if result is None:
-            continue
-        taken += 1
-        val, ref = result
-        if abs(val) > tol * max(sp.Float(1, 30), ref):
-            return True
-    return False
-
-
 def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
     """Best nonzero sample of an expression: (point, relative value) or None.
 
     Used to certify refutations: a claim "e is not identically zero" is
     backed by a concrete sample where the relative value exceeds ``tol``.
+    For a rational canonical form the relative value is an exact
+    ``sp.Rational``, otherwise a 30-digit float.
     """
     c = canon(e)
     if c == 0:
         return None
-    rng = _seeded_rng(c)
-    symbols = sorted(c.free_symbols, key=str)
     best = None
-    taken = 0
-    attempts = 0
-    while taken < points and attempts < 40 * points:
-        attempts += 1
-        point = _sample_point(rng, symbols)
-        result = _eval_at(c, point)
-        if result is None:
-            continue
-        taken += 1
-        val, ref = result
-        rel = abs(val) / max(sp.Float(1, 30), ref)
+    for point, value, ref in _samples(c, points):
+        rel = abs(value) / ref
         if best is None or rel > best[1]:
             best = (point, rel)
-    if best is None or best[1] <= tol:
+    if best is None:
         return None
-    return best
+    point, rel = best
+    if isinstance(rel, Fraction):
+        rel = sp.Rational(rel.numerator, rel.denominator)
+    if rel <= tol:
+        return None
+    return point, rel

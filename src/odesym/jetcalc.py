@@ -21,6 +21,10 @@ from .exprcore import JET, MAX_JET_ORDER, X, canon, max_jet_order, zero_test
 _BASE_RATES = exprcore.base_rates()
 
 
+class JetOrderLimit(RuntimeError):
+    """A total derivative would need a jet beyond the registry."""
+
+
 class NotExact(ValueError):
     """The expression is not a total x-derivative."""
 
@@ -37,7 +41,7 @@ def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:
         out = sp.Integer(0)
         for s in e.free_symbols:
             if s is JET[MAX_JET_ORDER]:
-                raise RuntimeError("jet order limit exceeded")
+                raise JetOrderLimit("jet order limit exceeded")
             rate = table.get(s)
             if rate is None:
                 continue  # parameters and opaque constants

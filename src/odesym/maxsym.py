@@ -9,6 +9,7 @@ three Lagrangian families (canonical, transformed, natural).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import sympy as sp
@@ -50,27 +51,31 @@ class EliminationFailed(RuntimeError):
         self.residue = residue
 
 
-_LADDER = {SOL_U[0]: [SOL_U[0], SOL_U[1]], SOL_V[0]: [SOL_V[0], SOL_V[1]]}
 _SECOND = {SOL_U[2]: -COEF_Q[0] * SOL_U[0], SOL_V[2]: -COEF_Q[0] * SOL_V[0]}
 
 
-def _derivative_ladder(e) -> dict:
-    """u^(k), v^(k) rewrites via u'' = -q u for the orders present in e.
+@functools.lru_cache(maxsize=None)
+def _ladder_entry(root, k: int) -> sp.Expr:
+    """u^(k) (root u) or v^(k) (root v) rewritten through u'' = -q u.
 
-    Reduced high-order entries grow combinatorially, so the ladder is
-    extended lazily and cached.
+    Reduced high-order entries grow combinatorially, so each is built once
+    from the one below it and memoized.
     """
-    table = {}
+    fam = SOL_U if root is SOL_U[0] else SOL_V
+    if k < 2:
+        return fam[k]
+    return sp.expand(total_derivative(_ladder_entry(root, k - 1)).subs(_SECOND))
+
+
+def _derivative_ladder(e) -> dict:
+    """u^(k), v^(k) rewrites via u'' = -q u for the orders present in e."""
     free = e.free_symbols
-    for fam, root in ((SOL_U, SOL_U[0]), (SOL_V, SOL_V[0])):
-        need = max(
-            (k for k in range(2, MAX_JET_ORDER + 1) if fam[k] in free), default=1
-        )
-        ladder = _LADDER[root]
-        while len(ladder) <= need:
-            ladder.append(sp.expand(total_derivative(ladder[-1]).subs(_SECOND)))
-        table.update({fam[k]: ladder[k] for k in range(2, need + 1)})
-    return table
+    return {
+        fam[k]: _ladder_entry(fam[0], k)
+        for fam in (SOL_U, SOL_V)
+        for k in range(2, MAX_JET_ORDER + 1)
+        if fam[k] in free
+    }
 
 
 class SourceContext:
@@ -148,8 +153,7 @@ class SourceContext:
         e = sp.sympify(e)
         if self.symbolic:
             e = e.xreplace(_derivative_ladder(e))
-            e = e.subs(SOL_V[1], (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0])
-            return sp.cancel(sp.together(e))
+            return canon(e.xreplace({SOL_V[1]: (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]}))
         subs = {}
         free = e.free_symbols
         for fam, root in ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q)):
@@ -158,14 +162,10 @@ class SourceContext:
             for k in range(need + 1):
                 subs[fam[k]] = cur
                 cur = sp.cancel(self.dx(cur))
-        return sp.cancel(sp.together(e.xreplace(subs)))
+        return canon(e.xreplace(subs))
 
     def is_zero(self, e) -> bool:
         return zero_test(self.reduce(e))
-
-
-def reduce(e, ctx: SourceContext) -> sp.Expr:
-    return ctx.reduce(e)
 
 
 @dataclass(frozen=True)

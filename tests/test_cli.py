@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from odesym import cli, maxsym
+from odesym.casebook import SingularityEncountered
 from odesym.cli import emit_report, main
-from odesym.exprcore import canon
+from odesym.exprcore import Inconclusive, canon
 from odesym.grammar import parse
+from odesym.jetcalc import JetOrderLimit, NotExact
 
 
 def run(capsys, *argv):
@@ -153,3 +156,68 @@ def test_round_trip_of_printed_expressions(capsys):
         assert code == 0
         reparsed = parse(out.strip())
         assert canon(reparsed - parse(out.strip())) == 0
+
+
+def test_check_without_witness_is_undecided(capsys):
+    # S(v) = 10^-12 is nonzero, but below the witness tolerance everywhere
+    code, out, _ = run(
+        capsys, "check", "--kind", "variational", "--vf", "0;1",
+        "--lagrangian", "y/10^12", "--order", "0",
+    )
+    assert code == 3
+    assert "undecided" in out
+
+
+def test_check_past_jet_limit_is_undecided(capsys):
+    code, _, err = run(
+        capsys, "check", "--kind", "divergence", "--vf", "x;y",
+        "--eq", "y24+y1^2", "--order", "24",
+    )
+    assert code == 3
+    assert err.count("\n") == 1 and "JetOrderLimit" in err
+
+
+@pytest.mark.parametrize("error", [
+    Inconclusive(parse("y")),
+    NotExact("not exact"),
+    maxsym.EliminationFailed(parse("u")),
+    SingularityEncountered("pole"),
+    JetOrderLimit("jet order limit exceeded"),
+], ids=lambda e: type(e).__name__)
+def test_kernel_errors_are_undecided(capsys, monkeypatch, error):
+    def fail(n):
+        raise error
+
+    monkeypatch.setattr(cli.maxsym, "generators", fail)
+    code, out, err = run(capsys, "generators", "--n", "4")
+    assert code == 3
+    assert out == "" and err.count("\n") == 1 and err.startswith("undecided:")
+
+
+def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
+    def fail(n):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(cli.maxsym, "generators", fail)
+    code, _, err = run(capsys, "generators", "--n", "4")
+    assert code == 3
+    assert "ZeroDivisionError" in err and "internal error" in err
+
+
+def test_order_above_jet_registry_is_bad_order(capsys):
+    code, _, err = run(capsys, "generators", "--n", "25")
+    assert code == 2
+    assert "limit" in err
+
+
+def test_vf_value_starting_with_minus(capsys):
+    argv = ("check", "--kind", "divergence", "--eq", "y3", "--order", "3")
+    separate = run(capsys, *argv, "--vf", "-x;y")
+    joined = run(capsys, *argv, "--vf=-x;y")
+    assert separate == joined and separate[0] == 1
+
+
+def test_q_value_starting_with_minus(capsys):
+    separate = run(capsys, "build-lode", "--n", "3", "--q", "-2/x^2")
+    joined = run(capsys, "build-lode", "--n", "3", "--q=-2/x^2")
+    assert separate == joined and separate[0] == 0

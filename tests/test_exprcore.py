@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from odesym import exprcore
 from odesym.exprcore import (
     COEF_Q,
     JET,
@@ -18,6 +19,16 @@ from odesym.exprcore import (
     partial,
     zero_test,
 )
+from odesym.maxsym import (
+    SourceContext,
+    build_lode,
+    canonical_lagrangian,
+    generators,
+    source_transformation,
+    transformed_lagrangian,
+)
+from odesym.noether import variational_check
+from odesym.transform import transform_lagrangian
 
 y, y1, y2 = JET[0], JET[1], JET[2]
 u, u1, v, v1, q = SOL_U[0], SOL_U[1], SOL_V[0], SOL_V[1], COEF_Q[0]
@@ -102,7 +113,63 @@ def test_inconclusive_is_reported():
 
 def test_numeric_witness_nonzero():
     point, value = numeric_witness(u * v1 - u1 * v - 1)
+    assert isinstance(value, sp.Rational)  # exact for a rational residual
     assert value > sp.Rational(1, 10**9)
+
+
+def _witness_30_digits(c, points=20):
+    """Reference witness: every expanded term evaluated by subs().evalf(30)."""
+    rng = exprcore._seeded_rng(c)
+    symbols = sorted(c.free_symbols, key=str)
+    terms = sp.Add.make_args(sp.expand(c))
+    best = None
+    taken = attempts = 0
+    while taken < points and attempts < 40 * points:
+        attempts += 1
+        point = {s: sp.Rational(rng.randint(10, 1000), 100) for s in symbols}
+        vals = [t.subs(point).evalf(30) for t in terms]
+        if any(val.has(sp.zoo, sp.oo, sp.nan) for val in vals):
+            continue
+        taken += 1
+        rel = abs(sum(vals)) / max(sp.Float(1, 30), sum(abs(val) for val in vals))
+        if best is None or rel > best[1]:
+            best = (point, rel)
+    return best
+
+
+def test_numeric_witness_agrees_with_30_digit_path():
+    ctx = SourceContext.make_symbolic()
+    h6 = generators(6).by_name()["H6"]
+    residual = variational_check(h6, transformed_lagrangian(6, ctx), ctx).witness
+    point, value = numeric_witness(residual)
+    ref_point, ref_value = _witness_30_digits(canon(residual))
+    assert isinstance(value, sp.Rational)
+    assert point == ref_point
+    assert abs(value - ref_value) < sp.Float("1e-25", 30) * value
+
+
+class _ScriptedRandom(random.Random):
+    """Seeded RNG whose first draws are fixed."""
+
+    def __init__(self, first):
+        super().__init__(0)
+        self._first = list(first)
+
+    def randint(self, a, b):
+        return self._first.pop(0) if self._first else super().randint(a, b)
+
+
+def test_samples_skip_zero_denominator(monkeypatch):
+    c = canon(1 / (X - y) + 1)
+    # x = y = 1/2 twice, where the denominator x - y vanishes
+    monkeypatch.setattr(exprcore, "_seeded_rng", lambda e: _ScriptedRandom([50, 50, 50, 50]))
+    samples = list(exprcore._samples(c, 20))
+    assert len(samples) == 20
+    assert all(point[X] != point[y] for point, _, _ in samples)
+    assert samples[0][0] != {X: sp.Rational(1, 2), y: sp.Rational(1, 2)}
+    monkeypatch.setattr(exprcore, "_seeded_rng", lambda e: _ScriptedRandom([50, 50, 50, 50]))
+    point, value = numeric_witness(c)
+    assert point[X] != point[y] and isinstance(value, sp.Rational)
 
 
 def test_numeric_witness_zero_expression():
@@ -175,3 +242,57 @@ def test_canon_addition_property():
         e1, _ = _rand_poly(rng)
         e2, _ = _rand_poly(rng)
         assert canon(e1 + e2) == canon(canon(e1) + canon(e2))
+
+
+# --- canon is srepr-identical to sp.cancel(sp.together(e)) ---
+
+_RATIONAL_ATOMS = [X, y, y1, y2, JET[10], u, u1, v, q, COEF_Q[1], k1, PARAMS["theta"]]
+
+
+def _rand_rational(rng, depth):
+    """Nested sums, products, quotients and integer powers of random
+    polynomials; quotients get non-monomial denominators, negated half the
+    time so the leading coefficient starts out negative."""
+    if depth == 0:
+        return _rand_atom_poly(rng)
+    a, b = _rand_rational(rng, depth - 1), _rand_rational(rng, depth - 1)
+    pick = rng.random()
+    if pick < 0.25:
+        return a + b
+    if pick < 0.5:
+        return a * b
+    if pick < 0.85:
+        den = b + rng.choice(_RATIONAL_ATOMS) * sp.Rational(rng.randint(1, 5), rng.randint(1, 3))
+        if den == 0:
+            return a
+        return a / (-den if rng.random() < 0.5 else den)
+    return a ** rng.randint(-2, 3) if a != 0 else b
+
+
+def _rand_atom_poly(rng):
+    expr = sp.Integer(0)
+    for _ in range(rng.randint(1, 3)):
+        term = sp.Rational(rng.randint(-9, 9), rng.randint(1, 6))
+        for _ in range(rng.randint(0, 3)):
+            term *= rng.choice(_RATIONAL_ATOMS)
+        expr += term
+    return expr
+
+
+def _canon_corpus():
+    rng = random.Random(20261018)
+    corpus = [_rand_rational(rng, rng.randint(1, 3)) for _ in range(150)]
+    ctx = SourceContext.make_symbolic()
+    for n in (4, 6):
+        delta = build_lode(n, ctx).delta
+        corpus += [delta, y * delta / 2, delta / (u1 - q * u), (delta - y1 * q) / (q * y - v1)]
+    for n in (2, 4, 6):
+        sigma = source_transformation(n, ctx)
+        corpus.append(transform_lagrangian(canonical_lagrangian(n), sigma).density)
+        corpus.append(transformed_lagrangian(n, ctx).density)
+    return corpus
+
+
+def test_canon_matches_cancel_together():
+    for e in _canon_corpus():
+        assert sp.srepr(canon(e)) == sp.srepr(sp.cancel(sp.together(e))), e

@@ -202,3 +202,34 @@ def test_concrete_context_validation():
     ctx = SourceContext.from_solutions(sp.Integer(1), X)
     assert ctx.q == 0 and ctx.wronskian == 1
     assert canon(ctx.reduce(u * v1 - u1 * v) - 1) == 0
+
+
+def _reduce_by_cancel(ctx, e):
+    """Reference concrete reduction: substitute the pair's derivative
+    ladders, then sp.cancel(sp.together(.))."""
+    subs = {}
+    for fam, root in ((SOL_U, ctx.u), (SOL_V, ctx.v), (COEF_Q, ctx.q)):
+        cur = root
+        for k in range(9):
+            subs[fam[k]] = cur
+            cur = sp.cancel(ctx.dx(cur))
+    return sp.cancel(sp.together(sp.sympify(e).xreplace(subs)))
+
+
+def test_reduce_concrete_families_match_cancel():
+    # the concrete inputs of the family (C5) and worked-example (C6) cases
+    from odesym.casebook import family_exponential, family_power, family_radical_log
+    from odesym.noether import invariance_expression
+
+    sym_L4 = natural_lagrangian(4, CTX)
+    families = [
+        (family_radical_log(+1)[2], "F4"),
+        (family_radical_log(-1)[2], "H4"),
+        (family_exponential()[2], "G4"),
+        (family_power()[2], "G4"),
+        (SourceContext.zero_q(), "V1"),
+    ]
+    for ctx, name in families:
+        vf = generators(4).by_name()[name]
+        for e in (sym_L4.density, vf.xi, vf.psi, invariance_expression(vf, sym_L4, CTX)):
+            assert sp.srepr(ctx.reduce(e)) == sp.srepr(_reduce_by_cancel(ctx, e))
