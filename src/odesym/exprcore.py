@@ -88,9 +88,8 @@ _BASE_RATES = base_rates()
 
 def max_jet_order(e) -> int:
     """Highest jet order present, or -1 for jet-free expressions."""
-    e = sp.sympify(e)
-    orders = [k for k in range(MAX_JET_ORDER + 1) if JET[k] in e.free_symbols]
-    return max(orders, default=-1)
+    free = sp.sympify(e).free_symbols
+    return max((k for k in range(MAX_JET_ORDER + 1) if JET[k] in free), default=-1)
 
 
 def _validate(e, inside_elementary=False) -> bool:
@@ -162,16 +161,67 @@ def _as_fraction(e, R, gen_of) -> tuple:
     return sum((n * den.exquo(d) for d, n in groups.items()), R.zero), den
 
 
+class RingFraction:
+    """A rational function as a (numerator, denominator) pair of one ring.
+
+    The ring is ``_ring(gens)`` with gens in ``_sort_gens`` order, as for
+    :func:`canon`; the pair is not reduced.  Operators keep values in this
+    form between steps, and :func:`canon` takes one directly.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        a, b = self.den, other.den
+        if a == b:
+            return RingFraction(self.num + other.num, a)
+        m = a.lcm(b)
+        return RingFraction(self.num * m.exquo(a) + other.num * m.exquo(b), m)
+
+    def __neg__(self):
+        return RingFraction(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return RingFraction(self.num * other.num, self.den * other.den)
+
+    @property
+    def free_symbols(self) -> set:
+        """The generators that occur in the numerator or the denominator."""
+        R = self.num.ring
+        return {
+            s
+            for s, a, b in zip(R.symbols, self.num.degrees(), self.den.degrees())
+            if a > 0 or b > 0
+        }
+
+    def as_expr(self) -> sp.Expr:
+        num, den = self.num, self.den
+        if den.is_ground:
+            return num.quo_ground(den.LC).as_expr()
+        return num.as_expr() / den.as_expr()
+
+
 def _rational_normal_form(e, gens) -> sp.Expr:
-    """``sp.cancel(sp.together(e))`` for a rational e, computed in QQ[gens].
+    """``sp.cancel(sp.together(e))`` for a rational e, computed in QQ[gens]."""
+    R = _ring(_sort_gens(gens))
+    return _normal_form(*_as_fraction(e, R, dict(zip(R.symbols, R.gens))))
+
+
+def _normal_form(num, den) -> sp.Expr:
+    """cancel's p/q for num/den over a ring with gens in ``_sort_gens`` order.
 
     cancel's result is the unique p/q with integer coefficients, no common
     factor (integer contents included) and a positive leading coefficient
     of q in lex order over the sorted gens; the reduced pair from the ring
-    gives the same p and q after clearing its rational coefficients.
+    gives the same p and q after clearing its rational coefficients.  Gens
+    absent from both polynomials change neither the order nor the result.
     """
-    R = _ring(_sort_gens(gens))
-    num, den = _as_fraction(e, R, dict(zip(R.symbols, R.gens)))
     num, den = num.cancel(den)
     cn, num = num.clear_denoms()
     cd, den = den.clear_denoms()
@@ -192,8 +242,10 @@ def canon(e) -> sp.Expr:
     The result is srepr-identical to ``sp.cancel(sp.together(e))``; a
     rational expression is reduced as a numerator/denominator pair of
     polynomials over QQ in its atoms, one with ln/exp/radicals goes
-    through cancel itself.
+    through cancel itself.  A :class:`RingFraction` is reduced in its ring.
     """
+    if isinstance(e, RingFraction):
+        return _normal_form(e.num, e.den)
     e = sp.sympify(e)
     if _validate(e):
         gens = e.free_symbols

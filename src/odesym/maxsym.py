@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.polys.polyutils import _sort_gens
 
 from . import transform as _transform
 from .exprcore import (
@@ -22,6 +23,9 @@ from .exprcore import (
     SOL_U,
     SOL_V,
     X,
+    RingFraction,
+    _as_fraction,
+    _ring,
     canon,
     max_jet_order,
     zero_test,
@@ -30,7 +34,6 @@ from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
-    dx_fixed_jets,
     total_derivative,
 )
 
@@ -67,15 +70,78 @@ def _ladder_entry(root, k: int) -> sp.Expr:
     return sp.expand(total_derivative(_ladder_entry(root, k - 1)).subs(_SECOND))
 
 
-def _derivative_ladder(e) -> dict:
-    """u^(k), v^(k) rewrites via u'' = -q u for the orders present in e."""
-    free = e.free_symbols
+def _derivative_ladder(free) -> dict:
+    """u^(k), v^(k) rewrites via u'' = -q u for the orders among the symbols free."""
     return {
         fam[k]: _ladder_entry(fam[0], k)
         for fam in (SOL_U, SOL_V)
         for k in range(2, MAX_JET_ORDER + 1)
         if fam[k] in free
     }
+
+
+_FAMILY_ATOMS = frozenset((*SOL_U, *SOL_V, *COEF_Q))
+
+
+def _by_exponents(p, idx) -> dict:
+    """p grouped by the exponents of the generators idx: {exponents: cofactor}."""
+    groups = {}
+    for m, c in p.items():
+        rest = list(m)
+        for i in idx:
+            rest[i] = 0
+        groups.setdefault(tuple(m[i] for i in idx), {})[tuple(rest)] = c
+    return {key: p.ring.dtype(terms) for key, terms in groups.items()}
+
+
+def _compose(p, images: dict):
+    """p with generator i replaced by the polynomial images[i]."""
+    idx = tuple(images)
+    powers = {}
+    out = p.ring.zero
+    for key, part in _by_exponents(p, idx).items():
+        for i, e in zip(idx, key):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                part *= powers[i, e]
+        out += part
+    return out
+
+
+def _reduce_fraction(f: RingFraction) -> RingFraction:
+    """The symbolic reduction of a ring fraction, carried out in the ring.
+
+    The same rewrites as the tree form of :meth:`SourceContext.reduce`:
+    u^(k), v^(k) for k >= 2 become their ladder entries, then v' becomes
+    (1 + u'v)/u, homogenized by the power of u its degree needs.
+    """
+    ladder = _derivative_ladder(f.free_symbols)
+    atoms = set(f.num.ring.symbols)
+    for entry in ladder.values():
+        atoms |= entry.free_symbols
+    if SOL_V[1] in atoms:
+        atoms |= {SOL_U[0], SOL_U[1], SOL_V[0]}
+    R = _ring(_sort_gens(atoms))
+    gen_of = dict(zip(R.symbols, R.gens))
+    num, den = f.num.set_ring(R), f.den.set_ring(R)
+    if ladder:
+        images = {R.symbols.index(s): _as_fraction(e, R, gen_of)[0] for s, e in ladder.items()}
+        num, den = _compose(num, images), _compose(den, images)
+    if not num or SOL_V[1] not in atoms:
+        return RingFraction(num, den)
+    i = R.symbols.index(SOL_V[1])
+    a, b = 1 + gen_of[SOL_U[1]] * gen_of[SOL_V[0]], gen_of[SOL_U[0]]  # v' = a/b
+    homogeneous = []
+    for p in (num, den):
+        groups = _by_exponents(p, (i,))
+        top = max(j for (j,) in groups)
+        terms = (c * a**j * b ** (top - j) for (j,), c in groups.items())
+        homogeneous.append((sum(terms, R.zero), top))
+    (num, dn), (den, dd) = homogeneous
+    if dd >= dn:
+        return RingFraction(num * b ** (dd - dn), den)
+    return RingFraction(num, den * b ** (dn - dd))
 
 
 class SourceContext:
@@ -149,10 +215,20 @@ class SourceContext:
         return COEF_Q[j] if self.symbolic else canon(self.dx(self.q, times=j)) if j else self.q
 
     def reduce(self, e) -> sp.Expr:
-        """Normal form of an expression modulo the source-equation relations."""
+        """Normal form of an expression modulo the source-equation relations.
+
+        e may also be a RingFraction, an operator result kept in its ring;
+        in symbolic mode it is reduced there without a sympy tree.
+        """
+        if isinstance(e, RingFraction):
+            if self.symbolic:
+                return canon(_reduce_fraction(e))
+            if not e.free_symbols & _FAMILY_ATOMS:
+                return canon(e)
+            e = e.as_expr()
         e = sp.sympify(e)
         if self.symbolic:
-            e = e.xreplace(_derivative_ladder(e))
+            e = e.xreplace(_derivative_ladder(e.free_symbols))
             return canon(e.xreplace({SOL_V[1]: (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]}))
         subs = {}
         free = e.free_symbols
@@ -232,12 +308,9 @@ def generators(n: int) -> GeneratorSet:
 
 def commutator(v1: VectorField, v2: VectorField, rates=None) -> VectorField:
     """Lie bracket of point vector fields."""
-    def act(vf, f):
-        return vf.xi * dx_fixed_jets(f, rates) + vf.psi * sp.diff(f, JET[0])
-
     return VectorField(
-        sp.expand(act(v1, v2.xi) - act(v2, v1.xi)),
-        sp.expand(act(v1, v2.psi) - act(v2, v1.psi)),
+        sp.expand(v1.apply(v2.xi, rates) - v2.apply(v1.xi, rates)),
+        sp.expand(v1.apply(v2.psi, rates) - v2.apply(v1.psi, rates)),
     )
 
 

@@ -14,16 +14,15 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .exprcore import JET, canon, max_jet_order, zero_test
+from . import jetcalc
+from .exprcore import JET, canon, max_jet_order, partial, zero_test
 from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
+    apply_prolongation,
     characteristic,
-    dx_fixed_jets,
-    euler,
     inverse_total_derivative,
-    prolong,
     substitute_solved,
     total_derivative,
 )
@@ -71,35 +70,31 @@ def _rates(ctx: SourceContext | None):
 
 def invariance_expression(v: VectorField, L: Lagrangian, ctx: SourceContext | None = None) -> sp.Expr:
     """S(v) = pr v (L) + L * D_x xi, the variational invariance residual."""
-    rates = _rates(ctx)
-    phis = prolong(v, L.order, rates)
-    out = v.xi * dx_fixed_jets(L.density, rates) + L.density * total_derivative(v.xi, rates=rates)
-    for k in range(L.order + 1):
-        out += phis[k] * sp.diff(L.density, JET[k])
-    return out
+    return _invariance(v, L, ctx).as_expr()
+
+
+def _invariance(v: VectorField, L: Lagrangian, ctx: SourceContext | None):
+    action, density, dxi = jetcalc._prolonged_action(v, L.density, _rates(ctx))
+    return action + density * dxi
 
 
 def lie_symmetry_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Prolonged action of v on Delta, reduced on the solution manifold."""
     rates = _rates(ctx)
-    phis = prolong(v, eq.order, rates)
-    action = v.xi * dx_fixed_jets(eq.delta, rates)
-    for k in range(eq.order + 1):
-        action += phis[k] * sp.diff(eq.delta, JET[k])
+    action = apply_prolongation(v, eq.delta, rates)
     residual = _reduce(substitute_solved(action, eq, rates), ctx)
     return SymmetryVerdict("lie", zero_test(residual), residual)
 
 
 def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Off-shell test S(v) = 0 identically in all jet variables."""
-    residual = _reduce(invariance_expression(v, L, ctx), ctx)
+    residual = _reduce(_invariance(v, L, ctx), ctx)
     return SymmetryVerdict("variational", zero_test(residual), residual)
 
 
 def divergence_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Test E(Q*Delta) = 0, with Q the characteristic of v."""
-    product = sp.expand(characteristic(v) * eq.delta)
-    residual = _reduce(euler(product, rates=_rates(ctx)), ctx)
+    residual = _reduce(jetcalc._euler(characteristic(v) * eq.delta, _rates(ctx)), ctx)
     return SymmetryVerdict("divergence", zero_test(residual), residual)
 
 
@@ -127,26 +122,18 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
 def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp.Expr:
     """The multiplier mu with D_x F = mu * Delta, if one exists.
 
-    Works by polynomial division against the solved form: the top jet
-    cofactor of D_x F must reproduce D_x F modulo the monic equation.
+    Works by division against the monic equation y^(n) - rhs: F is first
+    brought below order n on solutions, so D_x F is linear in y^(n) with
+    cofactor mu, and the remainder D_x F - mu*(y^(n) - rhs) is D_x F with
+    y^(n) eliminated.
     """
     rates = ctx.deriv_rates() if ctx is not None else None
     eq = eq.monic()
-    r = total_derivative(sp.sympify(F), rates=rates)
-    while max_jet_order(r) > eq.order:
-        m = max_jet_order(r)
-        consequence = eq.solved_rhs()
-        for _ in range(m - eq.order):
-            consequence = total_derivative(consequence, rates=rates)
-        consequence = consequence.subs(JET[eq.order], eq.solved_rhs())
-        r = sp.together(r.subs(JET[m], consequence))
-    mu = sp.cancel(sp.diff(sp.together(r), JET[eq.order]))
-    if sp.diff(mu, JET[eq.order]) != 0:
-        raise NotFirstIntegral("D_x F is nonlinear in the top derivative", r)
-    remainder = _reduce(r - mu * eq.delta, ctx)
+    r = total_derivative(substitute_solved(F, eq, rates), rates=rates)
+    remainder = _reduce(substitute_solved(r, eq, rates), ctx)
     if not zero_test(remainder):
         raise NotFirstIntegral("nonzero remainder after division", remainder)
-    return canon(mu)
+    return canon(partial(r, JET[eq.order]))
 
 
 def divergence_relation_check(

@@ -22,7 +22,6 @@ from odesym.casebook import (
     family_radical_log,
     independence_determinant,
     numeric_validate,
-    run_case,
 )
 from odesym.exprcore import COEF_Q, JET, SOL_U, SOL_V, X, canon, numeric_witness, zero_test
 from odesym.jetcalc import (
@@ -273,9 +272,9 @@ def test_criterion_7_numeric_redundancy():
     )
 
 
-def test_all_cases_reproduce():
+def test_all_cases_reproduce(case_report):
     # the casebook is the acceptance substrate; every case must verify
     for cid in ("C1", "C2", "C3", "C4", "C5", "C6", "C7"):
-        report = run_case(cid)
+        report = case_report(cid)
         failures = [c.claim_id for c in report.claims if c.status != "verified"]
         assert not failures, (cid, failures)

@@ -29,23 +29,23 @@ def test_inventory_is_complete():
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
-def test_case_verifies(case_id):
-    report = run_case(case_id)
+def test_case_verifies(case_id, case_report):
+    report = case_report(case_id)
     assert report.case_id == case_id
     assert report.claims, "no claim may be silently omitted"
     failures = [c for c in report.claims if c.status != "verified"]
     assert not failures, failures
 
 
-def test_case_claim_counts():
-    assert len(run_case("C1").claims) == 3
-    assert len(run_case("C2").claims) == 3
-    assert len(run_case("C4").claims) == 12
-    assert len(run_case("C6").claims) == 14
+def test_case_claim_counts(case_report):
+    assert len(case_report("C1").claims) == 3
+    assert len(case_report("C2").claims) == 3
+    assert len(case_report("C4").claims) == 12
+    assert len(case_report("C6").claims) == 14
 
 
-def test_report_dict_shape():
-    d = run_case("C1").as_dict()
+def test_report_dict_shape(case_report):
+    d = case_report("C1").as_dict()
     assert set(d) == {"case", "claims"}
     for claim in d["claims"]:
         assert set(claim) == {"id", "status", "residual", "paper_ref", "millis"}

@@ -3,9 +3,11 @@ import random
 import pytest
 import sympy as sp
 
-from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, X, canon, zero_test
+from odesym import casebook, exprcore, jetcalc
+from odesym.exprcore import COEF_Q, JET, MAX_JET_ORDER, PARAMS, SOL_U, X, canon, zero_test
 from odesym.jetcalc import (
     DiffEq,
+    JetOrderLimit,
     Lagrangian,
     NotExact,
     VectorField,
@@ -19,6 +21,7 @@ from odesym.jetcalc import (
     substitute_solved,
     total_derivative,
 )
+from odesym.maxsym import SourceContext, transformed_lagrangian
 
 y, y1, y2, y3 = JET[0], JET[1], JET[2], JET[3]
 u, u1 = SOL_U[0], SOL_U[1]
@@ -203,3 +206,161 @@ def test_apply_prolongation_product_rule():
     lhs = apply_prolongation(vf, e1 * e2)
     rhs = e1 * apply_prolongation(vf, e2) + e2 * apply_prolongation(vf, e1)
     assert canon(lhs - rhs) == 0
+
+
+# --- ring operators against a sympy-tree reference ------------------------
+#
+# The references below apply each operator's defining formula with sp.diff
+# on expression trees; the operators must give the same canonical forms.
+
+def _ref_dx(e, rates=None):
+    table = {**exprcore.base_rates(), **(rates or {})}
+    if JET[MAX_JET_ORDER] in e.free_symbols:
+        raise JetOrderLimit("jet order limit exceeded")
+    return sum((sp.diff(e, s) * table[s] for s in e.free_symbols if s in table), sp.Integer(0))
+
+
+def _ref_total_derivative(e, times, rates=None):
+    for _ in range(times):
+        e = sp.expand(_ref_dx(e, rates))
+    return e
+
+
+def _ref_dx_fixed_jets(e, rates=None):
+    return _ref_dx(e, rates) - sum(
+        (JET[k + 1] * sp.diff(e, JET[k]) for k in range(exprcore.max_jet_order(e) + 1)),
+        sp.Integer(0),
+    )
+
+
+def _ref_prolong(vf, order, rates=None):
+    qc = vf.psi - vf.xi * y1
+    return [_ref_total_derivative(qc, k, rates) + vf.xi * JET[k + 1] for k in range(order + 1)]
+
+
+def _ref_apply_prolongation(vf, e, rates=None):
+    m = max(exprcore.max_jet_order(e), 0)
+    out = vf.xi * _ref_dx_fixed_jets(e, rates)
+    for k, phi in enumerate(_ref_prolong(vf, m, rates)):
+        out += phi * sp.diff(e, JET[k])
+    return out
+
+
+def _ref_euler(e, rates=None):
+    return sum(
+        ((-1) ** k * _ref_total_derivative(sp.diff(e, JET[k]), k, rates)
+         for k in range(exprcore.max_jet_order(e) + 1)),
+        sp.Integer(0),
+    )
+
+
+def _ref_frechet(delta, qc, rates=None):
+    return sum(
+        (sp.diff(delta, JET[k]) * _ref_total_derivative(qc, k, rates)
+         for k in range(exprcore.max_jet_order(delta) + 1)),
+        sp.Integer(0),
+    )
+
+
+def _ref_frechet_adjoint(delta, qc, rates=None):
+    return sum(
+        ((-1) ** k * _ref_total_derivative(qc * sp.diff(delta, JET[k]), k, rates)
+         for k in range(exprcore.max_jet_order(delta) + 1)),
+        sp.Integer(0),
+    )
+
+
+def _same(a, b):
+    return canon(a) == canon(b)
+
+
+def _random_expr(rng, atoms, terms=3, denominators=()):
+    e = sp.Integer(0)
+    for _ in range(terms):
+        t = sp.Rational(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 3)):
+            t *= rng.choice(atoms)
+        if denominators and rng.random() < 0.5:
+            t /= rng.choice(denominators) ** rng.randint(1, 3)
+        e += t
+    return e
+
+
+def _parity_corpus(case):
+    """(rates, expressions, vector fields) of one parity case, seeded."""
+    rng = random.Random(f"jet-operator-parity:{case}")
+    v = exprcore.SOL_V[0]
+    k1 = PARAMS["k1"]
+    base = [X, y, y1, y2, y3, u, u1, v, q, q1, k1]
+    if case == "polynomial":
+        rates, atoms, dens, fixed = None, base, (), []
+    elif case == "rational-u":
+        rates, atoms, dens = None, base, (u,)
+        fixed = [transformed_lagrangian(4).density, transformed_lagrangian(6).density]
+    elif case == "deriv-rates":
+        rates = SourceContext.make_symbolic().deriv_rates()
+        atoms, dens, fixed = [X, y, y1, y2, u, u1, v, q], (u,), []
+    elif case == "family":
+        rates = casebook.family_radical_log(+1)[2].rates
+        atoms = [X, y, y1, y2, casebook.RADICAL, casebook.LOG_ATOM, PARAMS["k2"]]
+        dens, fixed = (casebook.RADICAL,), []
+    else:  # ln(y) and a radical keep the expressions off the ring
+        rates, atoms, dens = None, [X, y, y1, y2, q], ()
+        fixed = [PARAMS["k2"] - sp.log(y), sp.sqrt(y) * y1 / y2]
+    exprs = [_random_expr(rng, atoms, denominators=dens) for _ in range(8)]
+    if case == "log-edge":
+        exprs = [e + sp.log(y) * _random_expr(rng, atoms, 1) for e in exprs[:4]]
+    exprs += fixed
+    base_atoms = [a for a in atoms if a not in JET[1:]]
+    fields = [
+        VectorField(_random_expr(rng, base_atoms, 2, dens), _random_expr(rng, base_atoms, 2, dens))
+        for _ in range(3)
+    ]
+    if case == "log-edge":
+        fields.append(VectorField(2 * X, -3 * y * (PARAMS["k2"] - sp.log(y))))
+    return rates, exprs, fields
+
+
+PARITY_CASES = ["polynomial", "rational-u", "deriv-rates", "family", "log-edge"]
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_operators_match_tree_reference(case):
+    rates, exprs, fields = _parity_corpus(case)
+    ring = case != "log-edge"
+    for e in exprs:
+        algebra = jetcalc._algebra(rates, (e, 1))
+        assert isinstance(algebra, jetcalc._RingAlgebra if ring else jetcalc._TreeAlgebra), e
+        for times in (1, 2, 3):
+            got = total_derivative(e, times, rates)
+            assert _same(got, _ref_total_derivative(e, times, rates)), (e, times)
+        assert _same(jetcalc.dx_fixed_jets(e, rates), _ref_dx_fixed_jets(e, rates)), e
+        assert _same(euler(e, rates), _ref_euler(e, rates)), e
+    for vf in fields:
+        for got, want in zip(prolong(vf, 3, rates), _ref_prolong(vf, 3, rates)):
+            assert _same(got, want), vf
+        for e in exprs[:4]:
+            got = apply_prolongation(vf, e, rates)
+            assert _same(got, _ref_apply_prolongation(vf, e, rates)), (vf, e)
+    for delta, qc in zip(exprs[:4], exprs[4:8]):
+        assert _same(frechet(delta, qc, rates), _ref_frechet(delta, qc, rates)), (delta, qc)
+        got = frechet_adjoint(delta, qc, rates)
+        assert _same(got, _ref_frechet_adjoint(delta, qc, rates)), (delta, qc)
+
+
+def test_operators_stop_at_the_jet_registry():
+    top = JET[MAX_JET_ORDER]
+    assert total_derivative(JET[MAX_JET_ORDER - 1]) == top
+    assert total_derivative(JET[MAX_JET_ORDER - 2], 2) == top
+    assert euler(y * top) == 2 * top
+    assert prolong(VectorField(0, y), MAX_JET_ORDER)[-1] == top
+    for call in (
+        lambda: total_derivative(top),
+        lambda: total_derivative(JET[MAX_JET_ORDER - 1], 2),
+        lambda: total_derivative(1 / (1 + top)),
+        lambda: euler(y1 * top),
+        lambda: euler((y - X * y1) * (top + y1**2)),
+        lambda: prolong(VectorField(0, y), MAX_JET_ORDER + 1),
+    ):
+        with pytest.raises(JetOrderLimit):
+            call()
