@@ -26,6 +26,7 @@ from .maxsym import (
     natural_lagrangian,
     reference_first_integral_homogeneity,
     reference_transformed_lagrangian,
+    specialize_q,
     transformed_lagrangian,
 )
 from .noether import (
@@ -486,17 +487,6 @@ def run_all() -> list:
 # ---------------------------------------------------------------------------
 # Numeric redundancy: Runge-Kutta drift of first integrals.
 
-def _specialize_q(e, q_expr):
-    e = sp.sympify(e)
-    subs = {}
-    cur = sp.sympify(q_expr)
-    need = max((k for k in range(len(COEF_Q)) if COEF_Q[k] in e.free_symbols), default=-1)
-    for k in range(need + 1):
-        subs[COEF_Q[k]] = cur
-        cur = sp.diff(cur, X)
-    return e.xreplace(subs)
-
-
 def numeric_validate(F, q_expr=None, ic=(), span=2.0, steps=2000, equation=None):
     """Max relative drift of F along an RK4 trajectory of its equation.
 
@@ -511,8 +501,8 @@ def numeric_validate(F, q_expr=None, ic=(), span=2.0, steps=2000, equation=None)
         raise ValueError(f"need {n} initial values, got {len(ic)}")
     rhs_expr = eq.solved_rhs()
     if q_expr is not None:
-        rhs_expr = _specialize_q(rhs_expr, q_expr)
-        expr = _specialize_q(expr, q_expr)
+        rhs_expr = specialize_q(rhs_expr, q_expr)
+        expr = specialize_q(expr, q_expr)
     state_syms = [X, *JET[:n]]
     extra = (set(rhs_expr.free_symbols) | set(expr.free_symbols)) - set(state_syms)
     if extra:

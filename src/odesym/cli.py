@@ -167,7 +167,7 @@ def _cmd_build_lode(args) -> int:
     eq = maxsym.build_lode(args.n)
     delta = eq.delta
     if args.q is not None:
-        delta = canon(casebook._specialize_q(delta, _parse_expr(args.q)))
+        delta = canon(maxsym.specialize_q(delta, _parse_expr(args.q)))
     report = _object_report(None, [(f"Delta{args.n}", delta)])
     if args.json:
         _deliver(report, args)
@@ -200,34 +200,23 @@ def _cmd_check(args) -> int:
     if args.kind == "variational":
         if args.lagrangian is None:
             raise UsageError("variational checks need --lagrangian <expr> --order m")
-        density = _parse_expr(args.lagrangian)
-        _reject_solution_symbols(args.q, density, vf.xi, vf.psi)
-        if q_expr is not None:
-            density = casebook._specialize_q(density, q_expr)
-            ctx = None
-        else:
-            ctx = maxsym.SourceContext.make_symbolic()
-        try:
-            lag = Lagrangian(density, args.order)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        verdict = noether.variational_check(vf, lag, ctx)
+        text, build, checker = args.lagrangian, Lagrangian, noether.variational_check
     else:
         if args.eq is None:
             raise UsageError(f"{args.kind} checks need --eq <expr> --order n")
-        delta = _parse_expr(args.eq)
-        _reject_solution_symbols(args.q, delta, vf.xi, vf.psi)
-        if q_expr is not None:
-            delta = casebook._specialize_q(delta, q_expr)
-            ctx = None
-        else:
-            ctx = maxsym.SourceContext.make_symbolic()
-        try:
-            eq = DiffEq(sp.sympify(delta), args.order)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
+        text, build = args.eq, DiffEq
         checker = noether.lie_symmetry_check if args.kind == "lie" else noether.divergence_check
-        verdict = checker(vf, eq, ctx)
+    expr = _parse_expr(text)
+    _reject_solution_symbols(args.q, expr, vf.xi, vf.psi)
+    if q_expr is None:
+        ctx = maxsym.SourceContext.make_symbolic()
+    else:
+        expr, ctx = maxsym.specialize_q(expr, q_expr), None
+    try:
+        obj = build(expr, args.order)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+    verdict = checker(vf, obj, ctx)
     if verdict.holds:
         status, code = "verified", 0
     elif numeric_witness(verdict.witness) is not None:
@@ -257,7 +246,7 @@ def _cmd_first_integral(args) -> int:
     q_expr = _parse_expr(args.q) if args.q is not None else None
     if q_expr is not None:
         _reject_solution_symbols(args.q, vf.xi, vf.psi)
-        eq = DiffEq(canon(casebook._specialize_q(eq.delta, q_expr)), args.n)
+        eq = DiffEq(canon(maxsym.specialize_q(eq.delta, q_expr)), args.n)
         ctx = None
     try:
         result = noether.first_integral(vf, eq, ctx)

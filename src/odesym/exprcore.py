@@ -86,10 +86,14 @@ def base_rates() -> dict:
 _BASE_RATES = base_rates()
 
 
+def top_order(free, family) -> int:
+    """Highest k with family[k] among the symbols free, or -1 if none is."""
+    return max((k for k, s in enumerate(family) if s in free), default=-1)
+
+
 def max_jet_order(e) -> int:
     """Highest jet order present, or -1 for jet-free expressions."""
-    free = sp.sympify(e).free_symbols
-    return max((k for k in range(MAX_JET_ORDER + 1) if JET[k] in free), default=-1)
+    return top_order(sp.sympify(e).free_symbols, JET)
 
 
 def _validate(e, inside_elementary=False) -> bool:
@@ -263,14 +267,14 @@ def partial(e, a) -> sp.Expr:
 
 
 def is_rational_expr(e) -> bool:
-    """True when the expression is rational over the atoms (no ln/exp/roots)."""
-    e = sp.sympify(e)
-    if e.atoms(sp.Function):
+    """True when the expression is rational over the atoms (no ln/exp/roots).
+
+    False as well for any form outside the atom grammar.
+    """
+    try:
+        return _validate(sp.sympify(e))
+    except UnsupportedForm:
         return False
-    for p in e.atoms(sp.Pow):
-        if not isinstance(p.exp, sp.Integer):
-            return False
-    return True
 
 
 def _seeded_rng(e) -> random.Random:

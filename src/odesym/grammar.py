@@ -1,6 +1,6 @@
 """Text grammar for kernel expressions.
 
-Identifiers: x, y, y1..y8 (jet orders), u, v, q and their derivative forms
+Identifiers: x, y, y1..y24 (jet orders), u, v, q and their derivative forms
 u1, q2, ..., parameters k1, k2, k3, lam, theta, alpha, a0..a3.  Operators
 + - * / ^ with the usual precedence, ^ binding tightest and associating to
 the right.  Functions: ln(), exp(), sqrt().  Numbers are exact: integers,

@@ -32,9 +32,9 @@ from .exprcore import (
     MAX_JET_ORDER,
     X,
     RingFraction,
-    UnsupportedForm,
     canon,
     max_jet_order,
+    top_order,
     zero_test,
 )
 
@@ -197,13 +197,6 @@ class _TreeAlgebra:
         return out
 
 
-def _is_rational(e) -> bool:
-    try:
-        return exprcore._validate(e)
-    except UnsupportedForm:
-        return False
-
-
 def _rates_key(rates) -> tuple:
     if not rates:
         return ()
@@ -213,7 +206,7 @@ def _rates_key(rates) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _rate_atoms(rates_key):
     """Atoms of each symbol's rate, or None when some rate is not rational."""
-    if not all(_is_rational(r) for _, r in rates_key):
+    if not all(exprcore.is_rational_expr(r) for _, r in rates_key):
         return None
     return {**_BASE_RATE_ATOMS, **{s: frozenset(r.free_symbols) for s, r in rates_key}}
 
@@ -231,7 +224,7 @@ def _algebra(rates, *items):
     """
     key = _rates_key(rates)
     rate_atoms = _rate_atoms(key)
-    if rate_atoms is None or not all(_is_rational(e) for e, _ in items):
+    if rate_atoms is None or not all(exprcore.is_rational_expr(e) for e, _ in items):
         return _TreeAlgebra(rates)
     gens = set()
     for e, steps in items:
@@ -459,11 +452,6 @@ def frechet_adjoint(delta, q, rates: dict | None = None) -> sp.Expr:
     return _alternating_sum(J, [g * J.partial(f, y) for y in JET[: m + 1]]).as_expr()
 
 
-def _top_ladder_order(e, family) -> int:
-    free = e.free_symbols
-    return max((k for k in range(MAX_JET_ORDER + 1) if family[k] in free), default=-1)
-
-
 def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = True) -> sp.Expr:
     """An F with D_x F = P, for P a total derivative; constant fixed to 0.
 
@@ -483,7 +471,7 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
     P = sp.expand(sp.together(P))
     for family in (JET, exprcore.SOL_U, exprcore.SOL_V, exprcore.COEF_Q):
         while True:
-            m = _top_ladder_order(P, family)
+            m = top_order(P.free_symbols, family)
             if m <= 0:
                 break
             top = family[m]

@@ -27,7 +27,7 @@ from .exprcore import (
     _as_fraction,
     _ring,
     canon,
-    max_jet_order,
+    top_order,
     zero_test,
 )
 from .jetcalc import (
@@ -54,7 +54,10 @@ class EliminationFailed(RuntimeError):
         self.residue = residue
 
 
-_SECOND = {SOL_U[2]: -COEF_Q[0] * SOL_U[0], SOL_V[2]: -COEF_Q[0] * SOL_V[0]}
+# The source equation u'' = -q u, v'' = -q v as the x-derivatives of u', v'.
+_RATES = {SOL_U[1]: -COEF_Q[0] * SOL_U[0], SOL_V[1]: -COEF_Q[0] * SOL_V[0]}
+# v' solved from the unit Wronskian u v' - u' v = 1.
+_V1 = (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,7 +70,7 @@ def _ladder_entry(root, k: int) -> sp.Expr:
     fam = SOL_U if root is SOL_U[0] else SOL_V
     if k < 2:
         return fam[k]
-    return sp.expand(total_derivative(_ladder_entry(root, k - 1)).subs(_SECOND))
+    return sp.expand(total_derivative(_ladder_entry(root, k - 1), rates=_RATES))
 
 
 def _derivative_ladder(free) -> dict:
@@ -131,7 +134,7 @@ def _reduce_fraction(f: RingFraction) -> RingFraction:
     if not num or SOL_V[1] not in atoms:
         return RingFraction(num, den)
     i = R.symbols.index(SOL_V[1])
-    a, b = 1 + gen_of[SOL_U[1]] * gen_of[SOL_V[0]], gen_of[SOL_U[0]]  # v' = a/b
+    a, b = _as_fraction(_V1, R, gen_of)
     homogeneous = []
     for p in (num, den):
         groups = _by_exponents(p, (i,))
@@ -203,16 +206,7 @@ class SourceContext:
         the reduced algebra (the v' rule is a fallback for inputs that were
         not pre-reduced).
         """
-        if not self.symbolic:
-            return self.rates
-        return {
-            SOL_V[0]: (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0],
-            SOL_U[1]: -COEF_Q[0] * SOL_U[0],
-            SOL_V[1]: -COEF_Q[0] * SOL_V[0],
-        }
-
-    def q_derivative(self, j: int) -> sp.Expr:
-        return COEF_Q[j] if self.symbolic else canon(self.dx(self.q, times=j)) if j else self.q
+        return {SOL_V[0]: _V1, **_RATES} if self.symbolic else self.rates
 
     def reduce(self, e) -> sp.Expr:
         """Normal form of an expression modulo the source-equation relations.
@@ -229,19 +223,34 @@ class SourceContext:
         e = sp.sympify(e)
         if self.symbolic:
             e = e.xreplace(_derivative_ladder(e.free_symbols))
-            return canon(e.xreplace({SOL_V[1]: (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]}))
-        subs = {}
-        free = e.free_symbols
-        for fam, root in ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q)):
-            need = max((k for k in range(MAX_JET_ORDER + 1) if fam[k] in free), default=-1)
-            cur = root
-            for k in range(need + 1):
-                subs[fam[k]] = cur
-                cur = sp.cancel(self.dx(cur))
-        return canon(e.xreplace(subs))
+            return canon(e.xreplace({SOL_V[1]: _V1}))
+        roots = ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q))
+        return canon(e.xreplace(_ladder_images(e.free_symbols, roots, self.rates)))
 
-    def is_zero(self, e) -> bool:
-        return zero_test(self.reduce(e))
+
+def _ladder_images(free, roots, rates=None) -> dict:
+    """Each ladder symbol among free mapped to a derivative of its root.
+
+    roots pairs a ladder (SOL_U, SOL_V or COEF_Q) with an expression in x;
+    its k-th symbol maps to D_x^k of that expression, cancelled at each step.
+    """
+    images = {}
+    for family, root in roots:
+        image = root
+        for k in range(top_order(free, family) + 1):
+            if k:
+                image = sp.cancel(total_derivative(image, rates=rates))
+            images[family[k]] = image
+    return images
+
+
+def specialize_q(e, q) -> sp.Expr:
+    """e with q, q', q'', ... replaced by a concrete q(x) and its derivatives.
+
+    u and v stay formal; the derivatives are those of a concrete reduction.
+    """
+    e = sp.sympify(e)
+    return e.xreplace(_ladder_images(e.free_symbols, ((COEF_Q, sp.sympify(q)),)))
 
 
 @dataclass(frozen=True)
@@ -343,13 +352,9 @@ def build_lode(n: int, ctx: SourceContext | None = None) -> DiffEq:
     ctx = ctx or SourceContext.make_symbolic()
     if n < 2:
         raise BadOrder(f"order must be >= 2, got {n}")
-    second = {SOL_U[2]: -COEF_Q[0] * SOL_U[0]}
     w = ctx.u ** (1 - n) * JET[0]
     for _ in range(n):
-        w = ctx.dx(w)
-        if ctx.symbolic:
-            w = w.subs(second)
-        w = sp.expand(ctx.u**2 * w)
+        w = sp.expand(ctx.u**2 * total_derivative(w, rates=ctx.deriv_rates()))
     lead = sp.cancel(sp.diff(w, JET[n]))
     delta = canon(w / lead)
     if ctx.symbolic:

@@ -41,6 +41,12 @@ def test_first_integral_homogeneity(capsys):
     assert canon(parse(out.strip()) - parse("2*q*y^2 - y1^2/2 + y*y2")) == 0
 
 
+def test_first_integral_with_concrete_q(capsys):
+    code, out, _ = run(capsys, "first-integral", "--vf", "0;y", "--n", "3", "--q", "1")
+    assert code == 0
+    assert canon(parse(out.strip()) - parse("2*y^2 - y1^2/2 + y*y2")) == 0
+
+
 def test_check_missing_order_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--kind", "divergence", "--vf", "0;y", "--eq", "y2+q*y")
     assert code == 2
@@ -51,6 +57,15 @@ def test_check_divergence_holds(capsys):
     code, out, _ = run(
         capsys, "check", "--kind", "divergence", "--vf", "0;y",
         "--eq", "y3+4*q*y1+2*q1*y", "--order", "3",
+    )
+    assert code == 0
+    assert "verified" in out
+
+
+def test_check_divergence_with_nonconstant_q(capsys):
+    code, out, _ = run(
+        capsys, "check", "--kind", "divergence", "--vf", "0;y",
+        "--eq", "y3+4*q*y1+2*q1*y", "--order", "3", "--q", "-2/x^2",
     )
     assert code == 0
     assert "verified" in out

@@ -1,7 +1,7 @@
 import pytest
 import sympy as sp
 
-from odesym.exprcore import COEF_Q, JET, SOL_U, SOL_V, X, canon, zero_test
+from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, base_rates, canon, zero_test
 from odesym.jetcalc import Lagrangian, VectorField, euler, total_derivative
 from odesym.maxsym import (
     BadOrder,
@@ -15,6 +15,7 @@ from odesym.maxsym import (
     reference_first_integral_homogeneity,
     reference_transformed_lagrangian,
     solution_basis,
+    specialize_q,
     transformed_lagrangian,
 )
 from odesym.noether import lie_symmetry_check
@@ -110,6 +111,33 @@ def test_build_lode_small_orders():
     assert canon(build_lode(2, CTX).delta - (y2 + q * y)) == 0
     assert canon(build_lode(3, CTX).delta - (y3 + 4 * q * y1 + 2 * q1 * y)) == 0
     assert canon(build_lode(4, CTX).delta - (y4 + 10 * q * y2 + 10 * q1 * y1 + (3 * q2 + 9 * q**2) * y)) == 0
+
+
+def _build_lode_by_tree(n):
+    """Reference: w = u^(1-n) y pushed through n steps of u^2 D_x on sympy
+    trees, D_x by sp.diff over the atom ladders, then u'' -> -q u."""
+    rates = base_rates()
+    w = u ** (1 - n) * y
+    for _ in range(n):
+        w = sp.Add(*(sp.diff(w, s) * rates[s] for s in w.free_symbols))
+        w = sp.expand(u**2 * w.xreplace({u2: -q * u}))
+    return sp.expand(canon(w / sp.cancel(sp.diff(w, JET[n]))))
+
+
+def test_build_lode_matches_tree_reference():
+    for n in range(2, 11):
+        assert sp.srepr(build_lode(n, CTX).delta) == sp.srepr(_build_lode_by_tree(n)), n
+
+
+def test_specialize_q_matches_diff_ladder():
+    a = 3  # q = -a(a-1)/x^2 has the solution pair x^a, x^(1-a)
+    k1 = PARAMS["k1"]
+    q_values = (0, 1, -2 / X**2, 1 / X**2, sp.exp(X), k1 * X + 3, 1 / (X**2 + 1), -a * (a - 1) / X**2)
+    for n in range(2, 9):
+        delta = build_lode(n, CTX).delta
+        for qval in map(sp.sympify, q_values):
+            reference = delta.xreplace({COEF_Q[k]: sp.diff(qval, X, k) for k in range(n - 1)})
+            assert canon(specialize_q(delta, qval)) == canon(reference), (n, qval)
 
 
 def test_build_lode_oracle_via_first_integral_derivative():
