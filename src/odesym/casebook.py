@@ -1,10 +1,11 @@
 """Executable reproduction of the published results, case by case.
 
 Each case runs a list of claims and reports, per claim, a status
-(verified / refuted-witness / skipped) together with the residual
-expression.  Positive claims verify an exact symbolic zero; negative
-claims (non-membership) additionally certify the residual as nonzero by
-sampling.  A Runge-Kutta harness cross-checks first integrals numerically.
+(verified / refuted-witness / undecided, see :func:`claim_status`)
+together with the residual expression.  Positive claims verify an exact
+symbolic zero; negative claims (non-membership) certify the residual as
+nonzero by a numeric witness.  A Runge-Kutta harness cross-checks first
+integrals numerically.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SingularityEncountered(RuntimeError):
 @dataclass(frozen=True)
 class ClaimResult:
     claim_id: str
-    status: str  # verified | refuted-witness | skipped
+    status: str  # verified | refuted-witness | undecided
     residual: sp.Expr
     millis: float
     label: str = ""
@@ -81,6 +82,24 @@ class CaseReport:
         return {"case": self.case_id, "claims": [c.as_dict() for c in self.claims]}
 
 
+def claim_status(exact_zero: bool, residual, negative: bool = False) -> str:
+    """The status of one claim: verified, refuted-witness or undecided.
+
+    exact_zero is the claim's exact decision that its residual vanishes.
+    It verifies a positive claim and refutes a negative (non-membership)
+    claim.  Otherwise a numeric witness must certify the residual as
+    nonzero; it refutes a positive claim and verifies a negative one.
+    Without a witness, or with an inexact residual (a Float), the claim
+    is undecided.
+    """
+    if exact_zero:
+        return "refuted-witness" if negative else "verified"
+    residual = sp.sympify(residual)
+    if residual.has(sp.Float) or numeric_witness(residual) is None:
+        return "undecided"
+    return "verified" if negative else "refuted-witness"
+
+
 class _Recorder:
     """Collects claim results; wall time covers work since the last record."""
 
@@ -88,16 +107,11 @@ class _Recorder:
         self.report = CaseReport(case_id)
         self._mark = time.perf_counter()
 
-    def _record(self, claim_id, ok, residual, label):
+    def _record(self, claim_id, ok, residual, label, negative=False):
+        status = claim_status(ok, residual, negative)
         now = time.perf_counter()
         self.report.claims.append(
-            ClaimResult(
-                claim_id,
-                "verified" if ok else "refuted-witness",
-                sp.sympify(residual),
-                (now - self._mark) * 1000,
-                label,
-            )
+            ClaimResult(claim_id, status, sp.sympify(residual), (now - self._mark) * 1000, label)
         )
         self._mark = time.perf_counter()
 
@@ -107,12 +121,12 @@ class _Recorder:
         self._record(claim_id, zero_test(residual), residual, label)
 
     def negative(self, claim_id, residual, label=""):
-        """Claim: residual is NOT identically zero; certify by sampling."""
+        """Claim: residual is NOT identically zero; certify by a witness."""
         residual = canon(residual)
-        witness = numeric_witness(residual) if residual != 0 else None
-        self._record(claim_id, residual != 0 and witness is not None, residual, label)
+        self._record(claim_id, residual == 0, residual, label, negative=True)
 
     def check(self, claim_id, ok, residual, label=""):
+        """Claim decided exactly by ok; residual is what a failure leaves."""
         self._record(claim_id, ok, residual, label)
 
 
@@ -336,7 +350,6 @@ def _case_c5() -> CaseReport:
         for qtag, residual in extra_q_claims:
             rec.positive(qtag, residual, f"family-coefficient-{qtag}")
 
-    d = total_derivative
     u, v, ctx = family_radical_log(+1)
     check_family(
         "f4-family",
@@ -344,7 +357,7 @@ def _case_c5() -> CaseReport:
         "F4",
         extra_q_claims=[
             ("f4-q-value", ctx.q - 1 / RADICAL**4),
-            ("f4-q-condition", ctx.q - d(u, rates=ctx.rates) ** 2 / u**2),
+            ("f4-q-condition", ctx.q - ctx.dx(u) ** 2 / u**2),
         ],
     )
 
@@ -362,7 +375,7 @@ def _case_c5() -> CaseReport:
         ctx,
         "G4",
         extra_q_claims=[
-            ("g4-exp-coupling", ctx.q - d(u, rates=ctx.rates) * d(v, rates=ctx.rates) / (u * v))
+            ("g4-exp-coupling", ctx.q - ctx.dx(u) * ctx.dx(v) / (u * v))
         ],
     )
 
@@ -372,7 +385,7 @@ def _case_c5() -> CaseReport:
         ctx,
         "G4",
         extra_q_claims=[
-            ("g4-power-coupling", ctx.q - d(u, rates=ctx.rates) * d(v, rates=ctx.rates) / (u * v))
+            ("g4-power-coupling", ctx.q - ctx.dx(u) * ctx.dx(v) / (u * v))
         ],
     )
     return rec.report

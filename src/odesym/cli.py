@@ -34,7 +34,6 @@ from .exprcore import (
     Inconclusive,
     UnsupportedForm,
     canon,
-    numeric_witness,
 )
 from .grammar import ParseError, parse, render
 from .jetcalc import DiffEq, JetOrderLimit, Lagrangian, NotExact, VectorField
@@ -47,6 +46,9 @@ _UNDECIDED = (
     casebook.SingularityEncountered,
     JetOrderLimit,
 )
+
+# Exit code of a claim status.
+_EXIT_CODES = {"verified": 0, "refuted-witness": 1, "undecided": 3}
 
 # Options whose value is an expression and may start with "-".
 _EXPRESSION_OPTIONS = ("--vf", "--q", "--eq", "--lagrangian", "--integral", "--map")
@@ -217,12 +219,7 @@ def _cmd_check(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
     verdict = checker(vf, obj, ctx)
-    if verdict.holds:
-        status, code = "verified", 0
-    elif numeric_witness(verdict.witness) is not None:
-        status, code = "refuted-witness", 1
-    else:
-        status, code = "undecided", 3
+    status = casebook.claim_status(verdict.holds, verdict.witness)
     report = {
         "case": None,
         "claims": [
@@ -236,7 +233,7 @@ def _cmd_check(args) -> int:
         ],
     }
     _deliver(report, args)
-    return code
+    return _EXIT_CODES[status]
 
 
 def _cmd_first_integral(args) -> int:
@@ -303,16 +300,21 @@ def _cmd_reproduce(args) -> int:
             reports = [casebook.run_case(args.case)]
         except KeyError as err:
             raise UsageError(str(err)) from err
-    ok = all(r.verified for r in reports)
     merged = (
         reports[0].as_dict()
         if len(reports) == 1
         else {"case": "all", "claims": [c for r in reports for c in r.as_dict()["claims"]]}
     )
     _deliver(merged, args)
-    summary = "all claims verified" if ok else "refutations found"
+    statuses = {c.status for r in reports for c in r.claims}
+    if "refuted-witness" in statuses:
+        summary, code = "refutations found", 1
+    elif "undecided" in statuses:
+        summary, code = "undecided claims found", 3
+    else:
+        summary, code = "all claims verified", 0
     print(summary, file=sys.stderr)
-    return 0 if ok else 1
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

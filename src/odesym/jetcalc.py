@@ -6,7 +6,9 @@ derivative for exact differential polynomials.
 
 Every operator takes an optional ``rates`` overlay: a mapping from extra
 symbols to their x-derivatives, used when expressions carry atoms with a
-prescribed x-dependence (concrete solution pairs, radicals, exponentials).
+prescribed x-dependence (concrete solution pairs, radicals, exponentials),
+and by a symbolic source context for the source equation itself: u' and v'
+have the rates -q u and -q v, so u'' and higher never appear.
 
 Each operator is written once, over an operator algebra chosen per call.
 Rational input with rational rates runs in the sparse ring QQ[G] that

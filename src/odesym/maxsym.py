@@ -2,14 +2,13 @@
 
 Everything here is generated by a solution pair (u, v) of the second-order
 source equation y'' + q(x) y = 0 with unit Wronskian: the rewrite context
-that eliminates higher u/v-derivatives, the n+4 symmetry generators, the
+whose rates are that equation, the n+4 symmetry generators, the
 linear equation of order n built by transforming the trivial equation, and
 three Lagrangian families (canonical, transformed, natural).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import sympy as sp
@@ -60,86 +59,35 @@ _RATES = {SOL_U[1]: -COEF_Q[0] * SOL_U[0], SOL_V[1]: -COEF_Q[0] * SOL_V[0]}
 _V1 = (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _ladder_entry(root, k: int) -> sp.Expr:
-    """u^(k) (root u) or v^(k) (root v) rewritten through u'' = -q u.
-
-    Reduced high-order entries grow combinatorially, so each is built once
-    from the one below it and memoized.
-    """
-    fam = SOL_U if root is SOL_U[0] else SOL_V
-    if k < 2:
-        return fam[k]
-    return sp.expand(total_derivative(_ladder_entry(root, k - 1), rates=_RATES))
-
-
-def _derivative_ladder(free) -> dict:
-    """u^(k), v^(k) rewrites via u'' = -q u for the orders among the symbols free."""
-    return {
-        fam[k]: _ladder_entry(fam[0], k)
-        for fam in (SOL_U, SOL_V)
-        for k in range(2, MAX_JET_ORDER + 1)
-        if fam[k] in free
-    }
-
-
 _FAMILY_ATOMS = frozenset((*SOL_U, *SOL_V, *COEF_Q))
+# The atoms a symbolic context substitutes: u^(k), v^(k) for k >= 2.
+_HIGHER = frozenset((*SOL_U[2:], *SOL_V[2:]))
 
 
-def _by_exponents(p, idx) -> dict:
-    """p grouped by the exponents of the generators idx: {exponents: cofactor}."""
+def _by_degree(p, i) -> dict:
+    """p grouped by its degree in generator i: {degree: cofactor}."""
     groups = {}
     for m, c in p.items():
-        rest = list(m)
-        for i in idx:
-            rest[i] = 0
-        groups.setdefault(tuple(m[i] for i in idx), {})[tuple(rest)] = c
-    return {key: p.ring.dtype(terms) for key, terms in groups.items()}
-
-
-def _compose(p, images: dict):
-    """p with generator i replaced by the polynomial images[i]."""
-    idx = tuple(images)
-    powers = {}
-    out = p.ring.zero
-    for key, part in _by_exponents(p, idx).items():
-        for i, e in zip(idx, key):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = images[i] ** e
-                part *= powers[i, e]
-        out += part
-    return out
+        groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
+    return {j: p.ring.dtype(terms) for j, terms in groups.items()}
 
 
 def _reduce_fraction(f: RingFraction) -> RingFraction:
-    """The symbolic reduction of a ring fraction, carried out in the ring.
+    """f with v' replaced by (1 + u'v)/u, carried out in the ring.
 
-    The same rewrites as the tree form of :meth:`SourceContext.reduce`:
-    u^(k), v^(k) for k >= 2 become their ladder entries, then v' becomes
-    (1 + u'v)/u, homogenized by the power of u its degree needs.
+    Numerator and denominator are each homogenized by the power of u their
+    degree in v' needs; f is returned as it is when v' is absent.
     """
-    ladder = _derivative_ladder(f.free_symbols)
-    atoms = set(f.num.ring.symbols)
-    for entry in ladder.values():
-        atoms |= entry.free_symbols
-    if SOL_V[1] in atoms:
-        atoms |= {SOL_U[0], SOL_U[1], SOL_V[0]}
-    R = _ring(_sort_gens(atoms))
-    gen_of = dict(zip(R.symbols, R.gens))
-    num, den = f.num.set_ring(R), f.den.set_ring(R)
-    if ladder:
-        images = {R.symbols.index(s): _as_fraction(e, R, gen_of)[0] for s, e in ladder.items()}
-        num, den = _compose(num, images), _compose(den, images)
-    if not num or SOL_V[1] not in atoms:
-        return RingFraction(num, den)
+    if SOL_V[1] not in f.free_symbols:
+        return f
+    R = _ring(_sort_gens({*f.num.ring.symbols, SOL_U[0], SOL_U[1], SOL_V[0]}))
     i = R.symbols.index(SOL_V[1])
-    a, b = _as_fraction(_V1, R, gen_of)
+    a, b = _as_fraction(_V1, R, dict(zip(R.symbols, R.gens)))
     homogeneous = []
-    for p in (num, den):
-        groups = _by_exponents(p, (i,))
-        top = max(j for (j,) in groups)
-        terms = (c * a**j * b ** (top - j) for (j,), c in groups.items())
+    for p in (f.num.set_ring(R), f.den.set_ring(R)):
+        groups = _by_degree(p, i)
+        top = max(groups)
+        terms = (c * a**j * b ** (top - j) for j, c in groups.items())
         homogeneous.append((sum(terms, R.zero), top))
     (num, dn), (den, dd) = homogeneous
     if dd >= dn:
@@ -150,11 +98,12 @@ def _reduce_fraction(f: RingFraction) -> RingFraction:
 class SourceContext:
     """Rewrite context of a source-equation solution pair.
 
-    In symbolic mode u, v, q stay formal; reduction eliminates u/v
-    derivatives of order >= 2 through the source equation and normalizes
-    the Wronskian by eliminating v' via u*v' - u'*v = 1.  A concrete
-    context instead substitutes explicit expressions for u, v and q, with
-    ``rates`` supplying x-derivatives of any opaque atoms they use.
+    The symbolic context is the one whose roots are u, v, q themselves and
+    whose rates are the source equation u'' = -q u, v'' = -q v: operators
+    run under it never produce u^(k) or v^(k) with k >= 2, and reduction
+    normalizes the Wronskian by eliminating v' via u*v' - u'*v = 1.  A
+    concrete context instead substitutes explicit expressions for u, v and
+    q, with ``rates`` supplying x-derivatives of any opaque atoms they use.
     """
 
     def __init__(self, u, v, q, rates=None, wronskian=sp.Integer(1)):
@@ -167,7 +116,7 @@ class SourceContext:
 
     @staticmethod
     def make_symbolic() -> "SourceContext":
-        return SourceContext(SOL_U[0], SOL_V[0], COEF_Q[0])
+        return SourceContext(SOL_U[0], SOL_V[0], COEF_Q[0], rates=_RATES)
 
     @staticmethod
     def from_solutions(u, v, rates=None) -> "SourceContext":
@@ -203,29 +152,26 @@ class SourceContext:
 
         v differentiates through the Wronskian relation to (1 + u'v)/u and
         u'' collapses to -q*u, so repeated total derivatives never leave
-        the reduced algebra (the v' rule is a fallback for inputs that were
-        not pre-reduced).
+        the reduced algebra.
         """
-        return {SOL_V[0]: _V1, **_RATES} if self.symbolic else self.rates
+        return {SOL_V[0]: _V1, **self.rates} if self.symbolic else self.rates
 
     def reduce(self, e) -> sp.Expr:
         """Normal form of an expression modulo the source-equation relations.
 
-        e may also be a RingFraction, an operator result kept in its ring;
-        in symbolic mode it is reduced there without a sympy tree.
+        A RingFraction (an operator result kept in its ring) with no ladder
+        symbol to substitute goes to canon, after v' -> (1 + u'v)/u in
+        symbolic mode.  Anything else has each ladder symbol replaced by the
+        derivative of its root under :meth:`deriv_rates` (in symbolic mode
+        the roots are u, v, q themselves) and then goes to canon.
         """
         if isinstance(e, RingFraction):
-            if self.symbolic:
+            if not e.free_symbols & (_HIGHER if self.symbolic else _FAMILY_ATOMS):
                 return canon(_reduce_fraction(e))
-            if not e.free_symbols & _FAMILY_ATOMS:
-                return canon(e)
             e = e.as_expr()
         e = sp.sympify(e)
-        if self.symbolic:
-            e = e.xreplace(_derivative_ladder(e.free_symbols))
-            return canon(e.xreplace({SOL_V[1]: _V1}))
         roots = ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q))
-        return canon(e.xreplace(_ladder_images(e.free_symbols, roots, self.rates)))
+        return canon(e.xreplace(_ladder_images(e.free_symbols, roots, self.deriv_rates())))
 
 
 def _ladder_images(free, roots, rates=None) -> dict:
@@ -384,7 +330,7 @@ def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangi
     if n % 2:
         raise OddOrder(f"no Lagrangian construction for odd order {n}")
     sigma = source_transformation(n, ctx)
-    L = _transform.transform_lagrangian(canonical_lagrangian(n), sigma, simplify=ctx.reduce)
+    L = _transform.transform_lagrangian(canonical_lagrangian(n), sigma)
     return Lagrangian(ctx.reduce(L.density), n // 2)
 
 

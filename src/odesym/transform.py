@@ -84,36 +84,34 @@ def compose(outer: PointTransformation, inner: PointTransformation) -> PointTran
     )
 
 
-def jet_substitution(sigma: PointTransformation, order: int, simplify=None) -> dict:
+def jet_substitution(sigma: PointTransformation, order: int) -> dict:
     """Images of z, w, w', ..., w^(order) as expressions in the source jets.
 
     The total derivative of the image ladder divides by D_x zeta at each
     level: w^(k+1) image = D_x(w^(k) image) / D_x(zeta).
     """
-    simplify = simplify or canon
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
     if zero_test(dz):
         raise SingularMap("D_x zeta vanishes identically")
     images = {X: sigma.zeta, JET[0]: sigma.phi}
     current = sigma.phi
     for k in range(order):
-        current = simplify(sigma.dx(current) / dz)
+        current = canon(sigma.dx(current) / dz)
         images[JET[k + 1]] = current
     return images
 
 
-def transform_equation(eq: DiffEq, sigma: PointTransformation, simplify=None) -> DiffEq:
+def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
     """Image of an equation written in (z, w), normalized monic in y^(n)."""
-    simplify = simplify or canon
-    images = jet_substitution(sigma, eq.order, simplify)
+    images = jet_substitution(sigma, eq.order)
     delta = eq.delta.subs(images, simultaneous=True)
     lead = sp.cancel(sp.diff(sp.together(delta), JET[eq.order]))
     if sp.diff(lead, JET[eq.order]) != 0:
         raise SingularMap("transformed equation is nonlinear in its top derivative")
-    return DiffEq(sp.expand(simplify(delta / lead)), eq.order)
+    return DiffEq(sp.expand(canon(delta / lead)), eq.order)
 
 
-def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation, simplify=None) -> DiffEq:
+def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
     """Image of an equation weighted by D_x(zeta) * phi_y.
 
     This is the representative whose pairing with transformed
@@ -123,11 +121,10 @@ def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation, simplif
     for exactly this weighting; the monic form differs from it by a
     differential-function factor.
     """
-    simplify = simplify or canon
-    images = jet_substitution(sigma, eq.order, simplify)
+    images = jet_substitution(sigma, eq.order)
     delta = eq.delta.subs(images, simultaneous=True)
     weight = sigma.zeta_x * sigma.phi_y()
-    return DiffEq(simplify(delta * weight), eq.order)
+    return DiffEq(canon(delta * weight), eq.order)
 
 
 def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
@@ -151,18 +148,16 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
     return VectorField(xi, psi, name=v.name)
 
 
-def transform_lagrangian(L: Lagrangian, sigma: PointTransformation, simplify=None) -> Lagrangian:
+def transform_lagrangian(L: Lagrangian, sigma: PointTransformation) -> Lagrangian:
     """Image density L(jet images) * D_x zeta, same declared order."""
-    simplify = simplify or canon
-    images = jet_substitution(sigma, L.order, simplify)
+    images = jet_substitution(sigma, L.order)
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
-    density = simplify(L.density.subs(images, simultaneous=True) * dz)
+    density = canon(L.density.subs(images, simultaneous=True) * dz)
     return Lagrangian(density, max(L.order, max_jet_order(density)))
 
 
-def transform_first_integral(F, sigma: PointTransformation, simplify=None) -> sp.Expr:
+def transform_first_integral(F, sigma: PointTransformation) -> sp.Expr:
     """Image of a first integral: plain substitution of the jet images."""
-    simplify = simplify or canon
     F = sp.sympify(F)
-    images = jet_substitution(sigma, max(max_jet_order(F), 0), simplify)
-    return simplify(F.subs(images, simultaneous=True))
+    images = jet_substitution(sigma, max(max_jet_order(F), 0))
+    return canon(F.subs(images, simultaneous=True))

@@ -3,9 +3,11 @@ import math
 import pytest
 import sympy as sp
 
+from odesym import casebook
 from odesym.casebook import (
     CASE_IDS,
     SingularityEncountered,
+    claim_status,
     example_equation_display,
     example_first_integral_components,
     example_map,
@@ -90,3 +92,21 @@ def test_symbolic_and_numeric_agree():
     for n, ic in ((3, (1.0, 0.0, 1.0)), (5, (1.0, 0.2, -0.3, 0.1, 0.5))):
         F = first_integral(wy, build_lode(n, CTX), CTX)
         assert numeric_validate(F, q_expr=1, ic=ic, span=2, steps=2000) < 1e-4
+
+
+def test_claim_status_contract(monkeypatch):
+    y = JET[0]
+    assert claim_status(True, 0) == "verified"
+    assert claim_status(False, y) == "refuted-witness"
+    # for a non-membership claim an exact zero is the certified refutation
+    assert claim_status(True, 0, negative=True) == "refuted-witness"
+    assert claim_status(False, y, negative=True) == "verified"
+    # nonzero, but below the witness tolerance everywhere
+    assert claim_status(False, y / 10**12) == "undecided"
+    assert claim_status(False, y / 10**12, negative=True) == "undecided"
+
+    def no_sampling(e):
+        raise AssertionError("an inexact residual must not be sampled")
+
+    monkeypatch.setattr(casebook, "numeric_witness", no_sampling)
+    assert claim_status(False, sp.Float(1e-9)) == "undecided"

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from odesym import cli, maxsym
+from odesym import casebook, cli, maxsym
 from odesym.casebook import SingularityEncountered
 from odesym.cli import emit_report, main
-from odesym.exprcore import Inconclusive, canon
+from odesym.exprcore import JET, Inconclusive, canon
 from odesym.grammar import parse
 from odesym.jetcalc import JetOrderLimit, NotExact
+from odesym.noether import SymmetryVerdict
 
 
 def run(capsys, *argv):
@@ -236,3 +237,30 @@ def test_q_value_starting_with_minus(capsys):
     separate = run(capsys, "build-lode", "--n", "3", "--q", "-2/x^2")
     joined = run(capsys, "build-lode", "--n", "3", "--q=-2/x^2")
     assert separate == joined and separate[0] == 0
+
+
+@pytest.mark.parametrize("witnessed, status, code", [
+    (True, "refuted-witness", 1),
+    (False, "undecided", 3),
+])
+def test_reproduce_exit_code_follows_the_witness(capsys, monkeypatch, witnessed, status, code):
+    # the first C7 claim fails with the nonzero residual y; only a witness
+    # makes that a refutation
+    real = casebook.divergence_relation_check
+    calls = []
+
+    def corrupt_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return SymmetryVerdict("variational", False, JET[0])
+        return real(*args)
+
+    monkeypatch.setattr(casebook, "divergence_relation_check", corrupt_first)
+    if not witnessed:
+        monkeypatch.setattr(casebook, "numeric_witness", lambda e: None)
+    got, out, err = run(capsys, "reproduce", "C7", "--json", "-")
+    statuses = [c["status"] for c in json.loads(out)["claims"]]
+    assert statuses == [status, "verified", "verified"]
+    assert got == code
+    expected = "refutations found" if witnessed else "undecided claims found"
+    assert err.strip() == expected

@@ -2,7 +2,16 @@ import pytest
 import sympy as sp
 
 from odesym.exprcore import COEF_Q, JET, SOL_U, SOL_V, X, canon, zero_test
-from odesym.jetcalc import DiffEq, Lagrangian, VectorField, euler, total_derivative
+from odesym.jetcalc import (
+    DiffEq,
+    Lagrangian,
+    VectorField,
+    apply_prolongation,
+    characteristic,
+    euler,
+    substitute_solved,
+    total_derivative,
+)
 from odesym.maxsym import (
     SourceContext,
     build_lode,
@@ -17,6 +26,7 @@ from odesym.noether import (
     divergence_check,
     divergence_relation_check,
     first_integral,
+    invariance_expression,
     lie_symmetry_check,
     variational_check,
     verify_first_integral,
@@ -144,3 +154,58 @@ def test_q_to_zero_degeneration():
         flat = first_integral(wy, DiffEq(JET[n], n))
         assert canon(degenerate - flat.expr) == 0
         assert not (degenerate.free_symbols & set(COEF_Q))
+
+
+# The source equation written out once more, independently of maxsym: the
+# x-derivatives of u, u', v, v' and q, q', ... under u'' = -q u, v'' = -q v.
+_SOURCE_RATES = {
+    SOL_U[0]: SOL_U[1],
+    SOL_U[1]: -q * SOL_U[0],
+    SOL_V[0]: SOL_V[1],
+    SOL_V[1]: -q * SOL_V[0],
+    **{COEF_Q[k]: COEF_Q[k + 1] for k in range(len(COEF_Q) - 1)},
+}
+
+
+def _reference_reduce(e):
+    """u^(k), v^(k) from an sp.diff ladder, then v' = (1 + u'v)/u, then cancel."""
+    ladder = {}
+    for fam in (SOL_U, SOL_V):
+        entry = fam[1]
+        for k in range(2, len(fam)):
+            if not e.free_symbols & set(fam[k:]):
+                break
+            entry = sp.expand(sum(sp.diff(entry, s) * r for s, r in _SOURCE_RATES.items()))
+            ladder[fam[k]] = entry
+    e = e.xreplace(ladder).xreplace({SOL_V[1]: (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]})
+    return sp.cancel(sp.together(e))
+
+
+def _assert_matches_reference(witness, free_result):
+    assert sp.srepr(witness) == sp.srepr(_reference_reduce(free_result))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_divergence_residuals_match_free_algebra_reference(n):
+    # the symbolic context's rates give the residual that the free algebra
+    # gives after an explicit ladder rewrite and Wronskian normalization
+    eq = build_lode(n, CTX)
+    for vf in generators(n):
+        free = euler(characteristic(vf) * eq.delta)
+        _assert_matches_reference(divergence_check(vf, eq, CTX).witness, free)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_variational_residuals_match_free_algebra_reference(n):
+    L = transformed_lagrangian(n, CTX)
+    for vf in generators(n):
+        free = invariance_expression(vf, L)
+        _assert_matches_reference(variational_check(vf, L, CTX).witness, free)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lie_residuals_match_free_algebra_reference(n):
+    eq = build_lode(n, CTX)
+    for vf in generators(n):
+        free = substitute_solved(apply_prolongation(vf, eq.delta), eq)
+        _assert_matches_reference(lie_symmetry_check(vf, eq, CTX).witness, free)
