@@ -5,7 +5,9 @@ the independent variable ``x``, jet variables ``y, y1, y2, ...``, the
 derivative ladders ``u, u1, ...``, ``v, v1, ...``, ``q, q1, ...`` of three
 symbol functions of x, and a small set of named parameters.  Coefficients
 are exact rationals.  Elementary function applications are restricted to
-``ln(g)``, ``exp(g)`` and ``g^(p/r)`` with ``g`` a rational expression.
+``ln(g)``, ``exp(g)`` and ``g^(p/r)`` with ``g`` a rational expression;
+each is a power of a generator of QQ[gens], where :func:`canon` works
+(srepr-identical to ``cancel(together(.))`` on rational, ln and most exp input).
 
 All atoms carry positive-real assumptions, matching the sampling domain
 (1/10, 10) used by the randomized part of :func:`zero_test`.
@@ -20,6 +22,7 @@ import random
 from fractions import Fraction
 
 import sympy as sp
+from sympy.core.exprtools import decompose_power
 from sympy.polys.domains import QQ
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
@@ -96,35 +99,43 @@ def max_jet_order(e) -> int:
     return top_order(sp.sympify(e).free_symbols, JET)
 
 
-def _validate(e, inside_elementary=False) -> bool:
-    """Reject forms outside the atom grammar; True when e is rational."""
-    if isinstance(e, sp.Symbol):
-        return True
-    if isinstance(e, (sp.Integer, sp.Rational)):
-        return True
-    if isinstance(e, sp.Float):
-        raise UnsupportedForm(f"inexact coefficient {e}; use exact rationals")
-    if isinstance(e, (sp.Add, sp.Mul)):
-        rational = True
-        for a in e.args:
-            rational = _validate(a, inside_elementary) and rational
-        return rational
-    if isinstance(e, sp.Pow):
-        base, exponent = e.args
-        if isinstance(exponent, sp.Integer):
-            return _validate(base, inside_elementary)
-        if isinstance(exponent, sp.Rational):
-            if inside_elementary:
+def _generators(e) -> set:
+    """The atoms of e, in node arguments too, and the generators ln(g), exp(g)
+    and g^(1/r) of its nodes (:func:`_normal_node`); UnsupportedForm if e is
+    outside the atom grammar."""
+    gens = set()
+
+    def walk(e, inside):
+        if e.is_Symbol:
+            gens.add(e)
+        elif isinstance(e, sp.Float):
+            raise UnsupportedForm(f"inexact coefficient {e}; use exact rationals")
+        elif e.is_Add or e.is_Mul:
+            for a in e.args:
+                walk(a, inside)
+        elif e.is_Pow and e.exp.is_Integer:
+            walk(e.base, inside)
+        elif e.is_Pow and not e.exp.is_Rational:
+            raise UnsupportedForm(f"non-rational exponent in {e}")
+        elif e.is_Pow or isinstance(e, (sp.log, sp.exp)):
+            if inside:
                 raise UnsupportedForm(f"nested elementary application in {e}")
-            _validate(base, inside_elementary=True)
-            return False
-        raise UnsupportedForm(f"non-rational exponent in {e}")
-    if isinstance(e, (sp.log, sp.exp)):
-        if inside_elementary:
-            raise UnsupportedForm(f"nested elementary application in {e}")
-        _validate(e.args[0], inside_elementary=True)
-        return False
-    raise UnsupportedForm(f"unsupported node {type(e).__name__} in {e}")
+            walk(e.args[0], True)
+            for t in sp.Add.make_args(_normal_node(e)):
+                gens.update(decompose_power(f)[0] for f in sp.Mul.make_args(t) if not f.is_Rational)
+        elif not e.is_Rational:
+            raise UnsupportedForm(f"unsupported node {type(e).__name__} in {e}")
+
+    walk(e, False)
+    return gens
+
+
+@functools.lru_cache(maxsize=4096)
+def _normal_node(e) -> sp.Expr:
+    """A node the way cancel sees it: exp(a + b) = exp(a)*exp(b), ln of a
+    product or power split; ``decompose_power`` then reads each factor as a
+    power of a generator: exp(2x) = exp(x)^2, y^(3/2) = sqrt(y)^3."""
+    return sp.factor_terms(e, radical=True).expand()
 
 
 @functools.lru_cache(maxsize=512)
@@ -133,7 +144,7 @@ def _ring(gens: tuple) -> PolyRing:
 
 
 def _as_fraction(e, R, gen_of) -> tuple:
-    """A (numerator, denominator) pair in R for a rational expression.
+    """A (numerator, denominator) pair in R for an expression over R's gens.
 
     Not reduced: a sum adds the numerators over each distinct denominator
     and brings the groups to the lcm of their denominators, so the only
@@ -143,7 +154,7 @@ def _as_fraction(e, R, gen_of) -> tuple:
         return gen_of[e], R.one
     if e.is_Rational:
         return R.ground_new(QQ(e.p, e.q)), R.one
-    if e.is_Pow:
+    if e.is_Pow and e.exp.is_Integer:
         num, den = _as_fraction(e.base, R, gen_of)
         k = int(e.exp)
         if k < 0:
@@ -157,6 +168,12 @@ def _as_fraction(e, R, gen_of) -> tuple:
             n, d = _as_fraction(a, R, gen_of)
             num, den = num * n, den * d
         return num, den
+    if not e.is_Add:  # an elementary node: a power of its generator
+        normal = _normal_node(e)
+        if normal != e:
+            return _as_fraction(normal, R, gen_of)
+        g, k = decompose_power(e)
+        return (gen_of[g] ** k, R.one) if k > 0 else (R.one, gen_of[g] ** -k)
     groups = {}
     for a in e.args:
         n, d = _as_fraction(a, R, gen_of)
@@ -177,6 +194,12 @@ class RingFraction:
 
     def __init__(self, num, den):
         self.num, self.den = num, den
+
+    @staticmethod
+    def from_expr(e) -> "RingFraction":
+        """e in the ring of its generators."""
+        R = _ring(_sort_gens(_generators(e)))
+        return RingFraction(*_as_fraction(e, R, dict(zip(R.symbols, R.gens))))
 
     def __add__(self, other):
         a, b = self.den, other.den
@@ -211,10 +234,34 @@ class RingFraction:
         return num.as_expr() / den.as_expr()
 
 
-def _rational_normal_form(e, gens) -> sp.Expr:
-    """``sp.cancel(sp.together(e))`` for a rational e, computed in QQ[gens]."""
-    R = _ring(_sort_gens(gens))
-    return _normal_form(*_as_fraction(e, R, dict(zip(R.symbols, R.gens))))
+def _by_degree(p, i) -> dict:
+    """p grouped by its degree in generator i: {degree: cofactor}."""
+    groups = {}
+    for m, c in p.items():
+        groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
+    return {j: p.ring.dtype(terms) for j, terms in groups.items()}
+
+
+def _without_radical(num, den, i) -> tuple:
+    """num/den reduced by g^r = b for the generator g = b^(1/r) of index i:
+    g below degree r, and out of a denominator that is a monomial in g."""
+    R = num.ring
+    g, r = R.gens[i], R.symbols[i].exp.q
+    bn, bd = _as_fraction(R.symbols[i].base, R, dict(zip(R.symbols, R.gens)))
+
+    def below(p):  # p as a pair (p', bd^a) with p' of degree < r in g
+        groups = _by_degree(p, i)
+        a = max(groups, default=0) // r
+        terms = (c * g ** (j % r) * bn ** (j // r) * bd ** (a - j // r) for j, c in groups.items())
+        return sum(terms, R.zero), bd**a
+
+    while True:
+        (n1, d1), (n2, d2) = below(num), below(den)
+        num, den = (n1 * d2).cancel(d1 * n2)
+        degrees = {m[i] for m in den.itermonoms()}
+        if len(degrees) > 1 or not (k := degrees.pop()):
+            return num, den
+        num, den = num * g ** (r - k), den * g ** (r - k)
 
 
 def _normal_form(num, den) -> sp.Expr:
@@ -227,6 +274,9 @@ def _normal_form(num, den) -> sp.Expr:
     absent from both polynomials change neither the order nor the result.
     """
     num, den = num.cancel(den)
+    for i, s in enumerate(num.ring.symbols):
+        if s.is_Pow:
+            num, den = _without_radical(num, den, i)
     cn, num = num.clear_denoms()
     cd, den = den.clear_denoms()
     num, den = num.mul_ground(cd), den.mul_ground(cn)
@@ -239,23 +289,19 @@ def _normal_form(num, den) -> sp.Expr:
 
 
 def canon(e) -> sp.Expr:
-    """Canonical form: a single rational normal form p/q over the atoms.
+    """Canonical form: a single normal form p/q over the ring generators.
 
     Idempotent, and the zero test for rational expressions: a rational
     expression is identically zero iff its canonical form is literal 0.
-    The result is srepr-identical to ``sp.cancel(sp.together(e))``; a
-    rational expression is reduced as a numerator/denominator pair of
-    polynomials over QQ in its atoms, one with ln/exp/radicals goes
-    through cancel itself.  A :class:`RingFraction` is reduced in its ring.
+    e is a numerator/denominator pair over QQ in its :func:`_generators`,
+    a radical g = b^(1/r) reduced by g^r = b.  The result is
+    srepr-identical to ``sp.cancel(sp.together(e))`` on rational and ln
+    input and on exp input where cancel reads no exp(-t) or exp(c*t) as a
+    generator of its own.  A :class:`RingFraction` is reduced in its ring.
     """
-    if isinstance(e, RingFraction):
-        return _normal_form(e.num, e.den)
-    e = sp.sympify(e)
-    if _validate(e):
-        gens = e.free_symbols
-        if gens:
-            return _rational_normal_form(e, gens)
-    return sp.cancel(sp.together(e))
+    if not isinstance(e, RingFraction):
+        e = RingFraction.from_expr(sp.sympify(e))
+    return _normal_form(e.num, e.den)
 
 
 def partial(e, a) -> sp.Expr:
@@ -272,7 +318,7 @@ def is_rational_expr(e) -> bool:
     False as well for any form outside the atom grammar.
     """
     try:
-        return _validate(sp.sympify(e))
+        return all(g.is_Symbol for g in _generators(sp.sympify(e)))
     except UnsupportedForm:
         return False
 

@@ -10,14 +10,12 @@ prescribed x-dependence (concrete solution pairs, radicals, exponentials),
 and by a symbolic source context for the source equation itself: u' and v'
 have the rates -q u and -q v, so u'' and higher never appear.
 
-Each operator is written once, over an operator algebra chosen per call.
-Rational input with rational rates runs in the sparse ring QQ[G] that
-:func:`exprcore.canon` uses, G being the input's atoms closed under the
-rate table for as many D_x steps as the operator takes: values are
-(numerator, denominator) pairs, D_x is sum_g dp/dg * rate(g) with the
-quotient rule for denominators, and the result becomes a sympy expression
-once per call.  Input with ln/exp/radical nodes, or rates that are not
-rational, runs on sympy trees.
+Each operator is written once, over the sparse ring QQ[G] that
+:func:`exprcore.canon` uses, G being the input's generators (atoms and
+ln/exp/radical nodes) closed under the rate table for as many D_x steps
+as the operator takes: values are (numerator, denominator) pairs, D_x is
+sum_g dp/dg * rate(g) with the quotient rule for denominators, and the
+result becomes a sympy expression once per call.
 """
 
 from __future__ import annotations
@@ -67,10 +65,12 @@ def _quotient_rule(num, den, dnum, dden, scale):
 class _RingAlgebra:
     """QQ[gens] with the rate table compiled to ring elements.
 
-    A rate that is a generator (the ladder shifts) or 1 (x) acts on a
-    monomial by moving one exponent; any other rate is a (num, den) pair
-    multiplied into the partial derivative.  gens must be closed under the
-    rates of every generator an operator differentiates.
+    A derivation is a table (shift, general): a rate that is a generator
+    (the ladder shifts) or 1 (x) moves one exponent of a monomial; any
+    other is a (num, den) pair multiplied into the partial derivative, or
+    the error that differentiating its generator raises.  A node g(f) has
+    the rate g'(f) D_x f, and its partials follow the chain rule too.  gens
+    must be closed under the rates of every generator differentiated.
     """
 
     def __init__(self, gens, rates_key):
@@ -80,7 +80,7 @@ class _RingAlgebra:
         index = {s: i for i, s in enumerate(R.symbols)}
         overlay = dict(rates_key)
         shift = [None] * len(gens)  # rate is generator j (j >= 0) or 1 (j = -1)
-        general = {}  # generator index -> (num, den) of any other rate
+        general = {}  # generator index -> (num, den) of any other rate, or an error
         for i, s in enumerate(R.symbols):
             rate = overlay[s] if s in overlay else _BASE_RATES.get(s)
             if rate is None or rate == 0:
@@ -89,14 +89,29 @@ class _RingAlgebra:
                 shift[i] = -1
             elif rate in index:
                 shift[i] = index[rate]
-            elif rate.free_symbols <= index.keys():
+            elif exprcore._generators(rate) <= index.keys():
                 general[i] = exprcore._as_fraction(rate, R, self.gen_of)
             else:
-                general[i] = None  # outside the closure; never differentiated
-        self.shift = shift
-        self.fixed_shift = [None if s in _JETS else t for s, t in zip(R.symbols, shift)]
-        self.general = general
-        self.top = index.get(JET[MAX_JET_ORDER])
+                general[i] = RuntimeError(f"rate of {s} lies outside the ring")
+        if JET[MAX_JET_ORDER] in index:
+            general[index[JET[MAX_JET_ORDER]]] = JetOrderLimit("jet order limit exceeded")
+        self.total = shift, general
+        self.fixed = [None if s in _JETS else t for s, t in zip(R.symbols, shift)], dict(general)
+        self.chains = {}  # atom s -> the derivation d/ds through the generators
+        for i, g in enumerate(R.symbols):
+            if g.is_Symbol or not g.free_symbols:
+                continue
+            t = sp.Dummy()
+            slope = self.lift(g.func(t, *g.args[1:]).diff(t).xreplace({t: g.args[0]}))
+            f = self.lift(g.args[0])
+            for s in g.free_symbols - self.chains.keys():
+                self.chains[s] = [-1 if a == s else None for a in R.symbols], {}
+            for table in (self.total, self.fixed, *map(self.chains.get, g.free_symbols)):
+                try:
+                    rate = slope * self.dx(f, table)
+                    table[1][i] = rate.num, rate.den
+                except RuntimeError as err:
+                    table[1][i] = err
 
     def lift(self, e) -> RingFraction:
         return RingFraction(*exprcore._as_fraction(e, self.ring, self.gen_of))
@@ -105,6 +120,8 @@ class _RingAlgebra:
         return RingFraction(self.gen_of[JET[k]], self.ring.one)
 
     def partial(self, f, s) -> RingFraction:
+        if s in self.chains:
+            return self.dx(f, self.chains[s])
         g = self.gen_of.get(s)
         if g is None:
             return RingFraction(self.ring.zero, self.ring.one)
@@ -116,19 +133,19 @@ class _RingAlgebra:
             return RingFraction(dnum, f.den)
         return _quotient_rule(f.num, f.den, dnum, dden, self.ring.one)
 
-    def dx(self, f, fixed_jets=False) -> RingFraction:
-        """D_x, or with fixed_jets the x-derivative through coefficients only."""
+    def dx(self, f, table=None) -> RingFraction:
+        """D_x, or the derivation table (``fixed``: jets held fixed)."""
+        table = table or self.total
         if f.den.is_ground:
-            (dnum,), scale = self._dx_polys((f.num,), fixed_jets)
+            (dnum,), scale = self._dx_polys((f.num,), table)
             return RingFraction(dnum, scale * f.den)
-        (dnum, dden), scale = self._dx_polys((f.num, f.den), fixed_jets)
+        (dnum, dden), scale = self._dx_polys((f.num, f.den), table)
         return _quotient_rule(f.num, f.den, dnum, dden, scale)
 
-    def _dx_polys(self, polys, fixed_jets):
-        """D_x of each polynomial, as numerators over one common denominator."""
+    def _dx_polys(self, polys, table):
+        """A derivation of each polynomial, as numerators over one common denominator."""
         R = self.ring
-        shift = self.fixed_shift if fixed_jets else self.shift
-        general, top = self.general, self.top
+        shift, general = table
         shifted, partials = [], []
         for p in polys:
             out, part = {}, {}
@@ -142,8 +159,6 @@ class _RingAlgebra:
                             dm = m[:i] + (e - 1,) + m[i + 1 :]
                             d = part.setdefault(i, {})
                             d[dm] = d[dm] + c * e if dm in d else c * e
-                        elif i == top:
-                            raise JetOrderLimit("jet order limit exceeded")
                         continue
                     dm = list(m)
                     dm[i] = e - 1
@@ -155,8 +170,8 @@ class _RingAlgebra:
             partials.append(part)
         scale = R.one
         for i in {i for part in partials for i in part}:
-            if general[i] is None:
-                raise RuntimeError(f"rate of {R.symbols[i]} lies outside the ring")
+            if isinstance(general[i], Exception):
+                raise type(general[i])(*general[i].args)
             den = general[i][1]
             if den != scale:
                 scale = scale.lcm(den)
@@ -173,32 +188,6 @@ class _RingAlgebra:
         return results, scale
 
 
-class _TreeAlgebra:
-    """The edge path: sympy expressions differentiated with ``sp.diff``."""
-
-    def __init__(self, rates):
-        self.table = {**_BASE_RATES, **rates} if rates else _BASE_RATES
-
-    def lift(self, e) -> sp.Expr:
-        return e
-
-    def jet(self, k) -> sp.Expr:
-        return JET[k]
-
-    def partial(self, e, s) -> sp.Expr:
-        return sp.diff(e, s)
-
-    def dx(self, e, fixed_jets=False) -> sp.Expr:
-        out = sp.Integer(0)
-        for s in e.free_symbols:
-            if s is JET[MAX_JET_ORDER]:
-                raise JetOrderLimit("jet order limit exceeded")
-            rate = None if fixed_jets and s in _JETS else self.table.get(s)
-            if rate is not None:
-                out += sp.diff(e, s) * rate
-        return out
-
-
 def _rates_key(rates) -> tuple:
     if not rates:
         return ()
@@ -207,10 +196,8 @@ def _rates_key(rates) -> tuple:
 
 @functools.lru_cache(maxsize=64)
 def _rate_atoms(rates_key):
-    """Atoms of each symbol's rate, or None when some rate is not rational."""
-    if not all(exprcore.is_rational_expr(r) for _, r in rates_key):
-        return None
-    return {**_BASE_RATE_ATOMS, **{s: frozenset(r.free_symbols) for s, r in rates_key}}
+    """The generators of each symbol's rate."""
+    return {**_BASE_RATE_ATOMS, **{s: frozenset(exprcore._generators(r)) for s, r in rates_key}}
 
 
 @functools.lru_cache(maxsize=256)
@@ -221,16 +208,14 @@ def _ring_algebra(gens, rates_key) -> _RingAlgebra:
 def _algebra(rates, *items):
     """The algebra for (expression, D_x steps) items under a rate table.
 
-    The ring's generators are each expression's atoms closed under the
-    rate table for its number of steps.
+    The ring's generators are each expression's generators closed under
+    the rate table for its number of steps.
     """
     key = _rates_key(rates)
     rate_atoms = _rate_atoms(key)
-    if rate_atoms is None or not all(exprcore.is_rational_expr(e) for e, _ in items):
-        return _TreeAlgebra(rates)
     gens = set()
     for e, steps in items:
-        closed = set(e.free_symbols)
+        closed = exprcore._generators(e)
         frontier = closed
         for _ in range(steps):
             frontier = set().union(*(rate_atoms.get(g, ()) for g in frontier)) - closed
@@ -257,7 +242,7 @@ def dx_fixed_jets(e, rates: dict | None = None) -> sp.Expr:
     """x-derivative through coefficient functions only, jets held fixed."""
     e = sp.sympify(e)
     J = _algebra(rates, (e, 1))
-    return J.dx(J.lift(e), fixed_jets=True).as_expr()
+    return J.dx(J.lift(e), J.fixed).as_expr()
 
 
 @dataclass(frozen=True)
@@ -331,7 +316,7 @@ def _prolonged_action(v: VectorField, e, rates) -> tuple:
     J = _algebra(rates, (v.xi, max(m, 1)), (v.psi, m), (e, 1), *jets)
     f = J.lift(e)
     phis, dxi = _prolong(J, v, m)
-    out = J.lift(v.xi) * J.dx(f, fixed_jets=True)
+    out = J.lift(v.xi) * J.dx(f, J.fixed)
     for k, phi in enumerate(phis):
         out = out + phi * J.partial(f, JET[k])
     return out, f, dxi
@@ -477,14 +462,14 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
             if m <= 0:
                 break
             top = family[m]
-            c = sp.cancel(sp.diff(P, top))
+            c = canon(sp.diff(P, top))
             if sp.diff(c, top) != 0:
                 raise NotExact(f"nonlinear in top derivative {top}", P)
             piece = sp.integrate(c, family[m - 1])
             F += piece
-            P = sp.expand(sp.cancel(sp.together(P - total_derivative(piece, rates=rates))))
+            P = sp.expand(canon(P - total_derivative(piece, rates=rates)))
     if P != 0:
-        extra = sp.cancel(P)
+        extra = canon(P)
         if extra.free_symbols - {X} - exprcore._PARAM_SET or not extra.is_polynomial(X):
             raise NotExact("residue is not a polynomial in x", extra)
         F += sp.integrate(extra, X)

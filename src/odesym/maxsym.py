@@ -18,12 +18,12 @@ from . import transform as _transform
 from .exprcore import (
     COEF_Q,
     JET,
-    MAX_JET_ORDER,
     SOL_U,
     SOL_V,
     X,
     RingFraction,
     _as_fraction,
+    _by_degree,
     _ring,
     canon,
     top_order,
@@ -33,6 +33,7 @@ from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
+    euler,
     total_derivative,
 )
 
@@ -64,20 +65,14 @@ _FAMILY_ATOMS = frozenset((*SOL_U, *SOL_V, *COEF_Q))
 _HIGHER = frozenset((*SOL_U[2:], *SOL_V[2:]))
 
 
-def _by_degree(p, i) -> dict:
-    """p grouped by its degree in generator i: {degree: cofactor}."""
-    groups = {}
-    for m, c in p.items():
-        groups.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
-    return {j: p.ring.dtype(terms) for j, terms in groups.items()}
-
-
-def _reduce_fraction(f: RingFraction) -> RingFraction:
-    """f with v' replaced by (1 + u'v)/u, carried out in the ring.
+def _reduce_fraction(f):
+    """f (an expression or a RingFraction) with v' -> (1 + u'v)/u, in the ring.
 
     Numerator and denominator are each homogenized by the power of u their
-    degree in v' needs; f is returned as it is when v' is absent.
+    degree in v' needs; f is returned lifted as it is when v' is absent.
     """
+    if not isinstance(f, RingFraction):
+        f = RingFraction.from_expr(f)
     if SOL_V[1] not in f.free_symbols:
         return f
     R = _ring(_sort_gens({*f.num.ring.symbols, SOL_U[0], SOL_U[1], SOL_V[0]}))
@@ -86,7 +81,7 @@ def _reduce_fraction(f: RingFraction) -> RingFraction:
     homogeneous = []
     for p in (f.num.set_ring(R), f.den.set_ring(R)):
         groups = _by_degree(p, i)
-        top = max(groups)
+        top = max(groups, default=0)
         terms = (c * a**j * b ** (top - j) for j, c in groups.items())
         homogeneous.append((sum(terms, R.zero), top))
     (num, dn), (den, dd) = homogeneous
@@ -159,17 +154,17 @@ class SourceContext:
     def reduce(self, e) -> sp.Expr:
         """Normal form of an expression modulo the source-equation relations.
 
-        A RingFraction (an operator result kept in its ring) with no ladder
-        symbol to substitute goes to canon, after v' -> (1 + u'v)/u in
-        symbolic mode.  Anything else has each ladder symbol replaced by the
+        An expression or RingFraction with no ladder symbol to substitute
+        goes to canon, after v' -> (1 + u'v)/u in its ring in symbolic
+        mode.  Anything else has each ladder symbol replaced by the
         derivative of its root under :meth:`deriv_rates` (in symbolic mode
         the roots are u, v, q themselves) and then goes to canon.
         """
+        e = e if isinstance(e, RingFraction) else sp.sympify(e)
+        if not e.free_symbols & (_HIGHER if self.symbolic else _FAMILY_ATOMS):
+            return canon(_reduce_fraction(e))
         if isinstance(e, RingFraction):
-            if not e.free_symbols & (_HIGHER if self.symbolic else _FAMILY_ATOMS):
-                return canon(_reduce_fraction(e))
             e = e.as_expr()
-        e = sp.sympify(e)
         roots = ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q))
         return canon(e.xreplace(_ladder_images(e.free_symbols, roots, self.deriv_rates())))
 
@@ -301,8 +296,7 @@ def build_lode(n: int, ctx: SourceContext | None = None) -> DiffEq:
     w = ctx.u ** (1 - n) * JET[0]
     for _ in range(n):
         w = sp.expand(ctx.u**2 * total_derivative(w, rates=ctx.deriv_rates()))
-    lead = sp.cancel(sp.diff(w, JET[n]))
-    delta = canon(w / lead)
+    delta = canon(w / sp.diff(w, JET[n]))
     if ctx.symbolic:
         residue = delta.free_symbols & (set(SOL_U) | set(SOL_V))
         if residue:
@@ -335,51 +329,24 @@ def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangi
 
 
 def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
-    """Reduction of y*Delta_n[y]/2 to a diagonal density of order n/2.
+    """The diagonal density sum_m c_m(x) (y^(m))^2 with E(L) = E(y*Delta_n/2).
 
-    Integration by parts, highest derivative first, dropping total
-    derivatives; mixed products of distinct jets are eliminated until the
-    density is a combination of squares c_m(x) (y^(m))^2.  The diagonal
-    fixpoint is the canonical representative used by the variational
-    coefficient identities.
+    y^(2m) enters E((y^(m))^2) with coefficient 2 (-1)^m, so the c_m are
+    solved highest first.  This reduction of y*Delta_n/2 to order n/2 is
+    the canonical representative used by the variational identities.
     """
     ctx = ctx or SourceContext.make_symbolic()
     if n % 2:
         raise OddOrder(f"no Lagrangian construction for odd order {n}")
-    sym = SourceContext.make_symbolic()
-    dens = sp.expand(JET[0] * build_lode(n, sym).delta / 2)
-    while True:
-        done = True
-        out = sp.Integer(0)
-        for term in sp.Add.make_args(dens):
-            jets = sorted(k for k in range(MAX_JET_ORDER + 1) if JET[k] in term.free_symbols)
-            if not jets:
-                out += term
-                continue
-            total_degree = sum(sp.degree(term, JET[k]) for k in jets)
-            if total_degree > 2:
-                raise ValueError("density is not quadratic in the jets")
-            if total_degree == 1:
-                j = jets[-1]
-                if j == 0:
-                    out += term
-                    continue
-                out += sp.expand(-total_derivative(term / JET[j]) * JET[j - 1])
-                done = False
-            elif len(jets) == 1:
-                out += term  # diagonal square, already reduced
-            else:
-                i, j = jets[0], jets[-1]
-                c = term / (JET[i] * JET[j])
-                if j - i >= 2:
-                    out += sp.expand(-total_derivative(c * JET[i]) * JET[j - 1])
-                else:
-                    # c y_i y_{i+1} differs from -c' y_i^2/2 by a total derivative
-                    out += sp.expand(-total_derivative(c) * JET[i] ** 2 / 2)
-                done = False
-        dens = sp.expand(out)
-        if done:
-            break
+    target = euler(JET[0] * build_lode(n, SourceContext.make_symbolic()).delta / 2)
+    dens = sp.Integer(0)
+    for m in range(n // 2, -1, -1):
+        square = (-1) ** m * sp.diff(target, JET[2 * m]) / 2 * JET[m] ** 2
+        target -= euler(square)
+        dens += square
+    if target != 0:
+        raise ValueError("density is not quadratic in the jets")
+    dens = sp.expand(dens)
     if not ctx.symbolic:
         dens = ctx.reduce(dens)
     return Lagrangian(dens, n // 2)

@@ -78,8 +78,8 @@ def compose(outer: PointTransformation, inner: PointTransformation) -> PointTran
     subs = inner.base_substitution()
     rates = {**inner.rates, **outer.rates}
     return PointTransformation(
-        outer.zeta.subs(subs, simultaneous=True),
-        outer.phi.subs(subs, simultaneous=True),
+        outer.zeta.xreplace(subs),
+        outer.phi.xreplace(subs),
         rates=rates,
     )
 
@@ -104,8 +104,8 @@ def jet_substitution(sigma: PointTransformation, order: int) -> dict:
 def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
     """Image of an equation written in (z, w), normalized monic in y^(n)."""
     images = jet_substitution(sigma, eq.order)
-    delta = eq.delta.subs(images, simultaneous=True)
-    lead = sp.cancel(sp.diff(sp.together(delta), JET[eq.order]))
+    delta = eq.delta.xreplace(images)
+    lead = canon(sp.diff(delta, JET[eq.order]))
     if sp.diff(lead, JET[eq.order]) != 0:
         raise SingularMap("transformed equation is nonlinear in its top derivative")
     return DiffEq(sp.expand(canon(delta / lead)), eq.order)
@@ -122,7 +122,7 @@ def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> Diff
     differential-function factor.
     """
     images = jet_substitution(sigma, eq.order)
-    delta = eq.delta.subs(images, simultaneous=True)
+    delta = eq.delta.xreplace(images)
     weight = sigma.zeta_x * sigma.phi_y()
     return DiffEq(canon(delta * weight), eq.order)
 
@@ -141,8 +141,8 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
     if zero_test(phi_y):
         raise SingularMap("phi_y vanishes identically")
     subs = sigma.base_substitution()
-    xi_t = v.xi.subs(subs, simultaneous=True)
-    psi_t = v.psi.subs(subs, simultaneous=True)
+    xi_t = v.xi.xreplace(subs)
+    psi_t = v.psi.xreplace(subs)
     xi = canon(xi_t / sigma.zeta_x)
     psi = canon((psi_t - xi * sigma.phi_x()) / phi_y)
     return VectorField(xi, psi, name=v.name)
@@ -152,7 +152,7 @@ def transform_lagrangian(L: Lagrangian, sigma: PointTransformation) -> Lagrangia
     """Image density L(jet images) * D_x zeta, same declared order."""
     images = jet_substitution(sigma, L.order)
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
-    density = canon(L.density.subs(images, simultaneous=True) * dz)
+    density = canon(L.density.xreplace(images) * dz)
     return Lagrangian(density, max(L.order, max_jet_order(density)))
 
 
@@ -160,4 +160,4 @@ def transform_first_integral(F, sigma: PointTransformation) -> sp.Expr:
     """Image of a first integral: plain substitution of the jet images."""
     F = sp.sympify(F)
     images = jet_substitution(sigma, max(max_jet_order(F), 0))
-    return canon(F.subs(images, simultaneous=True))
+    return canon(F.xreplace(images))

@@ -108,7 +108,23 @@ def test_transform_equation(capsys):
         capsys, "transform", "--map", "z=x; w=k2-ln(y)", "--eq", "y4", "--order", "4"
     )
     assert code == 0
-    assert "y4" in out
+    assert out == "Delta = (y^3*y4 - 4*y^2*y1*y3 - 3*y^2*y2^2 + 12*y*y1^2*y2 - 6*y1^4)/y^3\n"
+
+
+def test_radical_forms_share_one_canon(capsys):
+    # Two printed forms of the same order-5 equation: x^(17/2) = x^8*sqrt(x)
+    # over the denominator 2*x^(17/2), and the radical-free denominator 2*x^5.
+    code, out, _ = run(capsys, "build-lode", "--n", "5", "--q", "1+x^(-3/2)")
+    assert code == 0
+    written = (
+        "(128*x^(17/2)*y1 + 40*x^(17/2)*y3 + 2*x^(17/2)*y5 + 128*x^(11/2)*y1"
+        " - 192*x^(9/2)*y + 256*x^7*y1 + 40*x^7*y3 - 192*x^6*y - 90*x^6*y2"
+        " + 135*x^5*y1 - 105*x^4*y)/(2*x^(17/2))",
+        "(256*x^(7/2)*y1 + 40*x^(7/2)*y3 - 192*x^(5/2)*y - 90*x^(5/2)*y2"
+        " + 135*x^(3/2)*y1 - 105*sqrt(x)*y + 128*x^5*y1 + 40*x^5*y3 + 2*x^5*y5"
+        " + 128*x^2*y1 - 192*x*y)/(2*x^5)",
+    )
+    assert len({canon(parse(text)) for text in (out.strip(), *written)}) == 1
 
 
 def test_transform_requires_one_object(capsys):

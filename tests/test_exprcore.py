@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from odesym import exprcore
+from odesym import casebook, exprcore
 from odesym.exprcore import (
     COEF_Q,
     JET,
@@ -19,6 +19,7 @@ from odesym.exprcore import (
     partial,
     zero_test,
 )
+from odesym.jetcalc import DiffEq, total_derivative
 from odesym.maxsym import (
     SourceContext,
     build_lode,
@@ -28,7 +29,7 @@ from odesym.maxsym import (
     transformed_lagrangian,
 )
 from odesym.noether import variational_check
-from odesym.transform import transform_lagrangian
+from odesym.transform import transform_equation, transform_lagrangian
 
 y, y1, y2 = JET[0], JET[1], JET[2]
 u, u1, v, v1, q = SOL_U[0], SOL_U[1], SOL_V[0], SOL_V[1], COEF_Q[0]
@@ -279,9 +280,36 @@ def _rand_atom_poly(rng):
     return expr
 
 
+def _elementary_corpus(rng):
+    """ln and exp inputs: random rational cofactors of exp of a sum,
+    exp(-2x), ln of a product and of a power, and the C6 objects (the
+    transformed equation and Lagrangian, the first-integral components
+    and their total derivatives)."""
+    nodes = [
+        sp.exp(X + k1 * y),
+        sp.exp(2 * X + 2 * y1),
+        sp.exp(-2 * X),
+        sp.log(X * y),
+        sp.log(y**3),
+        sp.log(2 * X + 2 * y1),
+    ]
+    corpus = []
+    for node in nodes:
+        for _ in range(4):
+            a, b = _rand_rational(rng, 1), _rand_atom_poly(rng)
+            corpus += [a * node + b, a / (node + b + 1), (a + node) ** 2 * node]
+    sigma = casebook.example_map()
+    corpus.append(transform_equation(DiffEq(JET[4], 4), sigma).delta)
+    corpus.append(transform_lagrangian(canonical_lagrangian(4), sigma).density)
+    for component in casebook.example_first_integral_components():
+        corpus += [component, total_derivative(component)]
+    return corpus
+
+
 def _canon_corpus():
     rng = random.Random(20261018)
     corpus = [_rand_rational(rng, rng.randint(1, 3)) for _ in range(150)]
+    corpus += _elementary_corpus(rng)
     ctx = SourceContext.make_symbolic()
     for n in (4, 6):
         delta = build_lode(n, ctx).delta
