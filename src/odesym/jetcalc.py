@@ -1,14 +1,15 @@
 """Differential operators on the jet space of one independent variable.
 
-Total derivative, prolongation of point vector fields, Euler-Lagrange
-operator, Frechet derivative and its formal adjoint, and an inverse total
-derivative for exact differential polynomials.
+Total derivative and its ladder, prolongation of point vector fields,
+Euler-Lagrange operator, Frechet derivative and adjoint, y^(n) elimination
+on solutions, inverse total derivative of exact differential polynomials.
 
 Every operator takes an optional ``rates`` overlay: a mapping from extra
 symbols to their x-derivatives, used when expressions carry atoms with a
 prescribed x-dependence (concrete solution pairs, radicals, exponentials),
 and by a symbolic source context for the source equation itself: u' and v'
-have the rates -q u and -q v, so u'' and higher never appear.
+have the rates -q u and -q v, so u'' and higher never appear.  The solved
+equation y^(n) = rhs enters the same way, as the rate of y^(n-1).
 
 Each operator is written once, over the sparse ring QQ[G] that
 :func:`exprcore.canon` uses, G being the input's generators (atoms and
@@ -96,7 +97,9 @@ class _RingAlgebra:
         if JET[MAX_JET_ORDER] in index:
             general[index[JET[MAX_JET_ORDER]]] = JetOrderLimit("jet order limit exceeded")
         self.total = shift, general
-        self.fixed = [None if s in _JETS else t for s, t in zip(R.symbols, shift)], dict(general)
+        # jets hold still, and with them the registry limit and an on-shell rate
+        fixed = [None if s in _JETS else t for s, t in zip(R.symbols, shift)]
+        self.fixed = fixed, {i: r for i, r in general.items() if R.symbols[i] not in _JETS}
         self.chains = {}  # atom s -> the derivation d/ds through the generators
         for i, g in enumerate(R.symbols):
             if g.is_Symbol or not g.free_symbols:
@@ -238,6 +241,18 @@ def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:
     return f.as_expr()
 
 
+def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list:
+    """[e, D e, ..., D^order e] for D = scale * D_x, as values of one algebra,
+    each step cancelled in the ring; callers convert the images they use."""
+    e, scale = sp.sympify(e), sp.sympify(scale)
+    J = _algebra(rates, (e, order), (scale, order))
+    ladder, s = [J.lift(e)], J.lift(scale)
+    for _ in range(order):
+        f = s * J.dx(ladder[-1])
+        ladder.append(RingFraction(*f.num.cancel(f.den)))
+    return ladder
+
+
 def dx_fixed_jets(e, rates: dict | None = None) -> sp.Expr:
     """x-derivative through coefficient functions only, jets held fixed."""
     e = sp.sympify(e)
@@ -370,19 +385,16 @@ class DiffEq:
 
 
 def substitute_solved(e, eq: DiffEq, rates: dict | None = None) -> sp.Expr:
-    """Eliminate y^(n) and higher jets using the equation and its D_x-consequences."""
+    """Eliminate y^(n) and higher jets on solutions of y^(n) = rhs: under the
+    on-shell rate D_x y^(n-1) = rhs, the ladder of rhs images y^(n), y^(n+1), ..."""
     e = sp.sympify(e)
-    m = max_jet_order(e)
-    if m < eq.order:
+    m, n = max_jet_order(e), eq.order
+    if m < n:
         return e
     rhs = eq.solved_rhs()
-    while m >= eq.order:
-        consequence = total_derivative(rhs, times=m - eq.order, rates=rates)
-        # the consequence may itself contain y^(n); clear it first
-        consequence = consequence.subs(JET[eq.order], rhs)
-        e = sp.together(e.subs(JET[m], consequence))
-        m = max_jet_order(e)
-    return e
+    onshell = {**(rates or {}), JET[n - 1]: rhs}
+    ladder = derivative_ladder(rhs, m - n, onshell)[1:] if m > n else []
+    return e.xreplace(dict(zip(JET[n:], [rhs, *(f.as_expr() for f in ladder)])))
 
 
 def _alternating_sum(J, terms):

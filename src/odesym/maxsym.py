@@ -33,6 +33,7 @@ from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
+    derivative_ladder,
     euler,
     total_derivative,
 )
@@ -173,15 +174,14 @@ def _ladder_images(free, roots, rates=None) -> dict:
     """Each ladder symbol among free mapped to a derivative of its root.
 
     roots pairs a ladder (SOL_U, SOL_V or COEF_Q) with an expression in x;
-    its k-th symbol maps to D_x^k of that expression, cancelled at each step.
+    its k-th symbol maps to D_x^k of that expression.
     """
     images = {}
     for family, root in roots:
-        image = root
-        for k in range(top_order(free, family) + 1):
-            if k:
-                image = sp.cancel(total_derivative(image, rates=rates))
-            images[family[k]] = image
+        top = top_order(free, family)
+        ladder = derivative_ladder(root, top, rates) if top > 0 else ()
+        images.update((s, f.as_expr()) for s, f in zip(family[1:], ladder[1:]) if s in free)
+        images[family[0]] = root
     return images
 
 
@@ -286,22 +286,16 @@ def source_transformation(n: int, ctx: SourceContext | None = None):
 def build_lode(n: int, ctx: SourceContext | None = None) -> DiffEq:
     """Monic normal-form linear equation of order n and maximal symmetry.
 
-    Pushes w^(n) = 0 through the source transformation; in symbolic mode
-    the solution symbol u must cancel identically from the monic result,
-    leaving coefficients in q and its derivatives only.
+    Delta_n is the transform of w^(n) = 0 under the source transformation;
+    in symbolic mode the solution symbol u must cancel identically from the
+    monic result, leaving coefficients in q and its derivatives only.
     """
     ctx = ctx or SourceContext.make_symbolic()
-    if n < 2:
-        raise BadOrder(f"order must be >= 2, got {n}")
-    w = ctx.u ** (1 - n) * JET[0]
-    for _ in range(n):
-        w = sp.expand(ctx.u**2 * total_derivative(w, rates=ctx.deriv_rates()))
-    delta = canon(w / sp.diff(w, JET[n]))
-    if ctx.symbolic:
-        residue = delta.free_symbols & (set(SOL_U) | set(SOL_V))
-        if residue:
-            raise EliminationFailed(delta)
-    return DiffEq(sp.expand(delta), n)
+    sigma = source_transformation(n, ctx)
+    eq = _transform.transform_equation(DiffEq(JET[n], n), sigma)
+    if ctx.symbolic and eq.delta.free_symbols & (set(SOL_U) | set(SOL_V)):
+        raise EliminationFailed(eq.delta)
+    return eq
 
 
 def canonical_lagrangian(n: int) -> Lagrangian:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .exprcore import JET, X, canon, max_jet_order, zero_test
-from .jetcalc import DiffEq, Lagrangian, VectorField, dx_fixed_jets, total_derivative
+from .exprcore import JET, X, canon, max_jet_order, top_order, zero_test
+from .jetcalc import DiffEq, Lagrangian, VectorField, derivative_ladder, dx_fixed_jets
 
 
 class SingularMap(ValueError):
@@ -61,9 +61,6 @@ class PointTransformation:
     def phi_y(self):
         return sp.diff(self.phi, JET[0])
 
-    def dx(self, e):
-        return total_derivative(e, rates=self.rates)
-
     def base_substitution(self) -> dict:
         """Images of the base coordinates: z -> zeta, w -> phi."""
         return {X: self.zeta, JET[0]: self.phi}
@@ -85,26 +82,24 @@ def compose(outer: PointTransformation, inner: PointTransformation) -> PointTran
 
 
 def jet_substitution(sigma: PointTransformation, order: int) -> dict:
-    """Images of z, w, w', ..., w^(order) as expressions in the source jets.
+    """Images of z, w, w', ..., w^(order) as expressions in the source jets."""
+    return _images(sigma, JET[: order + 1])
 
-    The total derivative of the image ladder divides by D_x zeta at each
-    level: w^(k+1) image = D_x(w^(k) image) / D_x(zeta).
-    """
+
+def _images(sigma: PointTransformation, used) -> dict:
+    """Images of z, w and of the jets among used, the only ones converted:
+    the ladder of phi under D_x / D_x(zeta), w^(k+1) = D_x(w^(k)) / D_x(zeta)."""
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
     if zero_test(dz):
         raise SingularMap("D_x zeta vanishes identically")
-    images = {X: sigma.zeta, JET[0]: sigma.phi}
-    current = sigma.phi
-    for k in range(order):
-        current = canon(sigma.dx(current) / dz)
-        images[JET[k + 1]] = current
-    return images
+    ladder = derivative_ladder(sigma.phi, top_order(used, JET), sigma.rates, scale=1 / dz)
+    images = {y: f.as_expr() for y, f in zip(JET[1:], ladder[1:]) if y in used}
+    return {X: sigma.zeta, JET[0]: sigma.phi, **images}
 
 
 def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
     """Image of an equation written in (z, w), normalized monic in y^(n)."""
-    images = jet_substitution(sigma, eq.order)
-    delta = eq.delta.xreplace(images)
+    delta = eq.delta.xreplace(_images(sigma, eq.delta.free_symbols))
     lead = canon(sp.diff(delta, JET[eq.order]))
     if sp.diff(lead, JET[eq.order]) != 0:
         raise SingularMap("transformed equation is nonlinear in its top derivative")
@@ -121,8 +116,7 @@ def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> Diff
     for exactly this weighting; the monic form differs from it by a
     differential-function factor.
     """
-    images = jet_substitution(sigma, eq.order)
-    delta = eq.delta.xreplace(images)
+    delta = eq.delta.xreplace(_images(sigma, eq.delta.free_symbols))
     weight = sigma.zeta_x * sigma.phi_y()
     return DiffEq(canon(delta * weight), eq.order)
 
@@ -150,14 +144,12 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
 
 def transform_lagrangian(L: Lagrangian, sigma: PointTransformation) -> Lagrangian:
     """Image density L(jet images) * D_x zeta, same declared order."""
-    images = jet_substitution(sigma, L.order)
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
-    density = canon(L.density.xreplace(images) * dz)
+    density = canon(L.density.xreplace(_images(sigma, L.density.free_symbols)) * dz)
     return Lagrangian(density, max(L.order, max_jet_order(density)))
 
 
 def transform_first_integral(F, sigma: PointTransformation) -> sp.Expr:
     """Image of a first integral: plain substitution of the jet images."""
     F = sp.sympify(F)
-    images = jet_substitution(sigma, max(max_jet_order(F), 0))
-    return canon(F.xreplace(images))
+    return canon(F.xreplace(_images(sigma, F.free_symbols)))

@@ -209,6 +209,17 @@ def test_check_past_jet_limit_is_undecided(capsys):
     assert err.count("\n") == 1 and "JetOrderLimit" in err
 
 
+def test_check_at_jet_limit_with_fixed_jets_is_verified(capsys):
+    # S = pr v(L) + L D_x xi for v = d/dx holds the jets fixed: nothing
+    # reaches past y24, so the exact zero is a verdict.
+    code, out, err = run(
+        capsys, "check", "--kind", "variational", "--vf", "1;0",
+        "--lagrangian", "y24^2", "--order", "24", "--json", "-",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["claims"][0]["status"] == "verified"
+
+
 @pytest.mark.parametrize("error", [
     Inconclusive(parse("y")),
     NotExact("not exact"),

@@ -13,6 +13,7 @@ from odesym.jetcalc import (
     VectorField,
     apply_prolongation,
     characteristic,
+    dx_fixed_jets,
     euler,
     frechet,
     frechet_adjoint,
@@ -21,7 +22,8 @@ from odesym.jetcalc import (
     substitute_solved,
     total_derivative,
 )
-from odesym.maxsym import SourceContext, transformed_lagrangian
+from odesym.maxsym import SourceContext, build_lode, generators, transformed_lagrangian
+from odesym.transform import transform_equation
 
 y, y1, y2, y3 = JET[0], JET[1], JET[2], JET[3]
 u, u1 = SOL_U[0], SOL_U[1]
@@ -150,6 +152,56 @@ def test_substitute_solved():
     eq = DiffEq(y2 + q * y, 2)
     assert canon(substitute_solved(y2, eq) + q * y) == 0
     assert canon(substitute_solved(y3, eq) - (-q1 * y - q * y1)) == 0
+
+
+def _substitute_solved_by_tree(e, eq, rates=None):
+    """y^(m) -> D_x^(m-n) rhs, highest m first, on sympy trees."""
+    rhs = eq.solved_rhs()
+    m = exprcore.max_jet_order(e)
+    while m >= eq.order:
+        consequence = total_derivative(rhs, times=m - eq.order, rates=rates)
+        consequence = consequence.subs(JET[eq.order], rhs)
+        e = sp.together(e.subs(JET[m], consequence))
+        m = exprcore.max_jet_order(e)
+    return e
+
+
+def _solved_corpus():
+    """(expression, equation, rates): Lie actions of the generators, D_x of
+    the C6 first-integral components and a concrete solution family, and
+    consequences of each up to three orders above its equation."""
+    sym = SourceContext.make_symbolic()
+    for n in range(3, 7):
+        eq = build_lode(n, sym)
+        for vf in generators(n):
+            yield apply_prolongation(vf, eq.delta, sym.rates), eq, sym.rates
+        yield total_derivative(y1 * eq.delta, 2, sym.rates), eq, sym.rates
+    c6 = transform_equation(DiffEq(JET[4], 4), casebook.example_map())
+    for component in casebook.example_first_integral_components():
+        yield total_derivative(component), c6, None
+        yield total_derivative(component, 2), c6, None
+    _, _, ctx = casebook.family_exponential()
+    eq = build_lode(4, ctx)
+    for vf in generators(4).specialize(ctx):
+        yield apply_prolongation(vf, eq.delta, ctx.rates), eq, ctx.rates
+    yield total_derivative(X * eq.delta, 3, ctx.rates), eq, ctx.rates
+
+
+def test_substitute_solved_matches_tree_elimination():
+    orders = []
+    for e, eq, rates in _solved_corpus():
+        out = substitute_solved(e, eq, rates)
+        assert exprcore.max_jet_order(out) < eq.order
+        assert canon(out) == canon(_substitute_solved_by_tree(e, eq, rates))
+        orders.append(exprcore.max_jet_order(e) - eq.order)
+    assert len(orders) == 34 + 4 + 8 + 8 + 1 and max(orders) == 3
+
+
+def test_substitute_solved_annihilates_consequences():
+    rates = SourceContext.make_symbolic().rates
+    eq = build_lode(5)
+    for k in range(1, 4):
+        assert canon(substitute_solved(total_derivative(eq.delta, k, rates), eq, rates)) == 0
 
 
 def test_diffeq_validation():
@@ -345,6 +397,14 @@ def test_operators_match_tree_reference(case):
         assert _same(frechet(delta, qc, rates), _ref_frechet(delta, qc, rates)), (delta, qc)
         got = frechet_adjoint(delta, qc, rates)
         assert _same(got, _ref_frechet_adjoint(delta, qc, rates)), (delta, qc)
+
+
+def test_fixed_jets_derivation_reaches_the_registry_top():
+    top = JET[MAX_JET_ORDER]
+    assert dx_fixed_jets(X * top) == top
+    assert dx_fixed_jets(X**2 * top / (1 + y1)) == 2 * X * top / (1 + y1)
+    with pytest.raises(JetOrderLimit):
+        total_derivative(X * top)
 
 
 def test_operators_stop_at_the_jet_registry():

@@ -42,6 +42,21 @@ def test_identity_jet_substitution():
     assert images[X] == X
 
 
+@pytest.mark.parametrize("sigma, order", [
+    (LOG_MAP, 6),
+    *((source_transformation(n, CTX), n) for n in range(2, 9)),
+    (PointTransformation(X + y, y), 4),
+], ids=["log", *(f"source-{n}" for n in range(2, 9)), "x+y"])
+def test_jet_images_match_stepwise_quotients(sigma, order):
+    images = jet_substitution(sigma, order)
+    dz = sigma.zeta_x + sigma.zeta_y() * y1
+    current = sigma.phi
+    assert images[X] == sigma.zeta and images[y] == current
+    for k in range(1, order + 1):
+        current = canon(total_derivative(current, rates=sigma.rates) / dz)
+        assert canon(images[JET[k]]) == current
+
+
 def test_log_map_first_jet():
     images = jet_substitution(LOG_MAP, 1)
     assert canon(images[JET[1]] + y1 / y) == 0
