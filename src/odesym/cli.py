@@ -253,7 +253,7 @@ def _cmd_first_integral(args) -> int:
     if args.json:
         _deliver(_object_report(None, [("F", result.expr), ("Q", result.q)]), args)
     else:
-        print(render(sp.expand(result.expr)))
+        print(render(result.expr))
     return 0
 
 

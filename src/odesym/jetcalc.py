@@ -16,7 +16,10 @@ Each operator is written once, over the sparse ring QQ[G] that
 ln/exp/radical nodes) closed under the rate table for as many D_x steps
 as the operator takes: values are (numerator, denominator) pairs, D_x is
 sum_g dp/dg * rate(g) with the quotient rule for denominators, and the
-result becomes a sympy expression once per call.
+result becomes a sympy expression once per call.  The inverse total
+derivative peels in such an algebra too, grown only when a piece needs a
+generator it lacks; each piece becomes an expression for the result, and
+sympy's integrate is left only for log-type antiderivatives.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ _JETS = frozenset(JET)
 
 class JetOrderLimit(RuntimeError):
     """A total derivative would need a jet beyond the registry."""
+
+
+class _OutsideRing(RuntimeError):
+    """A rate needs a generator the operator algebra lacks."""
 
 
 class NotExact(ValueError):
@@ -93,7 +100,7 @@ class _RingAlgebra:
             elif exprcore._generators(rate) <= index.keys():
                 general[i] = exprcore._as_fraction(rate, R, self.gen_of)
             else:
-                general[i] = RuntimeError(f"rate of {s} lies outside the ring")
+                general[i] = _OutsideRing(f"rate of {s} lies outside the ring")
         if JET[MAX_JET_ORDER] in index:
             general[index[JET[MAX_JET_ORDER]]] = JetOrderLimit("jet order limit exceeded")
         self.total = shift, general
@@ -451,38 +458,101 @@ def frechet_adjoint(delta, q, rates: dict | None = None) -> sp.Expr:
     return _alternating_sum(J, [g * J.partial(f, y) for y in JET[: m + 1]]).as_expr()
 
 
+_FAMILIES = (JET, exprcore.SOL_U, exprcore.SOL_V, exprcore.COEF_Q)
+
+
+def _peel_algebra(rates, *exprs) -> _RingAlgebra:
+    """The generators of exprs and the lower rungs of every ladder they
+    touch, closed under the rates for one D_x step."""
+    atoms = set().union(*(e.free_symbols for e in exprs))
+    rungs = sp.Mul(*(fam[k] for fam in _FAMILIES for k in range(top_order(atoms, fam))))
+    return _algebra(rates, *((e, 1) for e in exprs), (rungs, 1))
+
+
+def _reduced(f) -> RingFraction:
+    """The pair with its common factors removed in the ring."""
+    return RingFraction(*f.num.cancel(f.den))
+
+
+def _atoms(f) -> set:
+    """The atoms of a pair, those inside its nodes included."""
+    return set().union(*(g.free_symbols for g in f.free_symbols))
+
+
+def _polynomial_in(f, s) -> bool:
+    """Whether a pair is a polynomial in the atom s: s occurs neither in its
+    denominator nor inside a node."""
+    for p, allowed in ((f.num, s), (f.den, None)):
+        for g, d in zip(p.ring.symbols, p.degrees()):
+            if d and g != allowed and s in g.free_symbols:
+                return False
+    return True
+
+
+def _antiderivative(f, s) -> tuple:
+    """The antiderivative in the generator s of a polynomial in s, as a pair
+    and as an expression: each numerator term c s^e becomes c s^(e+1)/(e+1).
+    The expression writes each power of s over its own reduced denominator,
+    as sympy's integrate does."""
+    R = f.num.ring
+    i = R.symbols.index(s)
+    terms = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c / (m[i] + 1) for m, c in f.num.items()}
+    F = RingFraction(R.dtype(terms), f.den)
+    if f.den.is_ground:
+        return F, F.as_expr()
+    groups = exprcore._by_degree(F.num, i)
+    return F, sp.Add(*(RingFraction(*c.cancel(f.den)).as_expr() * s**e for e, c in groups.items()))
+
+
 def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = True) -> sp.Expr:
     """An F with D_x F = P, for P a total derivative; constant fixed to 0.
 
-    Peels the top jet order: P linear in its highest derivative y^(m) with
-    coefficient c contributes the antiderivative of c in y^(m-1); the total
-    derivative of that piece is subtracted and the loop recurses.  The same
-    peel then runs on the u, v and q derivative ladders of any jet-free
-    remainder (differentiating those families never reintroduces jets).  A
-    final ladder-free remainder is integrated when it is polynomial in x.
+    Peels the top order, in one operator algebra: P linear in its highest
+    derivative y^(m) (a degree test) with coefficient c = dP/dy^(m)
+    contributes the antiderivative of c in y^(m-1), which moves one
+    exponent when c's denominator is free of y^(m-1) (sympy's integrate
+    takes the log-type rest, such as y2/y1 -> ln y1); D_x of that piece is
+    subtracted and the loop recurses.  The same peel then runs on the u, v
+    and q derivative ladders of any jet-free remainder (differentiating
+    those families never reintroduces jets).  A final ladder-free
+    remainder is integrated when it is polynomial in x, by moving the
+    exponent of x.  The pieces become expressions one by one, and their
+    sum is returned expanded.
     """
     P = sp.sympify(P)
     if check_exact:
-        residual = canon(euler(P, rates=rates))
+        residual = canon(_euler(P, rates))
         if not zero_test(residual):
             raise NotExact("expression is not a total derivative", residual)
-    F = sp.Integer(0)
-    P = sp.expand(sp.together(P))
-    for family in (JET, exprcore.SOL_U, exprcore.SOL_V, exprcore.COEF_Q):
+    J = _peel_algebra(rates, P)
+    f, pieces = _reduced(J.lift(P)), []
+    for family in _FAMILIES:
         while True:
-            m = top_order(P.free_symbols, family)
+            m = top_order(_atoms(f), family)
             if m <= 0:
                 break
-            top = family[m]
-            c = canon(sp.diff(P, top))
-            if sp.diff(c, top) != 0:
-                raise NotExact(f"nonlinear in top derivative {top}", P)
-            piece = sp.integrate(c, family[m - 1])
-            F += piece
-            P = sp.expand(canon(P - total_derivative(piece, rates=rates)))
-    if P != 0:
-        extra = canon(P)
+            top, below = family[m], family[m - 1]
+            if not _polynomial_in(f, top) or f.num.degree(J.gen_of[top]) > 1:
+                raise NotExact(f"nonlinear in top derivative {top}", sp.expand(canon(f)))
+            c = _reduced(J.partial(f, top))
+            if _polynomial_in(c, below):
+                d, piece = _antiderivative(c, below)
+                try:
+                    d = J.dx(d)
+                except _OutsideRing:
+                    d = None
+            else:
+                piece, d = sp.integrate(canon(c), below), None
+            if d is None:  # D_x of the piece needs generators J lacks
+                rest = f.as_expr()
+                J = _peel_algebra(rates, rest, piece)
+                f, d = J.lift(rest), J.dx(J.lift(piece))
+            pieces.append(piece)
+            f = _reduced(f - d)
+    extra = canon(f)
+    if extra != 0:
         if extra.free_symbols - {X} - exprcore._PARAM_SET or not extra.is_polynomial(X):
             raise NotExact("residue is not a polynomial in x", extra)
-        F += sp.integrate(extra, X)
-    return sp.expand(F)
+        K = _algebra(rates, (extra, 0), (X, 0))
+        pieces.append(_antiderivative(K.lift(extra), X)[1])
+    return sp.expand(sp.Add(*pieces))

@@ -111,8 +111,8 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
         raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0")
     rates = ctx.deriv_rates() if ctx is not None else None
     q = characteristic(v)
-    product = _reduce(sp.expand(q * eq.delta), ctx)
-    F = inverse_total_derivative(sp.expand(product), rates=rates, check_exact=False)
+    product = _reduce(q * eq.delta, ctx)
+    F = inverse_total_derivative(product, rates=rates, check_exact=False)
     witness = _reduce(total_derivative(F, rates=rates) - q * eq.delta, ctx)
     if not zero_test(witness):
         raise NotFirstIntegral("inverse derivative failed verification", witness)

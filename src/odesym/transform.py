@@ -37,7 +37,6 @@ class PointTransformation:
     zeta: sp.Expr
     phi: sp.Expr
     zeta_x: sp.Expr = None
-    inverse: tuple | None = None
     rates: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -22,7 +22,7 @@ from odesym.jetcalc import (
     substitute_solved,
     total_derivative,
 )
-from odesym.maxsym import SourceContext, build_lode, generators, transformed_lagrangian
+from odesym.maxsym import SourceContext, build_lode, generators, specialize_q, transformed_lagrangian
 from odesym.transform import transform_equation
 
 y, y1, y2, y3 = JET[0], JET[1], JET[2], JET[3]
@@ -146,6 +146,19 @@ def test_inverse_total_derivative_x_residue():
     e = y * y1 + X**2 + PARAMS["k1"]
     F = inverse_total_derivative(e)
     assert canon(total_derivative(F) - e) == 0
+
+
+def test_inverse_total_derivative_edges():
+    assert inverse_total_derivative(y3) == y2  # the rung y2 is not in P
+    assert inverse_total_derivative(y2 / y1) == sp.log(y1)  # log-type antiderivative
+    assert inverse_total_derivative(JET[MAX_JET_ORDER]) == JET[MAX_JET_ORDER - 1]
+    with pytest.raises(NotExact, match="nonlinear"):
+        inverse_total_derivative(y1 * y2**2, check_exact=False)
+    with pytest.raises(NotExact, match="residue"):  # the peel reaches q2, past P's closure
+        inverse_total_derivative(q * y2, check_exact=False)
+    for residue in (1 / X, sp.exp(X)):
+        with pytest.raises(NotExact, match="residue"):
+            inverse_total_derivative(y * y1 + residue)
 
 
 def test_substitute_solved():
@@ -423,3 +436,66 @@ def test_operators_stop_at_the_jet_registry():
     ):
         with pytest.raises(JetOrderLimit):
             call()
+
+
+# --- the ring peel against the tree peel it replaced ------------------------
+
+def _tree_inverse_total_derivative(P, rates=None):
+    """The inverse total derivative peeled on sympy trees (check_exact=False)."""
+    F = sp.Integer(0)
+    P = sp.expand(sp.together(sp.sympify(P)))
+    for family in (JET, exprcore.SOL_U, exprcore.SOL_V, COEF_Q):
+        while True:
+            m = exprcore.top_order(P.free_symbols, family)
+            if m <= 0:
+                break
+            top = family[m]
+            c = canon(sp.diff(P, top))
+            if sp.diff(c, top) != 0:
+                raise NotExact(f"nonlinear in top derivative {top}", P)
+            piece = sp.integrate(c, family[m - 1])
+            F += piece
+            P = sp.expand(canon(P - total_derivative(piece, rates=rates)))
+    if P != 0:
+        extra = canon(P)
+        if extra.free_symbols - {X} - exprcore._PARAM_SET or not extra.is_polynomial(X):
+            raise NotExact("residue is not a polynomial in x", extra)
+        F += sp.integrate(extra, X)
+    return sp.expand(F)
+
+
+def _divergence_symmetries(n):
+    """The paper's divergence symmetries of Delta_n: every generator but W_y
+    for even n, the V_k and W_y for odd n."""
+    gens = generators(n)
+    return [*gens.solution, *(gens.special if n % 2 == 0 else [gens.homogeneity])]
+
+
+def _peel_corpus(case):
+    """(P, rates) pairs: the round trips of seed 303, Q*Delta_n of each
+    divergence symmetry under the symbolic context, and y*Delta_n of
+    concrete q."""
+    if case == "round-trip":
+        rng = random.Random(303)
+        return [(total_derivative(_random_jet_poly(rng)), None) for _ in range(200)]
+    ctx = SourceContext.make_symbolic()
+    if case.startswith("divergence"):
+        lo, hi = map(int, case.split("-")[1:])
+        return [
+            (ctx.reduce(characteristic(vf) * build_lode(n, ctx).delta), ctx.deriv_rates())
+            for n in range(lo, hi + 1)
+            for vf in _divergence_symmetries(n)
+        ]
+    out = []
+    for n in (3, 5, 7):
+        delta = build_lode(n, ctx).delta
+        for qx in (1, -2 / X**2, -6 / X**2, -12 / X**2, sp.exp(X), 1 / (X**2 + 1)):
+            out.append((canon(y * specialize_q(delta, qx)), None))
+    return out
+
+
+@pytest.mark.parametrize("case", ["round-trip", "divergence-3-6", "divergence-7-8", "concrete-q"])
+def test_inverse_total_derivative_matches_tree_peel(case):
+    for P, rates in _peel_corpus(case):
+        got = inverse_total_derivative(P, rates=rates, check_exact=False)
+        assert sp.srepr(got) == sp.srepr(_tree_inverse_total_derivative(P, rates)), P
