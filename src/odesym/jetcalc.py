@@ -470,8 +470,14 @@ def _peel_algebra(rates, *exprs) -> _RingAlgebra:
 
 
 def _reduced(f) -> RingFraction:
-    """The pair with its common factors removed in the ring."""
-    return RingFraction(*f.num.cancel(f.den))
+    """The pair with its common factors removed in the ring and each radical
+    generator g = b^(1/r) reduced by g^r = b, as :func:`exprcore.canon` does:
+    a multiple of g^r - b left by a subtraction cancels."""
+    num, den = f.num.cancel(f.den)
+    for i, s in enumerate(num.ring.symbols):
+        if s.is_Pow:
+            num, den = exprcore._without_radical(num, den, i)
+    return RingFraction(num, den)
 
 
 def _atoms(f) -> set:
