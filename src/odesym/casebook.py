@@ -17,7 +17,18 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, canon, numeric_witness, zero_test
+from .exprcore import (
+    COEF_Q,
+    JET,
+    PARAMS,
+    SOL_U,
+    SOL_V,
+    X,
+    _canonical_pair,
+    canon,
+    numeric_witness,
+    zero_test,
+)
 from .jetcalc import DiffEq, Lagrangian, VectorField, total_derivative
 from .maxsym import (
     SourceContext,
@@ -117,8 +128,8 @@ class _Recorder:
 
     def positive(self, claim_id, residual, label=""):
         """Claim: residual vanishes identically."""
-        residual = canon(residual)
-        self._record(claim_id, zero_test(residual), residual, label)
+        residual = _canonical_pair(residual)
+        self._record(claim_id, zero_test(residual), residual.as_expr(), label)
 
     def negative(self, claim_id, residual, label=""):
         """Claim: residual is NOT identically zero; certify by a witness."""

@@ -249,7 +249,7 @@ def _cmd_first_integral(args) -> int:
         result = noether.first_integral(vf, eq, ctx)
     except noether.NotADivergenceSymmetry as err:
         print(f"not a divergence symmetry: {err}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES[casebook.claim_status(False, err.witness)]
     if args.json:
         _deliver(_object_report(None, [("F", result.expr), ("Q", result.q)]), args)
     else:

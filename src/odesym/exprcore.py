@@ -187,7 +187,8 @@ class RingFraction:
 
     The ring is ``_ring(gens)`` with gens in ``_sort_gens`` order, as for
     :func:`canon`; the pair is not reduced.  Operators keep values in this
-    form between steps, and :func:`canon` takes one directly.
+    form between steps, and :func:`canon`, :func:`zero_test` and
+    :func:`numeric_witness` take one directly.
     """
 
     __slots__ = ("num", "den")
@@ -233,6 +234,10 @@ class RingFraction:
             return num.quo_ground(den.LC).as_expr()
         return num.as_expr() / den.as_expr()
 
+    def _sympy_(self) -> sp.Expr:
+        """``sp.sympify`` of a pair is its expression."""
+        return self.as_expr()
+
 
 def _by_degree(p, i) -> dict:
     """p grouped by its degree in generator i: {degree: cofactor}."""
@@ -264,16 +269,22 @@ def _without_radical(num, den, i) -> tuple:
         num, den = num * g ** (r - k), den * g ** (r - k)
 
 
-def _normal_form(num, den) -> sp.Expr:
-    """cancel's p/q for num/den over a ring with gens in ``_sort_gens`` order.
+def _canonical_pair(e) -> "RingFraction":
+    """cancel's p/q for e (an expression or a RingFraction) as a reduced pair.
 
     cancel's result is the unique p/q with integer coefficients, no common
     factor (integer contents included) and a positive leading coefficient
     of q in lex order over the sorted gens; the reduced pair from the ring
-    gives the same p and q after clearing its rational coefficients.  Gens
-    absent from both polynomials change neither the order nor the result.
+    gives the same p and q after clearing its rational coefficients, and a
+    radical g = b^(1/r) is reduced by g^r = b.  Gens absent from both
+    polynomials change neither the order nor the result.  A pair this
+    function returned is returned as it is.
     """
-    num, den = num.cancel(den)
+    if isinstance(e, _CanonicalPair):
+        return e
+    if not isinstance(e, RingFraction):
+        e = RingFraction.from_expr(sp.sympify(e))
+    num, den = e.num.cancel(e.den)
     for i, s in enumerate(num.ring.symbols):
         if s.is_Pow:
             num, den = _without_radical(num, den, i)
@@ -285,7 +296,17 @@ def _normal_form(num, den) -> sp.Expr:
         g = -g
     if g != 1:
         num, den = num.quo_ground(g), den.quo_ground(g)
-    return num.as_expr() / den.as_expr()
+    return _CanonicalPair(num, den)
+
+
+class _CanonicalPair(RingFraction):
+    """A pair in the normal form of :func:`_canonical_pair`: integer
+    coefficients, and its expression is the one :func:`canon` returns."""
+
+    __slots__ = ()
+
+    def as_expr(self) -> sp.Expr:
+        return self.num.as_expr() / self.den.as_expr()
 
 
 def canon(e) -> sp.Expr:
@@ -299,9 +320,7 @@ def canon(e) -> sp.Expr:
     input and on exp input where cancel reads no exp(-t) or exp(c*t) as a
     generator of its own.  A :class:`RingFraction` is reduced in its ring.
     """
-    if not isinstance(e, RingFraction):
-        e = RingFraction.from_expr(sp.sympify(e))
-    return _normal_form(e.num, e.den)
+    return _canonical_pair(e).as_expr()
 
 
 def partial(e, a) -> sp.Expr:
@@ -315,8 +334,11 @@ def partial(e, a) -> sp.Expr:
 def is_rational_expr(e) -> bool:
     """True when the expression is rational over the atoms (no ln/exp/roots).
 
-    False as well for any form outside the atom grammar.
+    False as well for any form outside the atom grammar.  A RingFraction is
+    rational when each generator it uses is an atom.
     """
+    if isinstance(e, RingFraction):
+        return all(g.is_Symbol for g in e.free_symbols)
     try:
         return all(g.is_Symbol for g in _generators(sp.sympify(e)))
     except UnsupportedForm:
@@ -324,47 +346,52 @@ def is_rational_expr(e) -> bool:
 
 
 def _seeded_rng(e) -> random.Random:
-    digest = hashlib.md5(sp.srepr(e).encode()).hexdigest()
+    """The sampling RNG of e (an expression or a pair), seeded by a digest of
+    its canonical pair: the (generator name, exponent) terms and integer
+    coefficients of numerator and denominator.  Generators absent from both
+    do not enter, so the seed does not depend on the ring holding the pair."""
+    f = _canonical_pair(e)
+    names = [str(s) for s in f.num.ring.symbols]
+
+    def terms(p):
+        return sorted(
+            (tuple((names[i], k) for i, k in enumerate(m) if k), int(c.numerator))
+            for m, c in p.items()
+        )
+
+    digest = hashlib.md5(repr((terms(f.num), terms(f.den))).encode()).hexdigest()
     return random.Random(int(digest[:16], 16))
 
 
-def _exact_value(e, values) -> Fraction:
-    """Exact value of a rational expression, atoms bound to Fractions."""
-    if e.is_Symbol:
-        return values[e]
-    if e.is_Rational:
-        return Fraction(e.p, e.q)
-    if e.is_Add:
-        return sum((_exact_value(a, values) for a in e.args), Fraction(0))
-    if e.is_Mul:
-        out = Fraction(1)
-        for a in e.args:
-            out *= _exact_value(a, values)
-        return out
-    base, exponent = e.args  # Pow with an integer exponent
-    return _exact_value(base, values) ** int(exponent)
+def _integer_evaluator(f):
+    """(value, ref) of a rational canonical pair at a point, in integers.
 
-
-def _exact_evaluator(c):
-    """(value, ref) of a rational canonical form at a point, exactly.
-
-    value is the sum of the numerator's terms n_i and ref is
-    max(|d|, sum |n_i|), so |value|/ref is the relative size that the
-    30-digit path computes term by term; None where d vanishes.
+    With every atom at k/100, each term of numerator and denominator is
+    scaled by 100^D, D the largest total degree of the pair.  value is the
+    sum of the numerator's terms n_i and ref is max(|d|, sum |n_i|), so
+    |value|/ref is the relative size that the 30-digit path computes term
+    by term; no scaling changes it, nor does sympy spreading a ground
+    denominator over the sum ((x+y)/2 prints as x/2 + y/2).  None where d
+    vanishes.
     """
-    numer, denom = sp.fraction(c)
-    terms = sp.Add.make_args(numer)
+    symbols = f.num.ring.symbols
+    D = max(sum(m) for p in (f.num, f.den) for m in p.itermonoms())
+    scale = [100**j for j in range(D + 1)]
+
+    def compiled(p):
+        return [
+            (int(c.numerator) * scale[D - sum(m)], [(symbols[i], k) for i, k in enumerate(m) if k])
+            for m, c in p.items()
+        ]
+
+    num, den = compiled(f.num), compiled(f.den)
 
     def evaluate(draws):
-        values = {s: Fraction(k, 100) for s, k in draws.items()}
-        try:
-            d = _exact_value(denom, values)
-            vals = [_exact_value(t, values) for t in terms]
-        except ZeroDivisionError:
-            return None
+        d = sum(c * math.prod(draws[s] ** k for s, k in m) for c, m in den)
         if d == 0:
             return None
-        return sum(vals, Fraction(0)), max(abs(d), sum(map(abs, vals), Fraction(0)))
+        vals = [c * math.prod(draws[s] ** k for s, k in m) for c, m in num]
+        return sum(vals), max(abs(d), sum(map(abs, vals)))
 
     return evaluate
 
@@ -389,18 +416,23 @@ def _float_evaluator(c):
     return evaluate
 
 
-def _samples(c, points):
-    """Seeded regular sample points of a canonical form.
+def _samples(e, points):
+    """Seeded regular sample points of an expression or a pair.
 
     Yields (point, value, ref) at up to ``points`` points with every atom
-    drawn from (1/10, 10), from an RNG seeded by the form itself, skipping
+    drawn from (1/10, 10), from the RNG of :func:`_seeded_rng`, skipping
     singular points and giving up after 40*points draws; |value|/ref is the
-    relative size of c at the point.  Rational forms are evaluated exactly,
-    any other at 30 digits.
+    relative size of e at the point.  A rational canonical pair is evaluated
+    in integers (:func:`_integer_evaluator`), any other form at 30 digits.
     """
-    rng = _seeded_rng(c)
-    symbols = sorted(c.free_symbols, key=str)
-    evaluate = _exact_evaluator(c) if is_rational_expr(c) else _float_evaluator(c)
+    f = _canonical_pair(e)
+    rng = _seeded_rng(f)
+    if is_rational_expr(f):
+        symbols, evaluate = f.free_symbols, _integer_evaluator(f)
+    else:
+        c = f.as_expr()
+        symbols, evaluate = c.free_symbols, _float_evaluator(c)
+    symbols = sorted(symbols, key=str)
     taken = 0
     for _ in range(40 * points):
         if taken == points:
@@ -429,27 +461,29 @@ def _symbolic_confirm(e) -> bool:
 
 
 def zero_test(e, points: int = 20, tol=sp.Rational(1, 10**9)) -> bool:
-    """Decide whether an expression vanishes identically.
+    """Decide whether an expression or a pair vanishes identically.
 
-    Rational expressions are decided exactly by the canonical form.  For
-    expressions with elementary atoms the canonical form decides only the
-    nonzero direction; a canonical nonzero is then sampled at ``points``
-    random rational points in (1/10, 10), all atoms independent.  If every
-    sample is below the relative tolerance, a cheap symbolic confirmation
-    must succeed, otherwise :class:`Inconclusive` is raised.
+    e is reduced to its canonical pair once (a pair that
+    :func:`_canonical_pair` returned is taken as it is), and rational input
+    is decided exactly by that pair.  For input with elementary atoms the
+    pair decides only the nonzero direction; a nonzero is then sampled at
+    ``points`` random rational points in (1/10, 10), all atoms independent.
+    If every sample is below the relative tolerance, a cheap symbolic
+    confirmation must succeed, otherwise :class:`Inconclusive` is raised.
     """
-    c = canon(e)
-    if c == 0:
+    f = _canonical_pair(e)
+    if not f.num:
         return True
-    if is_rational_expr(c):
+    if is_rational_expr(f):
         return False
+    c = f.as_expr()
     if not c.free_symbols:
         val = c.evalf(30)
         if abs(val) > tol:
             return False
         return _confirm_or_raise(c)
     taken = 0
-    for _, value, ref in _samples(c, points):
+    for _, value, ref in _samples(f, points):
         if abs(value) > tol * ref:
             return False
         taken += 1
@@ -465,19 +499,21 @@ def _confirm_or_raise(c) -> bool:
 
 
 def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
-    """Best nonzero sample of an expression: (point, relative value) or None.
+    """Best nonzero sample of an expression or a pair: (point, relative value)
+    or None.
 
     Used to certify refutations: a claim "e is not identically zero" is
     backed by a concrete sample where the relative value exceeds ``tol``.
-    For a rational canonical form the relative value is an exact
-    ``sp.Rational``, otherwise a 30-digit float.
+    An expression is lifted to its canonical pair once, and a canonical
+    pair is taken as it is.  For a rational pair the relative value is an
+    exact ``sp.Rational``, otherwise a 30-digit float.
     """
-    c = canon(e)
-    if c == 0:
+    f = _canonical_pair(e)
+    if not f.num:
         return None
     best = None
-    for point, value, ref in _samples(c, points):
-        rel = abs(value) / ref
+    for point, value, ref in _samples(f, points):
+        rel = Fraction(abs(value), ref) if isinstance(ref, int) else abs(value) / ref
         if best is None or rel > best[1]:
             best = (point, rel)
     if best is None:

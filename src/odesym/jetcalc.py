@@ -518,12 +518,15 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
     contributes the antiderivative of c in y^(m-1), which moves one
     exponent when c's denominator is free of y^(m-1) (sympy's integrate
     takes the log-type rest, such as y2/y1 -> ln y1); D_x of that piece is
-    subtracted and the loop recurses.  The same peel then runs on the u, v
-    and q derivative ladders of any jet-free remainder (differentiating
-    those families never reintroduces jets).  A final ladder-free
-    remainder is integrated when it is polynomial in x, by moving the
-    exponent of x.  The pieces become expressions one by one, and their
-    sum is returned expanded.
+    subtracted and the loop recurses.  D_x of the piece must cancel c*y^(m)
+    exactly, so a step that leaves y^(m) in the remainder could repeat
+    forever and raises NotExact instead (v' = (1 + u'v)/u in the rates
+    gives such steps: D_x of a piece in v brings u' back).  The same peel
+    then runs on the u, v and q derivative ladders of any jet-free
+    remainder (differentiating those families never reintroduces jets).
+    A final ladder-free remainder is integrated when it is polynomial in
+    x, by moving the exponent of x.  The pieces become expressions one by
+    one, and their sum is returned expanded.
     """
     P = sp.sympify(P)
     if check_exact:
@@ -555,6 +558,8 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
                 f, d = J.lift(rest), J.dx(J.lift(piece))
             pieces.append(piece)
             f = _reduced(f - d)
+            if top in _atoms(f):
+                raise NotExact(f"top derivative {top} survives its peel step", sp.expand(canon(f)))
     extra = canon(f)
     if extra != 0:
         if extra.free_symbols - {X} - exprcore._PARAM_SET or not extra.is_polynomial(X):

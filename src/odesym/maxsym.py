@@ -24,6 +24,7 @@ from .exprcore import (
     RingFraction,
     _as_fraction,
     _by_degree,
+    _canonical_pair,
     _ring,
     canon,
     top_order,
@@ -156,18 +157,25 @@ class SourceContext:
         """Normal form of an expression modulo the source-equation relations.
 
         An expression or RingFraction with no ladder symbol to substitute
-        goes to canon, after v' -> (1 + u'v)/u in its ring in symbolic
-        mode.  Anything else has each ladder symbol replaced by the
+        goes to its canonical pair, after v' -> (1 + u'v)/u in its ring in
+        symbolic mode.  Anything else has each ladder symbol replaced by the
         derivative of its root under :meth:`deriv_rates` (in symbolic mode
-        the roots are u, v, q themselves) and then goes to canon.
+        the roots are u, v, q themselves) and then goes to its canonical
+        pair.  The result is the expression of that pair, as :func:`canon`
+        prints it.
         """
+        return self._reduce_pair(e).as_expr()
+
+    def _reduce_pair(self, e):
+        """The canonical pair whose expression :meth:`reduce` returns."""
         e = e if isinstance(e, RingFraction) else sp.sympify(e)
         if not e.free_symbols & (_HIGHER if self.symbolic else _FAMILY_ATOMS):
-            return canon(_reduce_fraction(e))
+            return _canonical_pair(_reduce_fraction(e))
         if isinstance(e, RingFraction):
             e = e.as_expr()
         roots = ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q))
-        return canon(e.xreplace(_ladder_images(e.free_symbols, roots, self.deriv_rates())))
+        images = _ladder_images(e.free_symbols, roots, self.deriv_rates())
+        return _canonical_pair(e.xreplace(images))
 
 
 def _ladder_images(free, roots, rates=None) -> dict:

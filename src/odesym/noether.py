@@ -6,6 +6,12 @@ Lagrangian (the invariance expression S(v) vanishes identically), and
 divergence symmetry of an equation (Q*Delta is a total derivative, tested
 through the Euler operator).  First integrals pair an expression F with a
 characteristic Q so that D_x F = Q*Delta exactly.
+
+Each check reduces its residual to one canonical (numerator, denominator)
+pair, decides on that pair with ``zero_test`` and converts it to an
+expression once, for the verdict's witness; a refuted residual is thus
+lifted into the ring at most once, by the ``numeric_witness`` that
+certifies it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from . import jetcalc
-from .exprcore import JET, canon, max_jet_order, partial, zero_test
+from .exprcore import JET, _canonical_pair, canon, max_jet_order, partial, zero_test
 from .jetcalc import (
     DiffEq,
     Lagrangian,
@@ -30,7 +36,12 @@ from .maxsym import SourceContext
 
 
 class NotADivergenceSymmetry(ValueError):
-    """first_integral called with a field that fails the divergence check."""
+    """first_integral called with a field that fails the divergence check;
+    witness is the residual E(Q*Delta)."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotFirstIntegral(ValueError):
@@ -61,7 +72,13 @@ class FirstIntegral:
 
 
 def _reduce(e, ctx: SourceContext | None):
-    return ctx.reduce(e) if ctx is not None else canon(e)
+    """The canonical pair of e, reduced by the context's relations if any."""
+    return ctx._reduce_pair(e) if ctx is not None else _canonical_pair(e)
+
+
+def _verdict(kind: str, residual) -> SymmetryVerdict:
+    """Decided on the canonical pair; the witness is its expression."""
+    return SymmetryVerdict(kind, zero_test(residual), residual.as_expr())
 
 
 def _rates(ctx: SourceContext | None):
@@ -82,20 +99,18 @@ def lie_symmetry_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = N
     """Prolonged action of v on Delta, reduced on the solution manifold."""
     rates = _rates(ctx)
     action = apply_prolongation(v, eq.delta, rates)
-    residual = _reduce(substitute_solved(action, eq, rates), ctx)
-    return SymmetryVerdict("lie", zero_test(residual), residual)
+    return _verdict("lie", _reduce(substitute_solved(action, eq, rates), ctx))
 
 
 def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Off-shell test S(v) = 0 identically in all jet variables."""
-    residual = _reduce(_invariance(v, L, ctx), ctx)
-    return SymmetryVerdict("variational", zero_test(residual), residual)
+    return _verdict("variational", _reduce(_invariance(v, L, ctx), ctx))
 
 
 def divergence_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Test E(Q*Delta) = 0, with Q the characteristic of v."""
-    residual = _reduce(jetcalc._euler(characteristic(v) * eq.delta, _rates(ctx)), ctx)
-    return SymmetryVerdict("divergence", zero_test(residual), residual)
+    residual = jetcalc._euler(characteristic(v) * eq.delta, _rates(ctx))
+    return _verdict("divergence", _reduce(residual, ctx))
 
 
 def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> FirstIntegral:
@@ -108,15 +123,15 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     """
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:
-        raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0")
+        raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.witness)
     rates = ctx.deriv_rates() if ctx is not None else None
     q = characteristic(v)
-    product = _reduce(q * eq.delta, ctx)
+    product = _reduce(q * eq.delta, ctx).as_expr()
     F = inverse_total_derivative(product, rates=rates, check_exact=False)
     witness = _reduce(total_derivative(F, rates=rates) - q * eq.delta, ctx)
     if not zero_test(witness):
-        raise NotFirstIntegral("inverse derivative failed verification", witness)
-    return FirstIntegral(F, q, eq, witness)
+        raise NotFirstIntegral("inverse derivative failed verification", witness.as_expr())
+    return FirstIntegral(F, q, eq, witness.as_expr())
 
 
 def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp.Expr:
@@ -132,7 +147,7 @@ def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp
     r = total_derivative(substitute_solved(F, eq, rates), rates=rates)
     remainder = _reduce(substitute_solved(r, eq, rates), ctx)
     if not zero_test(remainder):
-        raise NotFirstIntegral("nonzero remainder after division", remainder)
+        raise NotFirstIntegral("nonzero remainder after division", remainder.as_expr())
     return canon(partial(r, JET[eq.order]))
 
 
@@ -152,4 +167,4 @@ def divergence_relation_check(
         - invariance_expression(v, dPw, ctx),
         ctx,
     )
-    return SymmetryVerdict("variational", zero_test(residual), residual)
+    return _verdict("variational", residual)

@@ -291,3 +291,18 @@ def test_reproduce_exit_code_follows_the_witness(capsys, monkeypatch, witnessed,
     assert got == code
     expected = "refutations found" if witnessed else "undecided claims found"
     assert err.strip() == expected
+
+
+@pytest.mark.parametrize("witnessed, code", [(True, 1), (False, 3)])
+def test_first_integral_refusal_exit_follows_the_witness(capsys, monkeypatch, witnessed, code):
+    # W_y is no divergence symmetry at even n; only a witness of the residual
+    # makes the refusal a refutation, and the message is the same either way
+    if not witnessed:
+        monkeypatch.setattr(casebook, "numeric_witness", lambda e: None)
+    got, out, err = run(capsys, "first-integral", "--vf", "0;y", "--n", "4")
+    assert got == code
+    assert out == ""
+    assert err == (
+        "not a divergence symmetry: E(Q*Delta) = "
+        "18*q**2*y + 20*q*y2 + 20*q1*y1 + 6*q2*y + 2*y4 != 0\n"
+    )

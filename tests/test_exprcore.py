@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.polyutils import _sort_gens
 
 from odesym import casebook, exprcore
 from odesym.exprcore import (
@@ -171,6 +172,78 @@ def test_samples_skip_zero_denominator(monkeypatch):
     monkeypatch.setattr(exprcore, "_seeded_rng", lambda e: _ScriptedRandom([50, 50, 50, 50]))
     point, value = numeric_witness(c)
     assert point[X] != point[y] and isinstance(value, sp.Rational)
+
+
+def _fraction_value(e, values):
+    """Exact value of a rational sympy tree, atoms bound to Fractions."""
+    if e.is_Symbol:
+        return values[e]
+    if e.is_Rational:
+        return Fraction(e.p, e.q)
+    if e.is_Add:
+        return sum((_fraction_value(a, values) for a in e.args), Fraction(0))
+    if e.is_Mul:
+        out = Fraction(1)
+        for a in e.args:
+            out *= _fraction_value(a, values)
+        return out
+    base, exponent = e.args
+    return _fraction_value(base, values) ** int(exponent)
+
+
+def _fraction_samples(c, rng, points=20):
+    """Reference sampler on the tree of a canonical form: the relative value
+    |sum n_i| / max(|d|, sum |n_i|) over the terms n_i of its numerator."""
+    numer, denom = sp.fraction(c)
+    symbols = sorted(c.free_symbols, key=str)
+    out = []
+    for _ in range(40 * points):
+        if len(out) == points:
+            break
+        point = {s: sp.Rational(rng.randint(10, 1000), 100) for s in symbols}
+        values = {s: Fraction(r.p, r.q) for s, r in point.items()}
+        d = _fraction_value(denom, values)
+        if d == 0:
+            continue
+        vals = [_fraction_value(t, values) for t in sp.Add.make_args(numer)]
+        out.append((point, abs(sum(vals)) / max(abs(d), sum(map(abs, vals)))))
+    return out
+
+
+def _sampler_corpus():
+    ctx = SourceContext.make_symbolic()
+    h6 = generators(6).by_name()["H6"]
+    return [
+        ((X + y) / 2, [50, 50]),  # ground denominator, spread over the sum
+        ((3 * X - 5 * y**2) / 7, []),
+        ((X**2 - 3 * y * u) / (2 * X * y**3), []),  # monomial denominator
+        (1 / (X - y) + 1, [50, 50, 50, 50]),  # x = y twice: the denominator vanishes
+        (variational_check(h6, transformed_lagrangian(6, ctx), ctx).witness, [77] * 6),
+    ]
+
+
+def test_integer_sampler_matches_fraction_tree(monkeypatch):
+    for e, first in _sampler_corpus():
+        c = canon(e)
+        monkeypatch.setattr(exprcore, "_seeded_rng", lambda e: _ScriptedRandom(first))
+        got = [(point, Fraction(abs(value), ref)) for point, value, ref in exprcore._samples(c, 20)]
+        assert got == _fraction_samples(c, _ScriptedRandom(first)), c
+
+
+def test_numeric_witness_seed_ignores_unused_generators():
+    ctx = SourceContext.make_symbolic()
+    h6 = generators(6).by_name()["H6"]
+    for e in (
+        (X + y) / 2,
+        (X**2 - 3 * y * u) / (2 * X * y**3),
+        variational_check(h6, transformed_lagrangian(6, ctx), ctx).witness,
+    ):
+        c = canon(e)
+        extra = {JET[7], COEF_Q[3], PARAMS["k3"], X, sp.sqrt(X)}
+        R = exprcore._ring(_sort_gens(exprcore._generators(c) | extra))
+        wide = exprcore.RingFraction(*exprcore._as_fraction(c, R, dict(zip(R.symbols, R.gens))))
+        assert numeric_witness(wide) == numeric_witness(c)
+        assert numeric_witness(wide) is not None
 
 
 def test_numeric_witness_zero_expression():

@@ -4,7 +4,7 @@ import pytest
 import sympy as sp
 
 from odesym import casebook, exprcore, jetcalc
-from odesym.exprcore import COEF_Q, JET, MAX_JET_ORDER, PARAMS, SOL_U, X, canon, zero_test
+from odesym.exprcore import COEF_Q, JET, MAX_JET_ORDER, PARAMS, SOL_U, SOL_V, X, canon, zero_test
 from odesym.jetcalc import (
     DiffEq,
     JetOrderLimit,
@@ -162,6 +162,16 @@ def test_inverse_total_derivative_edges():
     for residue in (1 / X, sp.exp(X)):
         with pytest.raises(NotExact, match="residue"):
             inverse_total_derivative(y * y1 + residue)
+
+
+def test_inverse_total_derivative_stops_on_a_step_that_keeps_its_top():
+    # D_x(u v y) under the plain ladder rates; under v' = (1 + u'v)/u the
+    # piece of each u1 step brings u1 back through v, so the peel never ends
+    v, v1 = SOL_V[0], SOL_V[1]
+    P = u * v * y1 + u * v1 * y + u1 * v * y
+    rates = SourceContext.make_symbolic().deriv_rates()
+    with pytest.raises(NotExact, match="survives its peel step"):
+        inverse_total_derivative(P, rates=rates, check_exact=False)
 
 
 def test_substitute_solved():
