@@ -24,6 +24,7 @@ from .exprcore import (
     SOL_U,
     SOL_V,
     X,
+    RingFraction,
     _canonical_pair,
     canon,
     numeric_witness,
@@ -100,13 +101,14 @@ def claim_status(exact_zero: bool, residual, negative: bool = False) -> str:
     It verifies a positive claim and refutes a negative (non-membership)
     claim.  Otherwise a numeric witness must certify the residual as
     nonzero; it refutes a positive claim and verifies a negative one.
-    Without a witness, or with an inexact residual (a Float), the claim
-    is undecided.
+    residual is the canonical pair a check decided on, certified as it is,
+    or an expression.  Without a witness, or with an inexact residual (a
+    Float), the claim is undecided.
     """
     if exact_zero:
         return "refuted-witness" if negative else "verified"
-    residual = sp.sympify(residual)
-    if residual.has(sp.Float) or numeric_witness(residual) is None:
+    exact = isinstance(residual, RingFraction) or not sp.sympify(residual).has(sp.Float)
+    if not exact or numeric_witness(residual) is None:
         return "undecided"
     return "verified" if negative else "refuted-witness"
 
@@ -128,13 +130,13 @@ class _Recorder:
 
     def positive(self, claim_id, residual, label=""):
         """Claim: residual vanishes identically."""
-        residual = _canonical_pair(residual)
-        self._record(claim_id, zero_test(residual), residual.as_expr(), label)
+        pair = _canonical_pair(residual)
+        self._record(claim_id, zero_test(pair), pair, label)
 
     def negative(self, claim_id, residual, label=""):
         """Claim: residual is NOT identically zero; certify by a witness."""
-        residual = canon(residual)
-        self._record(claim_id, residual == 0, residual, label, negative=True)
+        pair = _canonical_pair(residual)
+        self._record(claim_id, not pair.num, pair, label, negative=True)
 
     def check(self, claim_id, ok, residual, label=""):
         """Claim decided exactly by ok; residual is what a failure leaves."""
@@ -294,9 +296,9 @@ def _membership_claims(rec, n, ctx, kind, positives):
         label = f"{kind}-membership-n{n}-{name}"
         cid = f"n{n}-{kind[:3]}-{name}"
         if name in positives:
-            rec.check(cid, verdict.holds, verdict.witness, label)
+            rec.check(cid, verdict.holds, verdict.pair, label)
         else:
-            rec.negative(cid, verdict.witness, label)
+            rec.negative(cid, verdict.pair, label)
 
 
 def _case_c3(include_order_six=True) -> CaseReport:
@@ -322,7 +324,7 @@ def _case_c4() -> CaseReport:
     # symbolic q: no solution symmetry is variational
     for k in range(4):
         verdict = variational_check(gens.solution[k], L4, sym)
-        rec.negative(f"symbolic-q-V{k}", verdict.witness, f"natural-lagrangian-symbolic-q-V{k}")
+        rec.negative(f"symbolic-q-V{k}", verdict.pair, f"natural-lagrangian-symbolic-q-V{k}")
     # q = 0 with u = 1, v = x: exactly k in {0, 1} pass
     flat = SourceContext.zero_q()
     L4_flat = natural_lagrangian(4, flat)
@@ -331,9 +333,9 @@ def _case_c4() -> CaseReport:
         verdict = variational_check(flat_gens.solution[k], L4_flat, flat)
         label = f"natural-lagrangian-flat-q-V{k}"
         if k <= 1:
-            rec.check(f"flat-q-V{k}", verdict.holds, verdict.witness, label)
+            rec.check(f"flat-q-V{k}", verdict.holds, verdict.pair, label)
         else:
-            rec.negative(f"flat-q-V{k}", verdict.witness, label)
+            rec.negative(f"flat-q-V{k}", verdict.pair, label)
     # first-order coefficient of the expansion of S(V_k)
     u, u1, v, v1 = SOL_U[0], SOL_U[1], SOL_V[0], SOL_V[1]
     for k in range(4):
@@ -357,7 +359,7 @@ def _case_c5() -> CaseReport:
         lag = Lagrangian(ctx.reduce(L4_sym.density), 2)
         vf = generators(4).specialize(ctx).by_name()[vf_name]
         verdict = variational_check(vf, lag, ctx)
-        rec.check(tag, verdict.holds, verdict.witness, f"variational-family-{tag}")
+        rec.check(tag, verdict.holds, verdict.pair, f"variational-family-{tag}")
         for qtag, residual in extra_q_claims:
             rec.positive(qtag, residual, f"family-coefficient-{qtag}")
 
@@ -419,15 +421,11 @@ def _case_c6() -> CaseReport:
             continue  # not part of the divergence algebra for even order
         image = pushforward(vf, sigma)
         want = expected[name]
-        xi_diff = canon(image.xi - want.xi)
-        psi_diff = canon(image.psi - want.psi)
+        xi_diff = _canonical_pair(image.xi - want.xi)
+        psi_diff = _canonical_pair(image.psi - want.psi)
         ok = zero_test(xi_diff) and zero_test(psi_diff)
-        rec.check(
-            f"generator-{name}",
-            ok,
-            xi_diff if xi_diff != 0 else psi_diff,
-            f"pushforward-{name}",
-        )
+        residual = xi_diff if xi_diff.num else psi_diff
+        rec.check(f"generator-{name}", ok, residual, f"pushforward-{name}")
 
     lag = transform_lagrangian(canonical_lagrangian(4), sigma)
     expected_lag = example_lagrangian_expected()
@@ -440,7 +438,7 @@ def _case_c6() -> CaseReport:
             mu = verify_first_integral(component, transformed)
             rec.check(f"integral-a{j}", True, sp.Integer(0), f"first-integral-a{j}")
         except NotFirstIntegral as err:
-            rec.check(f"integral-a{j}", False, err.witness, f"first-integral-a{j}")
+            rec.check(f"integral-a{j}", False, err.pair, f"first-integral-a{j}")
 
     det = independence_determinant(example_first_integral_components())
     rec.check("independence", abs(det) > 1e-6, sp.Float(det), "independent-first-integrals")
@@ -467,12 +465,12 @@ def _case_c7() -> CaseReport:
     verdict = divergence_relation_check(
         Lagrangian(-y1**2 / 2, 1), y**2, sp.Integer(3), wy
     )
-    rec.check("scaling-field", verdict.holds, verdict.witness, "lagrangian-shift-linearity-1")
+    rec.check("scaling-field", verdict.holds, verdict.pair, "lagrangian-shift-linearity-1")
 
     L0 = reference_transformed_lagrangian(2)
     f2 = generators(2).by_name()["F2"]
     verdict = divergence_relation_check(L0, X * y * y1, sp.Integer(1), f2, sym)
-    rec.check("sl2-field", verdict.holds, verdict.witness, "lagrangian-shift-linearity-2")
+    rec.check("sl2-field", verdict.holds, verdict.pair, "lagrangian-shift-linearity-2")
 
     rng = random.Random(0xC7)
     monomials = (y, y1, JET[2], X, y * y1, y1 * JET[2], X * y)
@@ -482,7 +480,7 @@ def _case_c7() -> CaseReport:
     P = rand_poly()
     vf = VectorField(rng.randint(1, 3) * X, rng.randint(1, 3) * y + rng.randint(0, 2) * X)
     verdict = divergence_relation_check(L0, P, PARAMS["theta"], vf, sym)
-    rec.check("random-instance", verdict.holds, verdict.witness, "lagrangian-shift-linearity-3")
+    rec.check("random-instance", verdict.holds, verdict.pair, "lagrangian-shift-linearity-3")
     return rec.report
 
 

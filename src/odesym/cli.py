@@ -151,17 +151,16 @@ def _deliver(report, args) -> None:
 
 
 def _cmd_generators(args) -> int:
-    gens = maxsym.generators(args.n)
-    objects = []
-    for name, vf in gens.by_name().items():
-        objects.append((f"{name}.xi", canon(vf.xi)))
-        objects.append((f"{name}.psi", canon(vf.psi)))
-    report = _object_report(None, objects)
+    gens = maxsym.generators(args.n).by_name()
+    fields = {name: (canon(vf.xi), canon(vf.psi)) for name, vf in gens.items()}
     if args.json:
-        _deliver(report, args)
+        objects = [
+            (f"{name}.{part}", e) for name, xp in fields.items() for part, e in zip(("xi", "psi"), xp)
+        ]
+        _deliver(_object_report(None, objects), args)
     else:
-        for name, vf in gens.by_name().items():
-            print(f"{name} = ({render(canon(vf.xi))}) d/dx + ({render(canon(vf.psi))}) d/dy")
+        for name, (xi, psi) in fields.items():
+            print(f"{name} = ({render(xi)}) d/dx + ({render(psi)}) d/dy")
     return 0
 
 
@@ -185,12 +184,11 @@ def _cmd_lagrangian(args) -> int:
         "transformed": lambda n: maxsym.transformed_lagrangian(n, ctx),
         "natural": lambda n: maxsym.natural_lagrangian(n, ctx),
     }
-    lag = builders[args.kind](args.n)
-    report = _object_report(None, [(f"L{args.n}.{args.kind}", canon(lag.density))])
+    density = canon(builders[args.kind](args.n).density)
     if args.json:
-        _deliver(report, args)
+        _deliver(_object_report(None, [(f"L{args.n}.{args.kind}", density)]), args)
     else:
-        print(render(canon(lag.density)))
+        print(render(density))
     return 0
 
 
@@ -219,14 +217,14 @@ def _cmd_check(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
     verdict = checker(vf, obj, ctx)
-    status = casebook.claim_status(verdict.holds, verdict.witness)
+    status = casebook.claim_status(verdict.holds, verdict.pair)
     report = {
         "case": None,
         "claims": [
             {
                 "id": f"{args.kind}-symmetry",
                 "status": status,
-                "residual": render(canon(verdict.witness)),
+                "residual": render(verdict.witness),
                 "paper_ref": "",
                 "millis": 0.0,
             }
@@ -249,7 +247,7 @@ def _cmd_first_integral(args) -> int:
         result = noether.first_integral(vf, eq, ctx)
     except noether.NotADivergenceSymmetry as err:
         print(f"not a divergence symmetry: {err}", file=sys.stderr)
-        return _EXIT_CODES[casebook.claim_status(False, err.witness)]
+        return _EXIT_CODES[casebook.claim_status(False, err.pair)]
     if args.json:
         _deliver(_object_report(None, [("F", result.expr), ("Q", result.q)]), args)
     else:

@@ -269,6 +269,17 @@ def _without_radical(num, den, i) -> tuple:
         num, den = num * g ** (r - k), den * g ** (r - k)
 
 
+def _reduced(f) -> RingFraction:
+    """The pair with its common factors removed in the ring and each radical
+    generator g = b^(1/r) reduced by g^r = b: a multiple of g^r - b left by
+    a subtraction cancels."""
+    num, den = f.num.cancel(f.den)
+    for i, s in enumerate(num.ring.symbols):
+        if s.is_Pow:
+            num, den = _without_radical(num, den, i)
+    return RingFraction(num, den)
+
+
 def _canonical_pair(e) -> "RingFraction":
     """cancel's p/q for e (an expression or a RingFraction) as a reduced pair.
 
@@ -282,14 +293,9 @@ def _canonical_pair(e) -> "RingFraction":
     """
     if isinstance(e, _CanonicalPair):
         return e
-    if not isinstance(e, RingFraction):
-        e = RingFraction.from_expr(sp.sympify(e))
-    num, den = e.num.cancel(e.den)
-    for i, s in enumerate(num.ring.symbols):
-        if s.is_Pow:
-            num, den = _without_radical(num, den, i)
-    cn, num = num.clear_denoms()
-    cd, den = den.clear_denoms()
+    f = _reduced(e if isinstance(e, RingFraction) else RingFraction.from_expr(sp.sympify(e)))
+    cn, num = f.num.clear_denoms()
+    cd, den = f.den.clear_denoms()
     num, den = num.mul_ground(cd), den.mul_ground(cn)
     g = math.gcd(*(int(c.numerator) for c in (*num.itercoeffs(), *den.itercoeffs())))
     if den.LC < 0:

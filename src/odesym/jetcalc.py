@@ -374,9 +374,10 @@ class DiffEq:
         lead = sp.diff(self.delta, JET[self.order])
         if sp.diff(lead, JET[self.order]) != 0:
             raise ValueError("equation is not linear in its top derivative")
+        lead = exprcore._canonical_pair(lead)
         if zero_test(lead):
             raise ValueError("leading coefficient is identically zero")
-        object.__setattr__(self, "leading", canon(lead))
+        object.__setattr__(self, "leading", lead.as_expr())
 
     @staticmethod
     def from_expr(delta) -> "DiffEq":
@@ -469,17 +470,6 @@ def _peel_algebra(rates, *exprs) -> _RingAlgebra:
     return _algebra(rates, *((e, 1) for e in exprs), (rungs, 1))
 
 
-def _reduced(f) -> RingFraction:
-    """The pair with its common factors removed in the ring and each radical
-    generator g = b^(1/r) reduced by g^r = b, as :func:`exprcore.canon` does:
-    a multiple of g^r - b left by a subtraction cancels."""
-    num, den = f.num.cancel(f.den)
-    for i, s in enumerate(num.ring.symbols):
-        if s.is_Pow:
-            num, den = exprcore._without_radical(num, den, i)
-    return RingFraction(num, den)
-
-
 def _atoms(f) -> set:
     """The atoms of a pair, those inside its nodes included."""
     return set().union(*(g.free_symbols for g in f.free_symbols))
@@ -534,7 +524,7 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
         if not zero_test(residual):
             raise NotExact("expression is not a total derivative", residual)
     J = _peel_algebra(rates, P)
-    f, pieces = _reduced(J.lift(P)), []
+    f, pieces = exprcore._reduced(J.lift(P)), []
     for family in _FAMILIES:
         while True:
             m = top_order(_atoms(f), family)
@@ -543,7 +533,7 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
             top, below = family[m], family[m - 1]
             if not _polynomial_in(f, top) or f.num.degree(J.gen_of[top]) > 1:
                 raise NotExact(f"nonlinear in top derivative {top}", sp.expand(canon(f)))
-            c = _reduced(J.partial(f, top))
+            c = exprcore._reduced(J.partial(f, top))
             if _polynomial_in(c, below):
                 d, piece = _antiderivative(c, below)
                 try:
@@ -557,7 +547,7 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
                 J = _peel_algebra(rates, rest, piece)
                 f, d = J.lift(rest), J.dx(J.lift(piece))
             pieces.append(piece)
-            f = _reduced(f - d)
+            f = exprcore._reduced(f - d)
             if top in _atoms(f):
                 raise NotExact(f"top derivative {top} survives its peel step", sp.expand(canon(f)))
     extra = canon(f)

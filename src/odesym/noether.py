@@ -8,10 +8,11 @@ through the Euler operator).  First integrals pair an expression F with a
 characteristic Q so that D_x F = Q*Delta exactly.
 
 Each check reduces its residual to one canonical (numerator, denominator)
-pair, decides on that pair with ``zero_test`` and converts it to an
-expression once, for the verdict's witness; a refuted residual is thus
-lifted into the ring at most once, by the ``numeric_witness`` that
-certifies it.
+pair and decides on that pair with ``zero_test``.  The verdict, and a
+refusal of :func:`first_integral`, carries that pair to the claim status,
+whose ``numeric_witness`` certifies a refutation on it: a residual is
+lifted into the ring once, by the check, and becomes an expression only
+where it is printed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from . import jetcalc
-from .exprcore import JET, _canonical_pair, canon, max_jet_order, partial, zero_test
+from .exprcore import JET, RingFraction, _canonical_pair, canon, max_jet_order, partial, zero_test
 from .jetcalc import (
     DiffEq,
     Lagrangian,
@@ -35,30 +36,39 @@ from .jetcalc import (
 from .maxsym import SourceContext
 
 
-class NotADivergenceSymmetry(ValueError):
+class _Residual:
+    """Carries the residual a check decided on: pair is its canonical pair
+    (an expression is accepted too), witness its expression."""
+
+    @property
+    def witness(self) -> sp.Expr:
+        return sp.sympify(self.pair)
+
+
+class _Refusal(_Residual, ValueError):
+    """A first integral refused on a nonzero residual."""
+
+    def __init__(self, message, pair=None):
+        super().__init__(message)
+        self.pair = pair
+
+
+class NotADivergenceSymmetry(_Refusal):
     """first_integral called with a field that fails the divergence check;
-    witness is the residual E(Q*Delta)."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    the residual is E(Q*Delta)."""
 
 
-class NotFirstIntegral(ValueError):
+class NotFirstIntegral(_Refusal):
     """D_x F is not a differential-function multiple of the equation."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)
-class SymmetryVerdict:
-    """Outcome of a symmetry check; witness is the residual (0 when holds)."""
+class SymmetryVerdict(_Residual):
+    """Outcome of a symmetry check; its residual is 0 when the check holds."""
 
     kind: str
     holds: bool
-    witness: sp.Expr
+    pair: RingFraction
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,7 @@ def _reduce(e, ctx: SourceContext | None):
 
 def _verdict(kind: str, residual) -> SymmetryVerdict:
     """Decided on the canonical pair; the witness is its expression."""
-    return SymmetryVerdict(kind, zero_test(residual), residual.as_expr())
+    return SymmetryVerdict(kind, zero_test(residual), residual)
 
 
 def _rates(ctx: SourceContext | None):
@@ -123,14 +133,14 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     """
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:
-        raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.witness)
+        raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.pair)
     rates = ctx.deriv_rates() if ctx is not None else None
     q = characteristic(v)
     product = _reduce(q * eq.delta, ctx).as_expr()
     F = inverse_total_derivative(product, rates=rates, check_exact=False)
     witness = _reduce(total_derivative(F, rates=rates) - q * eq.delta, ctx)
     if not zero_test(witness):
-        raise NotFirstIntegral("inverse derivative failed verification", witness.as_expr())
+        raise NotFirstIntegral("inverse derivative failed verification", witness)
     return FirstIntegral(F, q, eq, witness.as_expr())
 
 
@@ -147,7 +157,7 @@ def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp
     r = total_derivative(substitute_solved(F, eq, rates), rates=rates)
     remainder = _reduce(substitute_solved(r, eq, rates), ctx)
     if not zero_test(remainder):
-        raise NotFirstIntegral("nonzero remainder after division", remainder.as_expr())
+        raise NotFirstIntegral("nonzero remainder after division", remainder)
     return canon(partial(r, JET[eq.order]))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from odesym import exprcore
 from odesym.casebook import run_case
 
 
@@ -17,3 +18,14 @@ def case_report():
         return reports[case_id]
 
     return run
+
+
+@pytest.fixture
+def forbid_lifts(monkeypatch):
+    """A call that makes every later lift of an expression into the ring
+    (``RingFraction.from_expr``) fail."""
+
+    def lift(e):
+        raise AssertionError(f"residual lifted into the ring again: {e}")
+
+    return lambda: monkeypatch.setattr(exprcore.RingFraction, "from_expr", staticmethod(lift))

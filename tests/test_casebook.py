@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import pytest
 import sympy as sp
@@ -15,13 +16,15 @@ from odesym.casebook import (
     numeric_validate,
     run_case,
 )
+from odesym.cli import emit_report
 from odesym.exprcore import COEF_Q, JET, canon
 from odesym.jetcalc import DiffEq
 from odesym.maxsym import SourceContext, build_lode, generators
-from odesym.noether import first_integral
+from odesym.noether import divergence_check, first_integral
 from odesym.transform import transform_equation
 
 CTX = SourceContext.make_symbolic()
+GOLDEN_REPORT = pathlib.Path(__file__).parent / "data" / "reproduce_all.json"
 
 
 def test_inventory_is_complete():
@@ -110,3 +113,24 @@ def test_claim_status_contract(monkeypatch):
 
     monkeypatch.setattr(casebook, "numeric_witness", no_sampling)
     assert claim_status(False, sp.Float(1e-9)) == "undecided"
+
+
+def test_reproduce_all_report_is_byte_stable(case_report):
+    # the merged report of `odesym reproduce all --json -`, wall times masked
+    claims = [c.as_dict() for cid in CASE_IDS for c in case_report(cid).claims]
+    for claim in claims:
+        claim["millis"] = None
+    payload = emit_report({"case": "all", "claims": claims}, "json") + "\n"
+    assert payload.encode() == GOLDEN_REPORT.read_bytes()
+
+
+def test_refutation_is_certified_without_a_lift(forbid_lifts):
+    # W_y is no divergence symmetry at n = 4 (a C3 non-membership claim); its
+    # status comes from the pair the check decided on
+    verdict = divergence_check(generators(4).homogeneity, build_lode(4, CTX), CTX)
+    assert not verdict.holds
+    forbid_lifts()
+    assert claim_status(False, verdict.pair) == "refuted-witness"
+    rec = casebook._Recorder("C3")
+    rec.negative("n4-div-Wy", verdict.pair)
+    assert [c.status for c in rec.report.claims] == ["verified"]

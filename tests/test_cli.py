@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from odesym import casebook, cli, maxsym
+from odesym import casebook, cli, maxsym, noether
 from odesym.casebook import SingularityEncountered
 from odesym.cli import emit_report, main
 from odesym.exprcore import JET, Inconclusive, canon
@@ -306,3 +306,23 @@ def test_first_integral_refusal_exit_follows_the_witness(capsys, monkeypatch, wi
         "not a divergence symmetry: E(Q*Delta) = "
         "18*q**2*y + 20*q*y2 + 20*q1*y1 + 6*q2*y + 2*y4 != 0\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--kind", "divergence", "--vf", "0;y", "--eq", "y4", "--order", "4"),
+    ("first-integral", "--vf", "0;y", "--n", "4"),
+], ids=("check", "first-integral"))
+def test_refutation_is_certified_without_a_lift(capsys, monkeypatch, forbid_lifts, argv):
+    # after the divergence check decides, the refutation is certified on its
+    # pair: no residual is lifted into the ring again
+    real = noether.divergence_check
+
+    def check_then_forbid_lifts(*args):
+        verdict = real(*args)
+        forbid_lifts()
+        return verdict
+
+    monkeypatch.setattr(noether, "divergence_check", check_then_forbid_lifts)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "undecided" not in err
