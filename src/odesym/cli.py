@@ -26,7 +26,7 @@ import traceback
 
 import sympy as sp
 
-from . import casebook, maxsym, noether, transform
+from . import casebook, exprcore, maxsym, noether, transform
 from .exprcore import (
     MAX_JET_ORDER,
     SOL_U,
@@ -61,7 +61,7 @@ class UsageError(ValueError):
 def _parse_expr(text: str) -> sp.Expr:
     try:
         e = parse(text)
-        canon(e)  # validates the elementary-function grammar
+        exprcore._generators(e)  # validates the elementary-function grammar
         return e
     except (ParseError, UnsupportedForm) as err:
         raise UsageError(str(err)) from err
@@ -101,11 +101,11 @@ def _reject_solution_symbols(q_text, *exprs):
             raise UsageError("--q fixes a concrete coefficient; inputs must not use u or v")
 
 
-def _object_report(case, objects) -> dict:
+def _object_report(case, objects, status="verified") -> dict:
     claims = [
         {
             "id": name,
-            "status": "verified",
+            "status": status,
             "residual": render(expr),
             "paper_ref": "",
             "millis": 0.0,
@@ -169,9 +169,8 @@ def _cmd_build_lode(args) -> int:
     delta = eq.delta
     if args.q is not None:
         delta = canon(maxsym.specialize_q(delta, _parse_expr(args.q)))
-    report = _object_report(None, [(f"Delta{args.n}", delta)])
     if args.json:
-        _deliver(report, args)
+        _deliver(_object_report(None, [(f"Delta{args.n}", delta)]), args)
     else:
         print(render(delta))
     return 0
@@ -218,19 +217,7 @@ def _cmd_check(args) -> int:
         raise UsageError(str(err)) from err
     verdict = checker(vf, obj, ctx)
     status = casebook.claim_status(verdict.holds, verdict.pair)
-    report = {
-        "case": None,
-        "claims": [
-            {
-                "id": f"{args.kind}-symmetry",
-                "status": status,
-                "residual": render(verdict.witness),
-                "paper_ref": "",
-                "millis": 0.0,
-            }
-        ],
-    }
-    _deliver(report, args)
+    _deliver(_object_report(None, [(f"{args.kind}-symmetry", verdict.witness)], status), args)
     return _EXIT_CODES[status]
 
 

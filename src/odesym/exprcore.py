@@ -247,22 +247,36 @@ def _by_degree(p, i) -> dict:
     return {j: p.ring.dtype(terms) for j, terms in groups.items()}
 
 
+def _rewritten(num, den, i, a, b, r=1) -> tuple:
+    """num/den with g^r -> a/b for the generator g of index i.
+
+    g^j becomes g^(j mod r) (a/b)^(j div r), each side is homogenized by
+    the power of b its degree in g needs, and the two powers of b are
+    brought together on one side: no cancellation.
+    """
+    R = num.ring
+    g = R.gens[i]
+    sides = []
+    for p in (num, den):
+        groups = _by_degree(p, i)
+        top = max(groups, default=0) // r
+        terms = (c * g ** (j % r) * a ** (j // r) * b ** (top - j // r) for j, c in groups.items())
+        sides.append((sum(terms, R.zero), top))
+    (num, dn), (den, dd) = sides
+    if dd >= dn:
+        return num * b ** (dd - dn), den
+    return num, den * b ** (dn - dd)
+
+
 def _without_radical(num, den, i) -> tuple:
     """num/den reduced by g^r = b for the generator g = b^(1/r) of index i:
     g below degree r, and out of a denominator that is a monomial in g."""
     R = num.ring
     g, r = R.gens[i], R.symbols[i].exp.q
     bn, bd = _as_fraction(R.symbols[i].base, R, dict(zip(R.symbols, R.gens)))
-
-    def below(p):  # p as a pair (p', bd^a) with p' of degree < r in g
-        groups = _by_degree(p, i)
-        a = max(groups, default=0) // r
-        terms = (c * g ** (j % r) * bn ** (j // r) * bd ** (a - j // r) for j, c in groups.items())
-        return sum(terms, R.zero), bd**a
-
     while True:
-        (n1, d1), (n2, d2) = below(num), below(den)
-        num, den = (n1 * d2).cancel(d1 * n2)
+        num, den = _rewritten(num, den, i, bn, bd, r)
+        num, den = num.cancel(den)
         degrees = {m[i] for m in den.itermonoms()}
         if len(degrees) > 1 or not (k := degrees.pop()):
             return num, den

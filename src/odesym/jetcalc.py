@@ -11,6 +11,13 @@ and by a symbolic source context for the source equation itself: u' and v'
 have the rates -q u and -q v, so u'' and higher never appear.  The solved
 equation y^(n) = rhs enters the same way, as the rate of y^(n-1).
 
+Every substitution of D_x images goes through :func:`ladder_images`: a
+root's symbol maps to the root, and the k-th symbol above it to the k-th
+rung of its :func:`derivative_ladder`.  The y^(n) elimination (the ladder
+of the solved rhs), the jet images of a point transformation (the ladder
+of phi under D_x / D_x zeta) and the u, v, q ladders of a concrete source
+context are all such maps.
+
 Each operator is written once, over the sparse ring QQ[G] that
 :func:`exprcore.canon` uses, G being the input's generators (atoms and
 ln/exp/radical nodes) closed under the rate table for as many D_x steps
@@ -260,6 +267,24 @@ def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list
     return ladder
 
 
+def ladder_images(family, root, used, rates: dict | None = None, scale=1) -> dict:
+    """The substitution family[0] -> root, family[k] -> (scale*D_x)^k root.
+
+    Only the members of ``used`` are converted from the
+    :func:`derivative_ladder` of root, and root maps to its own tree; no
+    ladder is built when only root is used, and the map is empty when no
+    member is.  A slice such as ``JET[n:]`` starts the family at y^(n).
+    """
+    top = top_order(used, family)
+    if top < 0:
+        return {}
+    images = {family[0]: root}
+    if top:
+        ladder = derivative_ladder(root, top, rates, scale)
+        images.update((s, f.as_expr()) for s, f in zip(family[1:], ladder[1:]) if s in used)
+    return images
+
+
 def dx_fixed_jets(e, rates: dict | None = None) -> sp.Expr:
     """x-derivative through coefficient functions only, jets held fixed."""
     e = sp.sympify(e)
@@ -287,10 +312,6 @@ class VectorField:
 
     def __rmul__(self, scalar):
         return VectorField(scalar * self.xi, scalar * self.psi)
-
-    def apply(self, f, rates: dict | None = None) -> sp.Expr:
-        """Action on a base-space function f(x, y)."""
-        return self.xi * dx_fixed_jets(f, rates) + self.psi * sp.diff(f, JET[0])
 
 
 def characteristic(v: VectorField) -> sp.Expr:
@@ -395,14 +416,12 @@ class DiffEq:
 def substitute_solved(e, eq: DiffEq, rates: dict | None = None) -> sp.Expr:
     """Eliminate y^(n) and higher jets on solutions of y^(n) = rhs: under the
     on-shell rate D_x y^(n-1) = rhs, the ladder of rhs images y^(n), y^(n+1), ..."""
-    e = sp.sympify(e)
-    m, n = max_jet_order(e), eq.order
-    if m < n:
+    e, n = sp.sympify(e), eq.order
+    if max_jet_order(e) < n:
         return e
     rhs = eq.solved_rhs()
     onshell = {**(rates or {}), JET[n - 1]: rhs}
-    ladder = derivative_ladder(rhs, m - n, onshell)[1:] if m > n else []
-    return e.xreplace(dict(zip(JET[n:], [rhs, *(f.as_expr() for f in ladder)])))
+    return e.xreplace(ladder_images(JET[n:], rhs, e.free_symbols, onshell))
 
 
 def _alternating_sum(J, terms):

@@ -23,19 +23,19 @@ from .exprcore import (
     X,
     RingFraction,
     _as_fraction,
-    _by_degree,
     _canonical_pair,
+    _rewritten,
     _ring,
     canon,
-    top_order,
     zero_test,
 )
 from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
-    derivative_ladder,
+    apply_prolongation,
     euler,
+    ladder_images,
     total_derivative,
 )
 
@@ -70,26 +70,18 @@ _HIGHER = frozenset((*SOL_U[2:], *SOL_V[2:]))
 def _reduce_fraction(f):
     """f (an expression or a RingFraction) with v' -> (1 + u'v)/u, in the ring.
 
-    Numerator and denominator are each homogenized by the power of u their
-    degree in v' needs; f is returned lifted as it is when v' is absent.
+    The ring grows by u, u', v where v' is present (:func:`exprcore._rewritten`
+    homogenizes by powers of u); f is returned lifted as it is when v' is
+    absent.
     """
     if not isinstance(f, RingFraction):
         f = RingFraction.from_expr(f)
     if SOL_V[1] not in f.free_symbols:
         return f
     R = _ring(_sort_gens({*f.num.ring.symbols, SOL_U[0], SOL_U[1], SOL_V[0]}))
-    i = R.symbols.index(SOL_V[1])
     a, b = _as_fraction(_V1, R, dict(zip(R.symbols, R.gens)))
-    homogeneous = []
-    for p in (f.num.set_ring(R), f.den.set_ring(R)):
-        groups = _by_degree(p, i)
-        top = max(groups, default=0)
-        terms = (c * a**j * b ** (top - j) for j, c in groups.items())
-        homogeneous.append((sum(terms, R.zero), top))
-    (num, dn), (den, dd) = homogeneous
-    if dd >= dn:
-        return RingFraction(num * b ** (dd - dn), den)
-    return RingFraction(num, den * b ** (dn - dd))
+    i = R.symbols.index(SOL_V[1])
+    return RingFraction(*_rewritten(f.num.set_ring(R), f.den.set_ring(R), i, a, b))
 
 
 class SourceContext:
@@ -173,24 +165,10 @@ class SourceContext:
             return _canonical_pair(_reduce_fraction(e))
         if isinstance(e, RingFraction):
             e = e.as_expr()
-        roots = ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q))
-        images = _ladder_images(e.free_symbols, roots, self.deriv_rates())
+        rates, images = self.deriv_rates(), {}
+        for family, root in ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q)):
+            images.update(ladder_images(family, root, e.free_symbols, rates))
         return _canonical_pair(e.xreplace(images))
-
-
-def _ladder_images(free, roots, rates=None) -> dict:
-    """Each ladder symbol among free mapped to a derivative of its root.
-
-    roots pairs a ladder (SOL_U, SOL_V or COEF_Q) with an expression in x;
-    its k-th symbol maps to D_x^k of that expression.
-    """
-    images = {}
-    for family, root in roots:
-        top = top_order(free, family)
-        ladder = derivative_ladder(root, top, rates) if top > 0 else ()
-        images.update((s, f.as_expr()) for s, f in zip(family[1:], ladder[1:]) if s in free)
-        images[family[0]] = root
-    return images
 
 
 def specialize_q(e, q) -> sp.Expr:
@@ -199,7 +177,7 @@ def specialize_q(e, q) -> sp.Expr:
     u and v stay formal; the derivatives are those of a concrete reduction.
     """
     e = sp.sympify(e)
-    return e.xreplace(_ladder_images(e.free_symbols, ((COEF_Q, sp.sympify(q)),)))
+    return e.xreplace(ladder_images(COEF_Q, sp.sympify(q), e.free_symbols))
 
 
 @dataclass(frozen=True)
@@ -267,8 +245,8 @@ def generators(n: int) -> GeneratorSet:
 def commutator(v1: VectorField, v2: VectorField, rates=None) -> VectorField:
     """Lie bracket of point vector fields."""
     return VectorField(
-        sp.expand(v1.apply(v2.xi, rates) - v2.apply(v1.xi, rates)),
-        sp.expand(v1.apply(v2.psi, rates) - v2.apply(v1.psi, rates)),
+        sp.expand(apply_prolongation(v1, v2.xi, rates) - apply_prolongation(v2, v1.xi, rates)),
+        sp.expand(apply_prolongation(v1, v2.psi, rates) - apply_prolongation(v2, v1.psi, rates)),
     )
 
 

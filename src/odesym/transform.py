@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .exprcore import JET, X, canon, max_jet_order, top_order, zero_test
-from .jetcalc import DiffEq, Lagrangian, VectorField, derivative_ladder, dx_fixed_jets
+from .exprcore import JET, X, canon, max_jet_order, zero_test
+from .jetcalc import DiffEq, Lagrangian, VectorField, dx_fixed_jets, ladder_images
 
 
 class SingularMap(ValueError):
@@ -86,14 +86,12 @@ def jet_substitution(sigma: PointTransformation, order: int) -> dict:
 
 
 def _images(sigma: PointTransformation, used) -> dict:
-    """Images of z, w and of the jets among used, the only ones converted:
+    """Images of z and of the jets among used, the only ones converted:
     the ladder of phi under D_x / D_x(zeta), w^(k+1) = D_x(w^(k)) / D_x(zeta)."""
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
     if zero_test(dz):
         raise SingularMap("D_x zeta vanishes identically")
-    ladder = derivative_ladder(sigma.phi, top_order(used, JET), sigma.rates, scale=1 / dz)
-    images = {y: f.as_expr() for y, f in zip(JET[1:], ladder[1:]) if y in used}
-    return {X: sigma.zeta, JET[0]: sigma.phi, **images}
+    return {X: sigma.zeta, **ladder_images(JET, sigma.phi, used, sigma.rates, scale=1 / dz)}
 
 
 def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:

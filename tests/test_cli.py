@@ -103,6 +103,16 @@ def test_parse_error_reports_position(capsys):
     assert "column" in err
 
 
+def test_parse_expr_validates_without_a_lift(forbid_lifts):
+    # the grammar walk validates; the input is lifted into the ring only by
+    # the object built from it
+    forbid_lifts()
+    assert cli._parse_expr("ln(y)*y1 + x^(1/2)") == parse("ln(y)*y1 + x^(1/2)")
+    for text in ("ln(ln(y))", "x^y", "exp(sqrt(y))"):
+        with pytest.raises(cli.UsageError, match="nested|non-rational"):
+            cli._parse_expr(text)
+
+
 def test_transform_equation(capsys):
     code, out, _ = run(
         capsys, "transform", "--map", "z=x; w=k2-ln(y)", "--eq", "y4", "--order", "4"

@@ -180,6 +180,18 @@ def test_substitute_solved():
     assert canon(substitute_solved(y3, eq) - (-q1 * y - q * y1)) == 0
 
 
+def test_ladder_images(monkeypatch):
+    root, scale = y1 / X + q * y, 1 / (1 + y1)
+    ladder = jetcalc.derivative_ladder(root, 3, scale=scale)
+    images = jetcalc.ladder_images(JET[2:], root, {y2, JET[5], X}, scale=scale)
+    # the root keeps its own tree; a re-lift would print it as (q*x*y + y1)/x
+    assert images == {y2: root, JET[5]: ladder[3].as_expr()}
+    assert sp.srepr(images[y2]) == sp.srepr(root) != sp.srepr(ladder[0].as_expr())
+    assert jetcalc.ladder_images(JET[2:], root, {y1, X}) == {}
+    monkeypatch.setattr(jetcalc, "derivative_ladder", None)  # only the root: no ladder
+    assert jetcalc.ladder_images(COEF_Q, root, {q, X}) == {q: root}
+
+
 def _substitute_solved_by_tree(e, eq, rates=None):
     """y^(m) -> D_x^(m-n) rhs, highest m first, on sympy trees."""
     rhs = eq.solved_rhs()
