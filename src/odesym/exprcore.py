@@ -86,23 +86,25 @@ def base_rates() -> dict:
     return rates
 
 
-_BASE_RATES = base_rates()
-
-
 def top_order(free, family) -> int:
     """Highest k with family[k] among the symbols free, or -1 if none is."""
     return max((k for k, s in enumerate(family) if s in free), default=-1)
 
 
 def max_jet_order(e) -> int:
-    """Highest jet order present, or -1 for jet-free expressions."""
-    return top_order(sp.sympify(e).free_symbols, JET)
+    """Highest jet order present in an expression or a pair (inside its
+    nodes too), or -1 for jet-free input."""
+    return top_order(_generators(e) if isinstance(e, RingFraction) else sp.sympify(e).free_symbols, JET)
 
 
 def _generators(e) -> set:
     """The atoms of e, in node arguments too, and the generators ln(g), exp(g)
     and g^(1/r) of its nodes (:func:`_normal_node`); UnsupportedForm if e is
-    outside the atom grammar."""
+    outside the atom grammar.  A pair's are the generators it uses and the
+    atoms inside them."""
+    if isinstance(e, RingFraction):
+        gens = e.free_symbols
+        return gens.union(*(g.free_symbols for g in gens))
     gens = set()
 
     def walk(e, inside):
@@ -126,7 +128,7 @@ def _generators(e) -> set:
         elif not e.is_Rational:
             raise UnsupportedForm(f"unsupported node {type(e).__name__} in {e}")
 
-    walk(e, False)
+    walk(sp.sympify(e), False)
     return gens
 
 
@@ -141,6 +143,17 @@ def _normal_node(e) -> sp.Expr:
 @functools.lru_cache(maxsize=512)
 def _ring(gens: tuple) -> PolyRing:
     return PolyRing(gens, QQ)
+
+
+def _lift(e, R) -> "RingFraction":
+    """e in the ring R, whose generators hold e's: the one way into a ring.
+
+    An expression is lifted through :func:`_as_fraction`; a pair of another
+    ring is moved by remapping its exponent tuples.
+    """
+    if isinstance(e, RingFraction):
+        return RingFraction(e.num.set_ring(R), e.den.set_ring(R))
+    return RingFraction(*_as_fraction(e, R, dict(zip(R.symbols, R.gens))))
 
 
 def _as_fraction(e, R, gen_of) -> tuple:
@@ -188,7 +201,10 @@ class RingFraction:
     The ring is ``_ring(gens)`` with gens in ``_sort_gens`` order, as for
     :func:`canon`; the pair is not reduced.  Operators keep values in this
     form between steps, and :func:`canon`, :func:`zero_test` and
-    :func:`numeric_witness` take one directly.
+    :func:`numeric_witness` take one directly.  Equations and Lagrangians
+    carry the pair of their tree (``pair``), lifted once, and every value
+    enters a ring through :func:`_lift`, which moves a pair of another ring
+    by its exponent tuples instead of lifting its expression again.
     """
 
     __slots__ = ("num", "den")
@@ -199,8 +215,7 @@ class RingFraction:
     @staticmethod
     def from_expr(e) -> "RingFraction":
         """e in the ring of its generators."""
-        R = _ring(_sort_gens(_generators(e)))
-        return RingFraction(*_as_fraction(e, R, dict(zip(R.symbols, R.gens))))
+        return _lift(e, _ring(_sort_gens(_generators(e))))
 
     def __add__(self, other):
         a, b = self.den, other.den
@@ -273,9 +288,9 @@ def _without_radical(num, den, i) -> tuple:
     g below degree r, and out of a denominator that is a monomial in g."""
     R = num.ring
     g, r = R.gens[i], R.symbols[i].exp.q
-    bn, bd = _as_fraction(R.symbols[i].base, R, dict(zip(R.symbols, R.gens)))
+    b = _lift(R.symbols[i].base, R)
     while True:
-        num, den = _rewritten(num, den, i, bn, bd, r)
+        num, den = _rewritten(num, den, i, b.num, b.den, r)
         num, den = num.cancel(den)
         degrees = {m[i] for m in den.itermonoms()}
         if len(degrees) > 1 or not (k := degrees.pop()):
@@ -357,10 +372,8 @@ def is_rational_expr(e) -> bool:
     False as well for any form outside the atom grammar.  A RingFraction is
     rational when each generator it uses is an atom.
     """
-    if isinstance(e, RingFraction):
-        return all(g.is_Symbol for g in e.free_symbols)
     try:
-        return all(g.is_Symbol for g in _generators(sp.sympify(e)))
+        return all(g.is_Symbol for g in _generators(e))
     except UnsupportedForm:
         return False
 

@@ -23,10 +23,14 @@ Each operator is written once, over the sparse ring QQ[G] that
 ln/exp/radical nodes) closed under the rate table for as many D_x steps
 as the operator takes: values are (numerator, denominator) pairs, D_x is
 sum_g dp/dg * rate(g) with the quotient rule for denominators, and the
-result becomes a sympy expression once per call.  The inverse total
-derivative peels in such an algebra too, grown only when a piece needs a
-generator it lacks; each piece becomes an expression for the result, and
-sympy's integrate is left only for log-type antiderivatives.
+result becomes a sympy expression once per call.  Every input enters the
+algebra through :func:`exprcore._lift`: a tree is lifted, a pair is moved
+by its exponent tuples.  An equation or a Lagrangian carries its tree's
+pair (``pair``), so the n+4 checks of a table lift it once.  The inverse
+total derivative peels in such an algebra too, grown only when a piece
+needs a generator it lacks (its remainder is moved there as a pair); each
+piece becomes an expression for the result, and sympy's integrate is left
+only for log-type antiderivatives.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ class _RingAlgebra:
             elif rate in index:
                 shift[i] = index[rate]
             elif exprcore._generators(rate) <= index.keys():
-                general[i] = exprcore._as_fraction(rate, R, self.gen_of)
+                rate = self.lift(rate)
+                general[i] = rate.num, rate.den
             else:
                 general[i] = _OutsideRing(f"rate of {s} lies outside the ring")
         if JET[MAX_JET_ORDER] in index:
@@ -131,7 +136,7 @@ class _RingAlgebra:
                     table[1][i] = err
 
     def lift(self, e) -> RingFraction:
-        return RingFraction(*exprcore._as_fraction(e, self.ring, self.gen_of))
+        return exprcore._lift(e, self.ring)
 
     def jet(self, k) -> RingFraction:
         return RingFraction(self.gen_of[JET[k]], self.ring.one)
@@ -348,12 +353,12 @@ def _prolong(J, v: VectorField, order: int) -> tuple:
 
 def apply_prolongation(v: VectorField, e, rates: dict | None = None) -> sp.Expr:
     """pr v applied to an expression: xi*d/dx (jets fixed) + sum phi^k d/dy_k."""
-    return _prolonged_action(v, e, rates)[0].as_expr()
+    return _prolonged_action(v, sp.sympify(e), rates)[0].as_expr()
 
 
 def _prolonged_action(v: VectorField, e, rates) -> tuple:
-    """(pr v(e), e, D_x xi) as values of one operator algebra."""
-    e = sp.sympify(e)
+    """(pr v(e), e, D_x xi) as values of one operator algebra, e being an
+    expression or a pair."""
     m = max(max_jet_order(e), 0)
     jets = ((y, 0) for y in JET[1 : m + 1])
     J = _algebra(rates, (v.xi, max(m, 1)), (v.psi, m), (e, 1), *jets)
@@ -367,7 +372,8 @@ def _prolonged_action(v: VectorField, e, rates) -> tuple:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """Lagrangian density with its declared jet order."""
+    """Lagrangian density with its declared jet order; ``pair`` is the
+    density lifted into the ring once, for every operator that takes it."""
 
     density: sp.Expr
     order: int
@@ -379,10 +385,15 @@ class Lagrangian:
                 f"density has jet order {max_jet_order(self.density)} > declared {self.order}"
             )
 
+    @functools.cached_property
+    def pair(self) -> RingFraction:
+        return RingFraction.from_expr(self.density)
+
 
 @dataclass(frozen=True)
 class DiffEq:
-    """Differential function Delta of declared order n, solvable for y^(n)."""
+    """Differential function Delta of declared order n, solvable for y^(n);
+    ``pair`` is Delta lifted into the ring once."""
 
     delta: sp.Expr
     order: int
@@ -400,9 +411,9 @@ class DiffEq:
             raise ValueError("leading coefficient is identically zero")
         object.__setattr__(self, "leading", lead.as_expr())
 
-    @staticmethod
-    def from_expr(delta) -> "DiffEq":
-        return DiffEq(delta, max_jet_order(delta))
+    @functools.cached_property
+    def pair(self) -> RingFraction:
+        return RingFraction.from_expr(self.delta)
 
     def monic(self) -> "DiffEq":
         return DiffEq(canon(self.delta / self.leading), self.order)
@@ -437,16 +448,17 @@ def _alternating_sum(J, terms):
 
 def euler(L, rates: dict | None = None) -> sp.Expr:
     """Euler-Lagrange operator E(L) = sum_k (-D_x)^k dL/dy^(k)."""
-    return _euler(L, rates).as_expr()
+    return _euler(rates, L.pair if isinstance(L, Lagrangian) else sp.sympify(L)).as_expr()
 
 
-def _euler(L, rates):
-    density = L.density if isinstance(L, Lagrangian) else sp.sympify(L)
-    m = max_jet_order(density)
+def _euler(rates, *factors):
+    """E of the product of factors (expressions or pairs), formed from their
+    lifts in one operator algebra; 0 when no factor holds a jet."""
+    m = max(map(max_jet_order, factors))
     if m < 0:
         return sp.Integer(0)
-    J = _algebra(rates, (density, m))
-    f = J.lift(density)
+    J = _algebra(rates, *((e, m) for e in factors))
+    f = functools.reduce(RingFraction.__mul__, map(J.lift, factors))
     return _alternating_sum(J, [J.partial(f, y) for y in JET[: m + 1]])
 
 
@@ -482,16 +494,11 @@ _FAMILIES = (JET, exprcore.SOL_U, exprcore.SOL_V, exprcore.COEF_Q)
 
 
 def _peel_algebra(rates, *exprs) -> _RingAlgebra:
-    """The generators of exprs and the lower rungs of every ladder they
-    touch, closed under the rates for one D_x step."""
-    atoms = set().union(*(e.free_symbols for e in exprs))
+    """The generators of exprs (expressions or pairs) and the lower rungs of
+    every ladder they touch, closed under the rates for one D_x step."""
+    atoms = set().union(*map(exprcore._generators, exprs))
     rungs = sp.Mul(*(fam[k] for fam in _FAMILIES for k in range(top_order(atoms, fam))))
     return _algebra(rates, *((e, 1) for e in exprs), (rungs, 1))
-
-
-def _atoms(f) -> set:
-    """The atoms of a pair, those inside its nodes included."""
-    return set().union(*(g.free_symbols for g in f.free_symbols))
 
 
 def _polynomial_in(f, s) -> bool:
@@ -520,7 +527,8 @@ def _antiderivative(f, s) -> tuple:
 
 
 def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = True) -> sp.Expr:
-    """An F with D_x F = P, for P a total derivative; constant fixed to 0.
+    """An F with D_x F = P, for P (an expression or a pair) a total
+    derivative; constant fixed to 0.
 
     Peels the top order, in one operator algebra: P linear in its highest
     derivative y^(m) (a degree test) with coefficient c = dP/dy^(m)
@@ -537,16 +545,16 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
     x, by moving the exponent of x.  The pieces become expressions one by
     one, and their sum is returned expanded.
     """
-    P = sp.sympify(P)
+    P = P if isinstance(P, RingFraction) else sp.sympify(P)
     if check_exact:
-        residual = canon(_euler(P, rates))
+        residual = canon(_euler(rates, P))
         if not zero_test(residual):
             raise NotExact("expression is not a total derivative", residual)
     J = _peel_algebra(rates, P)
     f, pieces = exprcore._reduced(J.lift(P)), []
     for family in _FAMILIES:
         while True:
-            m = top_order(_atoms(f), family)
+            m = top_order(exprcore._generators(f), family)
             if m <= 0:
                 break
             top, below = family[m], family[m - 1]
@@ -562,12 +570,11 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
             else:
                 piece, d = sp.integrate(canon(c), below), None
             if d is None:  # D_x of the piece needs generators J lacks
-                rest = f.as_expr()
-                J = _peel_algebra(rates, rest, piece)
-                f, d = J.lift(rest), J.dx(J.lift(piece))
+                J = _peel_algebra(rates, f, piece)
+                f, d = J.lift(f), J.dx(J.lift(piece))
             pieces.append(piece)
             f = exprcore._reduced(f - d)
-            if top in _atoms(f):
+            if top in exprcore._generators(f):
                 raise NotExact(f"top derivative {top} survives its peel step", sp.expand(canon(f)))
     extra = canon(f)
     if extra != 0:

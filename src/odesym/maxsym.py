@@ -22,8 +22,8 @@ from .exprcore import (
     SOL_V,
     X,
     RingFraction,
-    _as_fraction,
     _canonical_pair,
+    _lift,
     _rewritten,
     _ring,
     canon,
@@ -79,9 +79,8 @@ def _reduce_fraction(f):
     if SOL_V[1] not in f.free_symbols:
         return f
     R = _ring(_sort_gens({*f.num.ring.symbols, SOL_U[0], SOL_U[1], SOL_V[0]}))
-    a, b = _as_fraction(_V1, R, dict(zip(R.symbols, R.gens)))
-    i = R.symbols.index(SOL_V[1])
-    return RingFraction(*_rewritten(f.num.set_ring(R), f.den.set_ring(R), i, a, b))
+    f, v1 = _lift(f, R), _lift(_V1, R)
+    return RingFraction(*_rewritten(f.num, f.den, R.symbols.index(SOL_V[1]), v1.num, v1.den))
 
 
 class SourceContext:

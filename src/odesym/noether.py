@@ -101,7 +101,7 @@ def invariance_expression(v: VectorField, L: Lagrangian, ctx: SourceContext | No
 
 
 def _invariance(v: VectorField, L: Lagrangian, ctx: SourceContext | None):
-    action, density, dxi = jetcalc._prolonged_action(v, L.density, _rates(ctx))
+    action, density, dxi = jetcalc._prolonged_action(v, L.pair, _rates(ctx))
     return action + density * dxi
 
 
@@ -119,7 +119,7 @@ def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None =
 
 def divergence_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Test E(Q*Delta) = 0, with Q the characteristic of v."""
-    residual = jetcalc._euler(characteristic(v) * eq.delta, _rates(ctx))
+    residual = jetcalc._euler(_rates(ctx), characteristic(v), eq.pair)
     return _verdict("divergence", _reduce(residual, ctx))
 
 
@@ -136,7 +136,7 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
         raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.pair)
     rates = ctx.deriv_rates() if ctx is not None else None
     q = characteristic(v)
-    product = _reduce(q * eq.delta, ctx).as_expr()
+    product = _reduce(q * eq.delta, ctx)
     F = inverse_total_derivative(product, rates=rates, check_exact=False)
     witness = _reduce(total_derivative(F, rates=rates) - q * eq.delta, ctx)
     if not zero_test(witness):

@@ -17,7 +17,7 @@ from .jetcalc import DiffEq, Lagrangian, VectorField, dx_fixed_jets, ladder_imag
 
 
 class SingularMap(ValueError):
-    """The transformation degenerates (zero Jacobian or zero D_x zeta)."""
+    """The transformation degenerates (zero Jacobian, as for a zero D_x zeta)."""
 
 
 class MissingInverse(ValueError):
@@ -48,6 +48,7 @@ class PointTransformation:
         zx = self.zeta_x if self.zeta_x is not None else dx_fixed_jets(self.zeta, self.rates)
         object.__setattr__(self, "zeta_x", sp.sympify(zx))
         jac = self.zeta_x * self.phi_y() - self.zeta_y() * self.phi_x()
+        # jac = 0 also wherever D_x zeta = zeta_x + zeta_y*y1 does (zeta_x = zeta_y = 0)
         if zero_test(jac):
             raise SingularMap(f"Jacobian of ({self.zeta}, {self.phi}) vanishes")
 
@@ -89,8 +90,6 @@ def _images(sigma: PointTransformation, used) -> dict:
     """Images of z and of the jets among used, the only ones converted:
     the ladder of phi under D_x / D_x(zeta), w^(k+1) = D_x(w^(k)) / D_x(zeta)."""
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
-    if zero_test(dz):
-        raise SingularMap("D_x zeta vanishes identically")
     return {X: sigma.zeta, **ladder_images(JET, sigma.phi, used, sigma.rates, scale=1 / dz)}
 
 

@@ -1,6 +1,7 @@
 import pytest
 import sympy as sp
 
+from odesym import exprcore
 from odesym.exprcore import COEF_Q, JET, SOL_U, SOL_V, X, canon, zero_test
 from odesym.jetcalc import (
     DiffEq,
@@ -209,3 +210,31 @@ def test_lie_residuals_match_free_algebra_reference(n):
     for vf in generators(n):
         free = substitute_solved(apply_prolongation(vf, eq.delta), eq)
         _assert_matches_reference(lie_symmetry_check(vf, eq, CTX).witness, free)
+
+
+def _forbid_lift_of(monkeypatch, tree):
+    """Make every lift of this very tree into a ring fail."""
+    lift = exprcore._as_fraction
+
+    def guarded(e, *args):
+        if e is tree:
+            raise AssertionError(f"lifted into the ring again: {tree}")
+        return lift(e, *args)
+
+    monkeypatch.setattr(exprcore, "_as_fraction", guarded)
+
+
+def test_variational_table_lifts_the_lagrangian_once(monkeypatch):
+    L = transformed_lagrangian(4, CTX)
+    L.pair
+    _forbid_lift_of(monkeypatch, L.density)
+    held = {vf.name for vf in generators(4) if variational_check(vf, L, CTX).holds}
+    assert held == {"V0", "V1", "F4", "G4"}
+
+
+def test_divergence_table_lifts_the_equation_once(monkeypatch):
+    eq = build_lode(4, CTX)
+    eq.pair
+    _forbid_lift_of(monkeypatch, eq.delta)
+    held = {vf.name for vf in generators(4) if divergence_check(vf, eq, CTX).holds}
+    assert held == {"V0", "V1", "V2", "V3", "F4", "G4", "H4"}

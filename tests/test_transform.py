@@ -33,6 +33,8 @@ LOG_MAP = PointTransformation(X, k2 - sp.log(y))
 def test_singular_map_rejected():
     with pytest.raises(SingularMap):
         PointTransformation(X, X**2)  # phi_y == 0, zeta_y == 0
+    with pytest.raises(SingularMap):
+        PointTransformation(PARAMS["k1"], y)  # zeta_x == zeta_y == 0, so D_x zeta == 0
 
 
 def test_identity_jet_substitution():
