@@ -153,7 +153,7 @@ def _lift(e, R) -> "RingFraction":
     """
     if isinstance(e, RingFraction):
         return RingFraction(e.num.set_ring(R), e.den.set_ring(R))
-    return RingFraction(*_as_fraction(e, R, dict(zip(R.symbols, R.gens))))
+    return RingFraction(*_as_fraction(sp.sympify(e), R, dict(zip(R.symbols, R.gens))))
 
 
 def _as_fraction(e, R, gen_of) -> tuple:
@@ -275,12 +275,42 @@ def _rewritten(num, den, i, a, b, r=1) -> tuple:
     for p in (num, den):
         groups = _by_degree(p, i)
         top = max(groups, default=0) // r
-        terms = (c * g ** (j % r) * a ** (j // r) * b ** (top - j // r) for j, c in groups.items())
+        powers = {j: a ** (j // r) if j >= r else R.one for j in groups}  # PolyElement refuses 0 ** 0
+        terms = (c * g ** (j % r) * powers[j] * b ** (top - j // r) for j, c in groups.items())
         sides.append((sum(terms, R.zero), top))
     (num, dn), (den, dd) = sides
     if dd >= dn:
         return num * b ** (dd - dn), den
     return num, den * b ** (dn - dd)
+
+
+def _substituted(f, images) -> RingFraction:
+    """f (an expression or a pair) with each generator among the keys of
+    images replaced by its image (an expression or a pair), as a pair: the
+    one way to substitute into a value of the ring.
+
+    One ring holds the generators of f and of the images it uses; f and
+    each image enter it through :func:`_lift`, and each key of f is
+    rewritten once (:func:`_rewritten`, no cancellation).  A node of f that
+    holds a key is itself a key, whose image is the node of its argument's
+    canonical image.  The images must be free of the keys.  A pair's ring
+    keeps its generators, so a pair whose ring holds the images' generators
+    does not move; f without a key stays in its own ring, a pair as it is.
+    """
+    gens = _generators(f)
+    for g in gens:
+        if not g.is_Symbol and g.free_symbols & images.keys():
+            images = {**images, g: g.func(canon(_substituted(g.args[0], images)), *g.args[1:])}
+    images = {s: image for s, image in images.items() if s in gens}
+    if not images:
+        return f if isinstance(f, RingFraction) else _lift(f, _ring(_sort_gens(gens)))
+    own = f.num.ring.symbols if isinstance(f, RingFraction) else ()
+    R = _ring(_sort_gens(gens.union(own, *map(_generators, images.values()))))
+    f = _lift(f, R)
+    for s, image in images.items():
+        a = _lift(image, R)
+        f = RingFraction(*_rewritten(f.num, f.den, R.symbols.index(s), a.num, a.den))
+    return f
 
 
 def _without_radical(num, den, i) -> tuple:

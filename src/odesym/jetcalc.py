@@ -11,12 +11,17 @@ and by a symbolic source context for the source equation itself: u' and v'
 have the rates -q u and -q v, so u'' and higher never appear.  The solved
 equation y^(n) = rhs enters the same way, as the rate of y^(n-1).
 
-Every substitution of D_x images goes through :func:`ladder_images`: a
-root's symbol maps to the root, and the k-th symbol above it to the k-th
-rung of its :func:`derivative_ladder`.  The y^(n) elimination (the ladder
-of the solved rhs), the jet images of a point transformation (the ladder
-of phi under D_x / D_x zeta) and the u, v, q ladders of a concrete source
-context are all such maps.
+Every map of D_x images is built by :func:`ladder_images`: a root's
+symbol maps to the root, and the k-th symbol above it to the k-th rung of
+its :func:`derivative_ladder`.  The y^(n) elimination (the ladder of the
+solved rhs), the jet images of a point transformation (the ladder of phi
+under D_x / D_x zeta) and the ladders of a source context (u'' -> -q u and
+v' -> (1 + u'v)/u, or a concrete pair's u, v, q) are all such maps.  The
+images enter a ring through :func:`exprcore._substituted`, which rewrites
+each generator of a value (a tree or a pair) in one ring, so the checks
+stay on pairs; only :mod:`transform` (a simultaneous change of x and y)
+and :func:`maxsym.specialize_q` (a tree to print or evaluate) substitute
+into trees.
 
 Each operator is written once, over the sparse ring QQ[G] that
 :func:`exprcore.canon` uses, G being the input's generators (atoms and
@@ -283,11 +288,8 @@ def ladder_images(family, root, used, rates: dict | None = None, scale=1) -> dic
     top = top_order(used, family)
     if top < 0:
         return {}
-    images = {family[0]: root}
-    if top:
-        ladder = derivative_ladder(root, top, rates, scale)
-        images.update((s, f.as_expr()) for s, f in zip(family[1:], ladder[1:]) if s in used)
-    return images
+    ladder = derivative_ladder(root, top, rates, scale)[1:] if top else ()
+    return {family[0]: root, **{s: f.as_expr() for s, f in zip(family[1:], ladder) if s in used}}
 
 
 def dx_fixed_jets(e, rates: dict | None = None) -> sp.Expr:
@@ -419,20 +421,29 @@ class DiffEq:
         return DiffEq(canon(self.delta / self.leading), self.order)
 
     def solved_rhs(self) -> sp.Expr:
-        """y^(n) = rhs on solutions."""
+        """y^(n) = rhs on solutions, computed once per equation."""
+        return self._rhs
+
+    @functools.cached_property
+    def _rhs(self) -> sp.Expr:
         rest = self.delta - self.leading * JET[self.order]
         return canon(-rest / self.leading)
 
 
 def substitute_solved(e, eq: DiffEq, rates: dict | None = None) -> sp.Expr:
-    """Eliminate y^(n) and higher jets on solutions of y^(n) = rhs: under the
-    on-shell rate D_x y^(n-1) = rhs, the ladder of rhs images y^(n), y^(n+1), ..."""
-    e, n = sp.sympify(e), eq.order
-    if max_jet_order(e) < n:
-        return e
-    rhs = eq.solved_rhs()
+    """Eliminate y^(n) and higher jets on solutions of y^(n) = rhs: the
+    expression of :func:`_on_shell`, or e itself when it is below order n."""
+    e = sp.sympify(e)
+    return e if max_jet_order(e) < eq.order else _on_shell(e, eq, rates).as_expr()
+
+
+def _on_shell(e, eq: DiffEq, rates) -> RingFraction:
+    """e (an expression or a pair) on solutions of y^(n) = rhs, as a pair:
+    under the on-shell rate D_x y^(n-1) = rhs, the ladder of rhs images
+    y^(n), y^(n+1), ..., substituted in the ring."""
+    n, rhs = eq.order, eq.solved_rhs()
     onshell = {**(rates or {}), JET[n - 1]: rhs}
-    return e.xreplace(ladder_images(JET[n:], rhs, e.free_symbols, onshell))
+    return exprcore._substituted(e, ladder_images(JET[n:], rhs, exprcore._generators(e), onshell))
 
 
 def _alternating_sum(J, terms):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy.polys.polyutils import _sort_gens
 
 from . import transform as _transform
 from .exprcore import (
@@ -21,11 +20,9 @@ from .exprcore import (
     SOL_U,
     SOL_V,
     X,
-    RingFraction,
     _canonical_pair,
-    _lift,
-    _rewritten,
-    _ring,
+    _generators,
+    _substituted,
     canon,
     zero_test,
 )
@@ -60,38 +57,22 @@ class EliminationFailed(RuntimeError):
 _RATES = {SOL_U[1]: -COEF_Q[0] * SOL_U[0], SOL_V[1]: -COEF_Q[0] * SOL_V[0]}
 # v' solved from the unit Wronskian u v' - u' v = 1.
 _V1 = (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]
-
-
-_FAMILY_ATOMS = frozenset((*SOL_U, *SOL_V, *COEF_Q))
-# The atoms a symbolic context substitutes: u^(k), v^(k) for k >= 2.
-_HIGHER = frozenset((*SOL_U[2:], *SOL_V[2:]))
-
-
-def _reduce_fraction(f):
-    """f (an expression or a RingFraction) with v' -> (1 + u'v)/u, in the ring.
-
-    The ring grows by u, u', v where v' is present (:func:`exprcore._rewritten`
-    homogenizes by powers of u); f is returned lifted as it is when v' is
-    absent.
-    """
-    if not isinstance(f, RingFraction):
-        f = RingFraction.from_expr(f)
-    if SOL_V[1] not in f.free_symbols:
-        return f
-    R = _ring(_sort_gens({*f.num.ring.symbols, SOL_U[0], SOL_U[1], SOL_V[0]}))
-    f, v1 = _lift(f, R), _lift(_V1, R)
-    return RingFraction(*_rewritten(f.num, f.den, R.symbols.index(SOL_V[1]), v1.num, v1.den))
+# The ladders a symbolic context substitutes, with their roots: u'' = -q u
+# and v' = (1 + u'v)/u.
+_SYMBOLIC_ROOTS = ((SOL_U[2:], -COEF_Q[0] * SOL_U[0]), (SOL_V[1:], _V1))
 
 
 class SourceContext:
     """Rewrite context of a source-equation solution pair.
 
-    The symbolic context is the one whose roots are u, v, q themselves and
-    whose rates are the source equation u'' = -q u, v'' = -q v: operators
-    run under it never produce u^(k) or v^(k) with k >= 2, and reduction
-    normalizes the Wronskian by eliminating v' via u*v' - u'*v = 1.  A
-    concrete context instead substitutes explicit expressions for u, v and
-    q, with ``rates`` supplying x-derivatives of any opaque atoms they use.
+    The symbolic context is the one whose rates are the source equation
+    u'' = -q u, v'' = -q v: operators run under it never produce u^(k) or
+    v^(k) with k >= 2.  A concrete context has explicit expressions for u,
+    v and q, with ``rates`` supplying x-derivatives of any opaque atoms
+    they use.  Reduction substitutes ladders in the ring, one root per
+    ladder: u'' -> -q u and v' -> (1 + u'v)/u (the unit Wronskian
+    u*v' - u'*v = 1) in symbolic mode, u, v and q -> their expressions in
+    concrete mode.
     """
 
     def __init__(self, u, v, q, rates=None, wronskian=sp.Integer(1)):
@@ -147,27 +128,22 @@ class SourceContext:
     def reduce(self, e) -> sp.Expr:
         """Normal form of an expression modulo the source-equation relations.
 
-        An expression or RingFraction with no ladder symbol to substitute
-        goes to its canonical pair, after v' -> (1 + u'v)/u in its ring in
-        symbolic mode.  Anything else has each ladder symbol replaced by the
-        derivative of its root under :meth:`deriv_rates` (in symbolic mode
-        the roots are u, v, q themselves) and then goes to its canonical
-        pair.  The result is the expression of that pair, as :func:`canon`
-        prints it.
+        e (an expression or a RingFraction) has each member of a ladder
+        replaced by the derivative of the ladder's root under
+        :meth:`deriv_rates` (:func:`jetcalc.ladder_images`), in the ring
+        (:func:`exprcore._substituted`), and goes to its canonical pair.
+        The roots are u'' -> -q u and v' -> (1 + u'v)/u in symbolic mode,
+        and u, v, q -> the context's expressions in concrete mode.  The
+        result is the expression of that pair, as :func:`canon` prints it.
         """
         return self._reduce_pair(e).as_expr()
 
     def _reduce_pair(self, e):
         """The canonical pair whose expression :meth:`reduce` returns."""
-        e = e if isinstance(e, RingFraction) else sp.sympify(e)
-        if not e.free_symbols & (_HIGHER if self.symbolic else _FAMILY_ATOMS):
-            return _canonical_pair(_reduce_fraction(e))
-        if isinstance(e, RingFraction):
-            e = e.as_expr()
-        rates, images = self.deriv_rates(), {}
-        for family, root in ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q)):
-            images.update(ladder_images(family, root, e.free_symbols, rates))
-        return _canonical_pair(e.xreplace(images))
+        roots = _SYMBOLIC_ROOTS if self.symbolic else ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q))
+        used, rates = _generators(e), self.deriv_rates()
+        images = (ladder_images(family, root, used, rates) for family, root in roots)
+        return _canonical_pair(_substituted(e, {s: a for m in images for s, a in m.items()}))
 
 
 def specialize_q(e, q) -> sp.Expr:

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 import sympy as sp
 
 from . import jetcalc
-from .exprcore import JET, RingFraction, _canonical_pair, canon, max_jet_order, partial, zero_test
+from .exprcore import JET, RingFraction, _canonical_pair, canon, max_jet_order, zero_test
 from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
-    apply_prolongation,
     characteristic,
     inverse_total_derivative,
-    substitute_solved,
     total_derivative,
 )
 from .maxsym import SourceContext
@@ -108,8 +106,8 @@ def _invariance(v: VectorField, L: Lagrangian, ctx: SourceContext | None):
 def lie_symmetry_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Prolonged action of v on Delta, reduced on the solution manifold."""
     rates = _rates(ctx)
-    action = apply_prolongation(v, eq.delta, rates)
-    return _verdict("lie", _reduce(substitute_solved(action, eq, rates), ctx))
+    action = jetcalc._prolonged_action(v, eq.pair, rates)[0]
+    return _verdict("lie", _reduce(jetcalc._on_shell(action, eq, rates), ctx))
 
 
 def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None = None) -> SymmetryVerdict:
@@ -128,37 +126,43 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
 
     F is the inverse total derivative of Q*Delta, computed with the
     context's reduced derivative table (Q*Delta is exact in the quotient
-    algebra, not as a free differential polynomial).  The defining
-    identity D_x F - Q*Delta = 0 is verified exactly and stored.
+    algebra, not as a free differential polynomial).  Q*Delta is formed
+    from the equation's pair, and the defining identity D_x F - Q*Delta = 0
+    is verified exactly against that reduced product and stored.
     """
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:
         raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.pair)
     rates = ctx.deriv_rates() if ctx is not None else None
     q = characteristic(v)
-    product = _reduce(q * eq.delta, ctx)
+    J = jetcalc._algebra(rates, (q, 0), (eq.pair, 0))
+    product = _reduce(J.lift(q) * J.lift(eq.pair), ctx)
     F = inverse_total_derivative(product, rates=rates, check_exact=False)
-    witness = _reduce(total_derivative(F, rates=rates) - q * eq.delta, ctx)
+    J = jetcalc._algebra(rates, (F, 1), (product, 0))
+    witness = _reduce(J.dx(J.lift(F)) - J.lift(product), ctx)
     if not zero_test(witness):
         raise NotFirstIntegral("inverse derivative failed verification", witness)
     return FirstIntegral(F, q, eq, witness.as_expr())
 
 
 def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp.Expr:
-    """The multiplier mu with D_x F = mu * Delta, if one exists.
+    """The multiplier mu with D_x F = mu * (y^(n) - rhs) on F brought below
+    order n, if one exists: mu multiplies the monic equation, not Delta.
 
-    Works by division against the monic equation y^(n) - rhs: F is first
-    brought below order n on solutions, so D_x F is linear in y^(n) with
-    cofactor mu, and the remainder D_x F - mu*(y^(n) - rhs) is D_x F with
-    y^(n) eliminated.
+    Works by division against y^(n) - rhs: F is first brought below order
+    n on solutions, so D_x F is linear in y^(n) with cofactor mu, and the
+    remainder D_x F - mu*(y^(n) - rhs) is D_x F with y^(n) eliminated.
+    D_x F and mu are values of one operator algebra, and the remainder is
+    the pair of D_x F on solutions: no step becomes a tree.
     """
     rates = ctx.deriv_rates() if ctx is not None else None
-    eq = eq.monic()
-    r = total_derivative(substitute_solved(F, eq, rates), rates=rates)
-    remainder = _reduce(substitute_solved(r, eq, rates), ctx)
+    f = jetcalc._on_shell(F, eq, rates)
+    J = jetcalc._algebra(rates, (f, 1))
+    r = J.dx(J.lift(f))
+    remainder = _reduce(jetcalc._on_shell(r, eq, rates), ctx)
     if not zero_test(remainder):
         raise NotFirstIntegral("nonzero remainder after division", remainder)
-    return canon(partial(r, JET[eq.order]))
+    return canon(J.partial(r, JET[eq.order]))
 
 
 def divergence_relation_check(

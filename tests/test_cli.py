@@ -81,6 +81,26 @@ def test_check_divergence_refuted(capsys):
     assert "refuted-witness" in out
 
 
+@pytest.mark.parametrize(
+    "vf, eq, order, q, code, residual",
+    [
+        ("0;y", "y4+q*y2+q1*y1", "4", None, 0, None),
+        ("x;0", "y3+q*y1", "3", "-2/x^2", 0, None),
+        ("1;0", "y3+q*y1+x*y", "3", "1", 1, "y"),
+        ("x;0", "y3+q*y1", "3", "sqrt(x)", 1, "5*sqrt(x)*y1/2"),
+    ],
+)
+def test_check_lie(capsys, vf, eq, order, q, code, residual):
+    argv = ["check", "--kind", "lie", "--vf", vf, "--eq", eq, "--order", order]
+    got, out, _ = run(capsys, *argv, *(("--q", q) if q else ()))
+    assert got == code
+    if residual is None:
+        assert "lie-symmetry: verified" in out
+    else:
+        assert "lie-symmetry: refuted-witness" in out
+        assert out.strip().split("residual = ")[1] == residual
+
+
 def test_check_variational_with_concrete_q(capsys):
     code, out, _ = run(
         capsys, "check", "--kind", "variational", "--vf", "0;1",

@@ -250,6 +250,29 @@ def test_numeric_witness_zero_expression():
     assert numeric_witness((y + 1) ** 2 - y**2 - 2 * y - 1) is None
 
 
+def test_substituted_zero_image():
+    f = exprcore._substituted((q * y + y1) / (X + q) + q**2, {q: 0})
+    assert canon(f) == y1 / X
+
+
+def test_substituted_pair_image_from_another_ring():
+    image = exprcore.RingFraction.from_expr((1 + u1 * v) / u)
+    e = (v1 * y + q * v1**2) / (u + v1)
+    f = exprcore._substituted(e, {v1: image})
+    assert f.num.ring is not image.num.ring
+    assert canon(f) == canon(e.xreplace({v1: (1 + u1 * v) / u}))
+
+
+def test_substituted_tree_and_its_pair_agree():
+    e = (y1 * COEF_Q[2] + u1 * y) / (X * u + COEF_Q[2] ** 2) + sp.sqrt(q) * y
+    images = {COEF_Q[2]: u / X, u1: sp.Integer(2), q: X**2}
+    by_tree = exprcore._canonical_pair(exprcore._substituted(e, images))
+    by_pair = exprcore._canonical_pair(exprcore._substituted(exprcore.RingFraction.from_expr(e), images))
+    assert sp.srepr(by_tree.as_expr()) == sp.srepr(by_pair.as_expr())
+    # the node sqrt(q) holds a key, and becomes the node of q's image
+    assert by_tree.as_expr() == canon(e.xreplace(images))
+
+
 # --- randomized agreement with an independent dict-based polynomial oracle ---
 
 _ATOMS = [X, y, y1, u, q, PARAMS["k2"]]

@@ -238,3 +238,35 @@ def test_divergence_table_lifts_the_equation_once(monkeypatch):
     _forbid_lift_of(monkeypatch, eq.delta)
     held = {vf.name for vf in generators(4) if divergence_check(vf, eq, CTX).holds}
     assert held == {"V0", "V1", "V2", "V3", "F4", "G4", "H4"}
+
+
+def test_lie_table_lifts_the_equation_once(monkeypatch):
+    eq = build_lode(4, CTX)
+    eq.pair
+    _forbid_lift_of(monkeypatch, eq.delta)
+    assert all(lie_symmetry_check(vf, eq, CTX).holds for vf in generators(4))
+
+
+def test_first_integrals_lift_the_equation_once(monkeypatch):
+    eq = build_lode(4, CTX)
+    eq.pair
+    _forbid_lift_of(monkeypatch, eq.delta)
+    made = set()
+    for vf in generators(4):
+        try:
+            first_integral(vf, eq, CTX)
+            made.add(vf.name)
+        except NotADivergenceSymmetry:
+            pass
+    assert made == {vf.name for vf in generators(4)} - {"Wy"}
+
+
+def test_verify_first_integral_multiplies_the_monic_equation():
+    # D_x F = y1*(2*y2 + y) = 2*y1*(y2 + y/2): mu belongs to y2 - rhs, not to Delta
+    assert verify_first_integral(y1**2 + y**2 / 2, DiffEq(2 * y2 + y, 2)) == 2 * y1
+
+
+def test_verify_first_integral_reduces_inside_nodes():
+    # F = ln(y3 - y1) is ln(y2 - y1) on solutions of y3 = y2
+    mu = verify_first_integral(sp.log(y3 - y1), DiffEq(y3 - y2, 3))
+    assert canon(mu - 1 / (y2 - y1)) == 0
