@@ -92,6 +92,15 @@ def _parse_map(text: str) -> transform.PointTransformation:
         raise UsageError(str(err)) from err
 
 
+def _specialized(e, q_expr) -> sp.Expr:
+    """canon of e at a concrete coefficient q: the first lift of q, where a
+    zero denominator is one of the input and a usage error."""
+    try:
+        return canon(maxsym.specialize_q(e, q_expr))
+    except ZeroDivisionError as err:
+        raise UsageError(str(err)) from err
+
+
 def _reject_solution_symbols(q_text, *exprs):
     if q_text is None:
         return
@@ -168,7 +177,7 @@ def _cmd_build_lode(args) -> int:
     eq = maxsym.build_lode(args.n)
     delta = eq.delta
     if args.q is not None:
-        delta = canon(maxsym.specialize_q(delta, _parse_expr(args.q)))
+        delta = _specialized(delta, _parse_expr(args.q))
     if args.json:
         _deliver(_object_report(None, [(f"Delta{args.n}", delta)]), args)
     else:
@@ -207,13 +216,13 @@ def _cmd_check(args) -> int:
         checker = noether.lie_symmetry_check if args.kind == "lie" else noether.divergence_check
     expr = _parse_expr(text)
     _reject_solution_symbols(args.q, expr, vf.xi, vf.psi)
-    if q_expr is None:
-        ctx = maxsym.SourceContext.make_symbolic()
-    else:
-        expr, ctx = maxsym.specialize_q(expr, q_expr), None
+    ctx = maxsym.SourceContext.make_symbolic() if q_expr is None else None
     try:
+        if q_expr is not None:
+            expr = maxsym.specialize_q(expr, q_expr)
         obj = build(expr, args.order)
-    except ValueError as err:
+        obj.pair  # the first lift of the input, which the check reuses
+    except (ValueError, ZeroDivisionError) as err:
         raise UsageError(str(err)) from err
     verdict = checker(vf, obj, ctx)
     status = casebook.claim_status(verdict.holds, verdict.pair)
@@ -228,7 +237,7 @@ def _cmd_first_integral(args) -> int:
     q_expr = _parse_expr(args.q) if args.q is not None else None
     if q_expr is not None:
         _reject_solution_symbols(args.q, vf.xi, vf.psi)
-        eq = DiffEq(canon(maxsym.specialize_q(eq.delta, q_expr)), args.n)
+        eq = DiffEq(_specialized(eq.delta, q_expr), args.n)
         ctx = None
     try:
         result = noether.first_integral(vf, eq, ctx)
@@ -265,7 +274,7 @@ def _cmd_transform(args) -> int:
             objects = [("xi", vf.xi), ("psi", vf.psi)]
         else:
             objects = [("F", transform.transform_first_integral(_parse_expr(args.integral), sigma))]
-    except (transform.SingularMap, transform.MissingInverse, ValueError) as err:
+    except (transform.SingularMap, transform.MissingInverse, ValueError, ZeroDivisionError) as err:
         if isinstance(err, UsageError):
             raise
         raise UsageError(str(err)) from err

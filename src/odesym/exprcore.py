@@ -426,55 +426,50 @@ def _seeded_rng(e) -> random.Random:
     return random.Random(int(digest[:16], 16))
 
 
-def _integer_evaluator(f):
-    """(value, ref) of a rational canonical pair at a point, in integers.
+def _evaluator(f):
+    """(value, ref) of a canonical pair at a point: ``evaluate(draws, point)``
+    with each atom drawn as k (draws) and at k/100 (point).
 
     With every atom at k/100, each term of numerator and denominator is
-    scaled by 100^D, D the largest total degree of the pair.  value is the
-    sum of the numerator's terms n_i and ref is max(|d|, sum |n_i|), so
-    |value|/ref is the relative size that the 30-digit path computes term
-    by term; no scaling changes it, nor does sympy spreading a ground
+    scaled by 100^D over its degree in the atoms, D the largest such degree
+    of the pair, so a rational pair is evaluated in integers.  Each node
+    generator the pair uses (ln, exp or radical) is evaluated once per
+    point at 30 digits, and the sums of a pair with nodes are 30-digit
+    floats.  value is the sum of the numerator's terms n_i and ref is
+    max(|d|, sum |n_i|): |value|/ref is the relative size of the pair,
+    which no common scaling changes, nor does sympy spreading a ground
     denominator over the sum ((x+y)/2 prints as x/2 + y/2).  None where d
-    vanishes.
+    vanishes or a node value is not real and finite.
     """
     symbols = f.num.ring.symbols
-    D = max(sum(m) for p in (f.num, f.den) for m in p.itermonoms())
+    atom = [s.is_Symbol for s in symbols]
+    nodes = [g for g in f.free_symbols if not g.is_Symbol]
+
+    def degree(m):
+        return sum(k for k, a in zip(m, atom) if a)
+
+    D = max(degree(m) for p in (f.num, f.den) for m in p.itermonoms())
     scale = [100**j for j in range(D + 1)]
 
     def compiled(p):
         return [
-            (int(c.numerator) * scale[D - sum(m)], [(symbols[i], k) for i, k in enumerate(m) if k])
+            (int(c.numerator) * scale[D - degree(m)], [(symbols[i], k) for i, k in enumerate(m) if k])
             for m, c in p.items()
         ]
 
     num, den = compiled(f.num), compiled(f.den)
+    zero = sp.Float(0, 30) if nodes else 0
 
-    def evaluate(draws):
-        d = sum(c * math.prod(draws[s] ** k for s, k in m) for c, m in den)
+    def evaluate(draws, point):
+        if nodes:
+            draws = {**draws, **{g: g.xreplace(point).evalf(30) for g in nodes}}
+            if not all(draws[g].is_real and draws[g].is_finite for g in nodes):
+                return None
+        d = sum((c * math.prod(draws[s] ** k for s, k in m) for c, m in den), zero)
         if d == 0:
             return None
         vals = [c * math.prod(draws[s] ** k for s, k in m) for c, m in num]
-        return sum(vals), max(abs(d), sum(map(abs, vals)))
-
-    return evaluate
-
-
-def _float_evaluator(c):
-    """(value, ref) at 30 digits over the expanded terms t_i of c:
-    value = sum t_i and ref = max(1, sum |t_i|); None at a singular point."""
-    terms = sp.Add.make_args(sp.expand(c))
-
-    def evaluate(draws):
-        point = {s: sp.Rational(k, 100) for s, k in draws.items()}
-        total = sp.Float(0, 30)
-        ref = sp.Float(0, 30)
-        for t in terms:
-            val = t.subs(point).evalf(30)
-            if not val.is_number or val.has(sp.zoo, sp.oo, sp.nan) or not val.is_real:
-                return None
-            total += val
-            ref += abs(val)
-        return total, max(sp.Float(1, 30), ref)
+        return sum(vals, zero), max(abs(d), sum(map(abs, vals), zero))
 
     return evaluate
 
@@ -483,29 +478,28 @@ def _samples(e, points):
     """Seeded regular sample points of an expression or a pair.
 
     Yields (point, value, ref) at up to ``points`` points with every atom
-    drawn from (1/10, 10), from the RNG of :func:`_seeded_rng`, skipping
-    singular points and giving up after 40*points draws; |value|/ref is the
-    relative size of e at the point.  A rational canonical pair is evaluated
-    in integers (:func:`_integer_evaluator`), any other form at 30 digits.
+    of the canonical pair's generators drawn from (1/10, 10), in name
+    order, from the RNG of :func:`_seeded_rng`, skipping singular points
+    and giving up after 40*points draws; |value|/ref is the relative size
+    of e at the point.  Every pair goes through :func:`_evaluator`: in
+    integers when it is rational, with its node generators at 30 digits
+    otherwise; no step builds the pair's expression.
     """
     f = _canonical_pair(e)
     rng = _seeded_rng(f)
-    if is_rational_expr(f):
-        symbols, evaluate = f.free_symbols, _integer_evaluator(f)
-    else:
-        c = f.as_expr()
-        symbols, evaluate = c.free_symbols, _float_evaluator(c)
-    symbols = sorted(symbols, key=str)
+    evaluate = _evaluator(f)
+    symbols = sorted((s for s in _generators(f) if s.is_Symbol), key=str)
     taken = 0
     for _ in range(40 * points):
         if taken == points:
             return
         draws = {s: rng.randint(10, 1000) for s in symbols}
-        result = evaluate(draws)
+        point = {s: sp.Rational(k, 100) for s, k in draws.items()}
+        result = evaluate(draws, point)
         if result is None:
             continue
         taken += 1
-        yield {s: sp.Rational(k, 100) for s, k in draws.items()}, *result
+        yield point, *result
 
 
 def _symbolic_confirm(e) -> bool:
@@ -529,36 +523,29 @@ def zero_test(e, points: int = 20, tol=sp.Rational(1, 10**9)) -> bool:
     e is reduced to its canonical pair once (a pair that
     :func:`_canonical_pair` returned is taken as it is), and rational input
     is decided exactly by that pair.  For input with elementary atoms the
-    pair decides only the nonzero direction; a nonzero is then sampled at
-    ``points`` random rational points in (1/10, 10), all atoms independent.
-    If every sample is below the relative tolerance, a cheap symbolic
-    confirmation must succeed, otherwise :class:`Inconclusive` is raised.
+    pair decides only the nonzero direction; a nonzero is then sampled by
+    :func:`_samples` at ``points`` random rational points in (1/10, 10),
+    all atoms independent (a pair without atoms at its one point, each
+    time), against the relative tolerance ``tol``.  If every sample is
+    below it, a cheap symbolic confirmation on the pair's expression must
+    succeed, otherwise :class:`Inconclusive` is raised.
     """
     f = _canonical_pair(e)
     if not f.num:
         return True
     if is_rational_expr(f):
         return False
-    c = f.as_expr()
-    if not c.free_symbols:
-        val = c.evalf(30)
-        if abs(val) > tol:
-            return False
-        return _confirm_or_raise(c)
     taken = 0
     for _, value, ref in _samples(f, points):
         if abs(value) > tol * ref:
             return False
         taken += 1
+    c = f.as_expr()
     if taken < points:
         raise Inconclusive(c, "could not find regular sample points")
-    return _confirm_or_raise(c)
-
-
-def _confirm_or_raise(c) -> bool:
-    if _symbolic_confirm(c):
-        return True
-    raise Inconclusive(c)
+    if not _symbolic_confirm(c):
+        raise Inconclusive(c)
+    return True
 
 
 def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
@@ -568,15 +555,16 @@ def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
     Used to certify refutations: a claim "e is not identically zero" is
     backed by a concrete sample where the relative value exceeds ``tol``.
     An expression is lifted to its canonical pair once, and a canonical
-    pair is taken as it is.  For a rational pair the relative value is an
-    exact ``sp.Rational``, otherwise a 30-digit float.
+    pair is taken as it is; the samples are those of :func:`_samples`.
+    For a rational pair the relative value is an exact ``sp.Rational``,
+    otherwise a 30-digit float.
     """
     f = _canonical_pair(e)
     if not f.num:
         return None
     best = None
     for point, value, ref in _samples(f, points):
-        rel = Fraction(abs(value), ref) if isinstance(ref, int) else abs(value) / ref
+        rel = Fraction(abs(value), ref) if isinstance(value, int) else abs(value) / ref
         if best is None or rel > best[1]:
             best = (point, rel)
     if best is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from . import jetcalc
-from .exprcore import JET, RingFraction, _canonical_pair, canon, max_jet_order, zero_test
+from .exprcore import JET, RingFraction, _canonical_pair, canon, zero_test
 from .jetcalc import (
     DiffEq,
     Lagrangian,
@@ -95,11 +95,13 @@ def _rates(ctx: SourceContext | None):
 
 def invariance_expression(v: VectorField, L: Lagrangian, ctx: SourceContext | None = None) -> sp.Expr:
     """S(v) = pr v (L) + L * D_x xi, the variational invariance residual."""
-    return _invariance(v, L, ctx).as_expr()
+    return _invariance(v, L.pair, ctx).as_expr()
 
 
-def _invariance(v: VectorField, L: Lagrangian, ctx: SourceContext | None):
-    action, density, dxi = jetcalc._prolonged_action(v, L.pair, _rates(ctx))
+def _invariance(v: VectorField, density, ctx: SourceContext | None):
+    """S(v) of a density (an expression or a pair) as a value of the
+    algebra of its prolonged action."""
+    action, density, dxi = jetcalc._prolonged_action(v, density, _rates(ctx))
     return action + density * dxi
 
 
@@ -112,7 +114,7 @@ def lie_symmetry_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = N
 
 def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Off-shell test S(v) = 0 identically in all jet variables."""
-    return _verdict("variational", _reduce(_invariance(v, L, ctx), ctx))
+    return _verdict("variational", _reduce(_invariance(v, L.pair, ctx), ctx))
 
 
 def divergence_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
@@ -168,17 +170,14 @@ def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp
 def divergence_relation_check(
     L0: Lagrangian, P, theta, v: VectorField, ctx: SourceContext | None = None
 ) -> SymmetryVerdict:
-    """Linearity of S across equivalent Lagrangians L = theta*L0 + D_x P."""
+    """Linearity of S across equivalent Lagrangians L = theta*L0 + D_x P.
+
+    S(L), S(L0), S(D_x P) and theta are values of one operator algebra,
+    and their combination S(L) - theta*S(L0) - S(D_x P) is reduced once.
+    """
     rates = _rates(ctx)
     dP = total_derivative(sp.sympify(P), rates=rates)
-    order = max(L0.order, max_jet_order(dP), 0)
-    L = Lagrangian(sp.expand(theta * L0.density + dP), order)
-    L0w = Lagrangian(L0.density, order)
-    dPw = Lagrangian(dP, order)
-    residual = _reduce(
-        invariance_expression(v, L, ctx)
-        - theta * invariance_expression(v, L0w, ctx)
-        - invariance_expression(v, dPw, ctx),
-        ctx,
-    )
-    return _verdict("variational", residual)
+    S = [_invariance(v, e, ctx) for e in (theta * L0.density + dP, L0.pair, dP)]
+    J = jetcalc._algebra(rates, *((e, 0) for e in (*S, theta)))
+    s, s0, sdP, t = (J.lift(e) for e in (*S, theta))
+    return _verdict("variational", _reduce(s - t * s0 - sdP, ctx))

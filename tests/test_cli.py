@@ -277,6 +277,22 @@ def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
     assert "ZeroDivisionError" in err and "internal error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--kind", "divergence", "--vf", "0;y",
+     "--eq", "y3 + 1/(ln(x*y)-ln(x)-ln(y))", "--order", "3"),
+    ("check", "--kind", "variational", "--vf", "0;y",
+     "--lagrangian", "y1^2 + 1/(ln(x*y)-ln(x)-ln(y))", "--order", "1"),
+    ("transform", "--map", "z=x; w=y", "--integral", "1/(ln(x*y)-ln(x)-ln(y))"),
+    ("build-lode", "--n", "3", "--q", "1/(ln(2*x)-ln(2)-ln(x))"),
+    ("first-integral", "--n", "3", "--vf", "0;y", "--q", "1/(ln(2*x)-ln(2)-ln(x))"),
+], ids=lambda argv: argv[0] + ("-" + argv[2] if argv[0] == "check" else ""))
+def test_zero_denominator_in_input_is_usage_error(capsys, argv):
+    # ln(x*y) - ln(x) - ln(y) and ln(2x) - ln(2) - ln(x) are 0 in the ring
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_order_above_jet_registry_is_bad_order(capsys):
     code, _, err = run(capsys, "generators", "--n", "25")
     assert code == 2

@@ -29,7 +29,7 @@ from odesym.maxsym import (
     source_transformation,
     transformed_lagrangian,
 )
-from odesym.noether import variational_check
+from odesym.noether import divergence_check, variational_check
 from odesym.transform import transform_equation, transform_lagrangian
 
 y, y1, y2 = JET[0], JET[1], JET[2]
@@ -103,14 +103,19 @@ def test_zero_test_nonzero_with_log():
 
 
 def test_inconclusive_is_reported():
-    # ln(x*y) - ln(x) - ln(y) vanishes on the positive sampling domain and
-    # survives the canonical form; whether confirmation succeeds or the
-    # kernel reports Inconclusive, it must never claim a nonzero.
-    e = sp.log(X * y) - sp.log(X) - sp.log(y)
-    try:
-        assert zero_test(e) is True
-    except Inconclusive:
-        pass
+    # Both vanish on the positive sampling domain.  ln(x*y) - ln(x) - ln(y)
+    # cancels to an exact 0 in the ring; ln(y^2 + 2y + 1) - 2 ln(y + 1)
+    # survives the canonical form and is sampled.  Whether confirmation
+    # succeeds or the kernel reports Inconclusive, it must never claim a
+    # nonzero.
+    for e in (
+        sp.log(X * y) - sp.log(X) - sp.log(y),
+        sp.log(y**2 + 2 * y + 1) - 2 * sp.log(y + 1),
+    ):
+        try:
+            assert zero_test(e) is True
+        except Inconclusive:
+            pass
 
 
 def test_numeric_witness_nonzero():
@@ -148,6 +153,33 @@ def test_numeric_witness_agrees_with_30_digit_path():
     assert isinstance(value, sp.Rational)
     assert point == ref_point
     assert abs(value - ref_value) < sp.Float("1e-25", 30) * value
+
+
+def test_node_witness_agrees_with_30_digit_path():
+    eq = DiffEq(casebook.example_equation_display(), 4)
+    g4 = casebook.example_generators_expected()["G4"]
+    for residual in (
+        sp.log(2) - sp.log(3),  # no atoms: one point, {}
+        sp.log(y) - y1 * sp.exp(X) + 1,
+        (sp.sqrt(X + y) - 2 * y1) / (y + sp.log(X) ** 2),
+        divergence_check(g4, eq).witness,  # holds ln(y), through w = k2 - ln(y)
+    ):
+        point, value = numeric_witness(residual)
+        ref_point, ref_value = _witness_30_digits(canon(residual))
+        assert isinstance(value, sp.Float) and value._prec == ref_value._prec
+        assert point == ref_point
+        assert abs(value - ref_value) < sp.Float("1e-25", 30) * ref_value
+
+
+def test_sampling_a_node_pair_builds_no_tree(monkeypatch):
+    pair = exprcore._canonical_pair(sp.log(y) * y1 + X * sp.sqrt(X + y))
+
+    def no_tree(self):
+        raise AssertionError("the pair's expression was built")
+
+    monkeypatch.setattr(exprcore._CanonicalPair, "as_expr", no_tree)
+    assert numeric_witness(pair) is not None
+    assert zero_test(pair) is False
 
 
 class _ScriptedRandom(random.Random):
