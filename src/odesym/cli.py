@@ -72,8 +72,11 @@ def _parse_vf(text: str) -> VectorField:
     if len(parts) != 2:
         raise UsageError('vector field must be given as "<xi>;<psi>"')
     try:
-        return VectorField(_parse_expr(parts[0]), _parse_expr(parts[1]))
-    except ValueError as err:
+        vf = VectorField(_parse_expr(parts[0]), _parse_expr(parts[1]))
+        for c in (vf.xi, vf.psi):
+            exprcore.RingFraction.from_expr(c)  # a hidden zero denominator is one of the input
+        return vf
+    except (ValueError, ZeroDivisionError) as err:
         raise UsageError(str(err)) from err
 
 

@@ -99,9 +99,11 @@ def max_jet_order(e) -> int:
 
 def _generators(e) -> set:
     """The atoms of e, in node arguments too, and the generators ln(g), exp(g)
-    and g^(1/r) of its nodes (:func:`_normal_node`); UnsupportedForm if e is
-    outside the atom grammar.  A pair's are the generators it uses and the
-    atoms inside them."""
+    and g^(1/r) of its nodes, read from each node's :func:`_normal_node` by
+    the recursion of :func:`_as_fraction` (a negative power of a sum in a
+    normal form holds generators too); UnsupportedForm if e is outside the
+    atom grammar.  A pair's are the generators it uses and the atoms inside
+    them."""
     if isinstance(e, RingFraction):
         gens = e.free_symbols
         return gens.union(*(g.free_symbols for g in gens))
@@ -123,10 +125,20 @@ def _generators(e) -> set:
             if inside:
                 raise UnsupportedForm(f"nested elementary application in {e}")
             walk(e.args[0], True)
-            for t in sp.Add.make_args(_normal_node(e)):
-                gens.update(decompose_power(f)[0] for f in sp.Mul.make_args(t) if not f.is_Rational)
+            node(_normal_node(e))
         elif not e.is_Rational:
             raise UnsupportedForm(f"unsupported node {type(e).__name__} in {e}")
+
+    def node(e):
+        if e.is_Add or e.is_Mul or e.is_Pow and e.exp.is_Integer:
+            for a in e.args:
+                node(a)
+        elif not (e.is_Symbol or e.is_Rational):
+            normal = _normal_node(e)
+            if normal == e:
+                gens.add(decompose_power(e)[0])
+            else:
+                node(normal)
 
     walk(sp.sympify(e), False)
     return gens
@@ -562,6 +574,8 @@ def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
     f = _canonical_pair(e)
     if not f.num:
         return None
+    if not any(s.is_Symbol for s in _generators(f)):
+        points = 1  # the one point {}, drawn once
     best = None
     for point, value, ref in _samples(f, points):
         rel = Fraction(abs(value), ref) if isinstance(value, int) else abs(value) / ref

@@ -26,16 +26,20 @@ into trees.
 Each operator is written once, over the sparse ring QQ[G] that
 :func:`exprcore.canon` uses, G being the input's generators (atoms and
 ln/exp/radical nodes) closed under the rate table for as many D_x steps
-as the operator takes: values are (numerator, denominator) pairs, D_x is
-sum_g dp/dg * rate(g) with the quotient rule for denominators, and the
-result becomes a sympy expression once per call.  Every input enters the
-algebra through :func:`exprcore._lift`: a tree is lifted, a pair is moved
-by its exponent tuples.  An equation or a Lagrangian carries its tree's
-pair (``pair``), so the n+4 checks of a table lift it once.  The inverse
-total derivative peels in such an algebra too, grown only when a piece
-needs a generator it lacks (its remainder is moved there as a pair); each
-piece becomes an expression for the result, and sympy's integrate is left
-only for log-type antiderivatives.
+as the operator takes: values are (numerator, denominator) pairs, and
+the result becomes a sympy expression once per call.  A derivation is
+one table of generator rates, applied as sum_g dp/dg * rate(g) with the
+quotient rule for denominators: D_x, D_x with jets held fixed, d/ds of an
+atom and the prolonged action pr v are four such tables, a node's rate
+given by the chain rule in each.  The Euler operator and the Frechet
+adjoint sum (-D_x)^k t_k by Horner, one D_x step per term.  Every input
+enters the algebra through :func:`exprcore._lift`: a tree is lifted, a
+pair is moved by its exponent tuples.  An equation or a Lagrangian
+carries its tree's pair (``pair``), so the n+4 checks of a table lift it
+once.  The inverse total derivative peels in such an algebra too, grown
+only when a piece needs a generator it lacks (its remainder is moved
+there as a pair); each piece becomes an expression for the result, and
+sympy's integrate is left only for log-type antiderivatives.
 """
 
 from __future__ import annotations
@@ -89,117 +93,113 @@ def _quotient_rule(num, den, dnum, dden, scale):
 class _RingAlgebra:
     """QQ[gens] with the rate table compiled to ring elements.
 
-    A derivation is a table (shift, general): a rate that is a generator
-    (the ladder shifts) or 1 (x) moves one exponent of a monomial; any
-    other is a (num, den) pair multiplied into the partial derivative, or
-    the error that differentiating its generator raises.  A node g(f) has
-    the rate g'(f) D_x f, and its partials follow the chain rule too.  gens
-    must be closed under the rates of every generator differentiated.
+    A derivation is one table {generator index: rate}.  A rate j >= 0 is
+    the ladder shift onto generator j and -1 the rate 1 of x: each moves
+    one exponent of a monomial.  Any other rate is a (num, den) pair
+    multiplied into the partial derivative, or the error that
+    differentiating its generator raises.  :meth:`derivation` completes a
+    table of atom rates with each node g(f) at the chain-rule rate
+    g'(f) D f.  D_x (``total``), D_x with jets held fixed (``fixed``), d/ds
+    of an atom s inside a node (``chains``) and pr v are such tables, each
+    applied by :meth:`dx`.  gens must be closed under the rates of every
+    generator differentiated.
     """
 
     def __init__(self, gens, rates_key):
         R = exprcore._ring(gens)
         self.ring = R
-        self.gen_of = dict(zip(R.symbols, R.gens))
-        index = {s: i for i, s in enumerate(R.symbols)}
+        self.index = index = {s: i for i, s in enumerate(R.symbols)}
         overlay = dict(rates_key)
-        shift = [None] * len(gens)  # rate is generator j (j >= 0) or 1 (j = -1)
-        general = {}  # generator index -> (num, den) of any other rate, or an error
+        total = {}
         for i, s in enumerate(R.symbols):
             rate = overlay[s] if s in overlay else _BASE_RATES.get(s)
             if rate is None or rate == 0:
                 continue
             if rate == 1:
-                shift[i] = -1
+                total[i] = -1
             elif rate in index:
-                shift[i] = index[rate]
+                total[i] = index[rate]
             elif exprcore._generators(rate) <= index.keys():
                 rate = self.lift(rate)
-                general[i] = rate.num, rate.den
+                total[i] = rate.num, rate.den
             else:
-                general[i] = _OutsideRing(f"rate of {s} lies outside the ring")
+                total[i] = _OutsideRing(f"rate of {s} lies outside the ring")
         if JET[MAX_JET_ORDER] in index:
-            general[index[JET[MAX_JET_ORDER]]] = JetOrderLimit("jet order limit exceeded")
-        self.total = shift, general
-        # jets hold still, and with them the registry limit and an on-shell rate
-        fixed = [None if s in _JETS else t for s, t in zip(R.symbols, shift)]
-        self.fixed = fixed, {i: r for i, r in general.items() if R.symbols[i] not in _JETS}
-        self.chains = {}  # atom s -> the derivation d/ds through the generators
+            total[index[JET[MAX_JET_ORDER]]] = JetOrderLimit("jet order limit exceeded")
+        self._nodes = []  # (index, g'(f), f) of each node g(f)
         for i, g in enumerate(R.symbols):
-            if g.is_Symbol or not g.free_symbols:
-                continue
-            t = sp.Dummy()
-            slope = self.lift(g.func(t, *g.args[1:]).diff(t).xreplace({t: g.args[0]}))
-            f = self.lift(g.args[0])
-            for s in g.free_symbols - self.chains.keys():
-                self.chains[s] = [-1 if a == s else None for a in R.symbols], {}
-            for table in (self.total, self.fixed, *map(self.chains.get, g.free_symbols)):
-                try:
-                    rate = slope * self.dx(f, table)
-                    table[1][i] = rate.num, rate.den
-                except RuntimeError as err:
-                    table[1][i] = err
+            if not g.is_Symbol and g.free_symbols:
+                t = sp.Dummy()
+                slope = g.func(t, *g.args[1:]).diff(t).xreplace({t: g.args[0]})
+                self._nodes.append((i, self.lift(slope), self.lift(g.args[0])))
+        self.total = self.derivation(total)
+        # jets hold still, and with them the registry limit and an on-shell rate
+        self.fixed = self.derivation({i: r for i, r in total.items() if R.symbols[i] not in _JETS})
+        inner = set().union(*(R.symbols[i].free_symbols for i, _, _ in self._nodes))
+        self.chains = {s: self.derivation({index[s]: -1}) for s in inner}
+
+    def derivation(self, atom_rates) -> dict:
+        """The table of atom_rates with each node g(f) at the rate g'(f) D f,
+        or the error that D f raises."""
+        table = dict(atom_rates)
+        for i, slope, f in self._nodes:
+            try:
+                rate = slope * self.dx(f, atom_rates)
+                if rate.num:
+                    table[i] = rate.num, rate.den
+            except RuntimeError as err:
+                table[i] = err
+        return table
 
     def lift(self, e) -> RingFraction:
         return exprcore._lift(e, self.ring)
 
     def jet(self, k) -> RingFraction:
-        return RingFraction(self.gen_of[JET[k]], self.ring.one)
+        return RingFraction(self.ring.gens[self.index[JET[k]]], self.ring.one)
 
     def partial(self, f, s) -> RingFraction:
-        if s in self.chains:
-            return self.dx(f, self.chains[s])
-        g = self.gen_of.get(s)
-        if g is None:
+        if s not in self.index:
             return RingFraction(self.ring.zero, self.ring.one)
-        dnum = f.num.diff(g)
-        if f.den.is_ground:
-            return RingFraction(dnum, f.den)
-        dden = f.den.diff(g)
-        if not dden:
-            return RingFraction(dnum, f.den)
-        return _quotient_rule(f.num, f.den, dnum, dden, self.ring.one)
+        return self.dx(f, self.chains.get(s) or {self.index[s]: -1})
 
     def dx(self, f, table=None) -> RingFraction:
         """D_x, or the derivation table (``fixed``: jets held fixed)."""
-        table = table or self.total
-        if f.den.is_ground:
-            (dnum,), scale = self._dx_polys((f.num,), table)
-            return RingFraction(dnum, scale * f.den)
-        (dnum, dden), scale = self._dx_polys((f.num, f.den), table)
-        return _quotient_rule(f.num, f.den, dnum, dden, scale)
+        table = self.total if table is None else table
+        polys = (f.num,) if f.den.is_ground else (f.num, f.den)
+        (dnum, *dden), scale = self._dx_polys(polys, table)
+        if dden and dden[0]:
+            return _quotient_rule(f.num, f.den, dnum, dden[0], scale)
+        return RingFraction(dnum, f.den if scale == 1 else scale * f.den)
 
     def _dx_polys(self, polys, table):
         """A derivation of each polynomial, as numerators over one common denominator."""
         R = self.ring
-        shift, general = table
+        rates = list(table.items())
         shifted, partials = [], []
         for p in polys:
             out, part = {}, {}
             for m, c in p.items():
-                for i, e in enumerate(m):
+                for i, t in rates:
+                    e = m[i]
                     if not e:
-                        continue
-                    t = shift[i]
-                    if t is None:
-                        if i in general:
-                            dm = m[:i] + (e - 1,) + m[i + 1 :]
-                            d = part.setdefault(i, {})
-                            d[dm] = d[dm] + c * e if dm in d else c * e
                         continue
                     dm = list(m)
                     dm[i] = e - 1
-                    if t >= 0:
-                        dm[t] += 1
+                    if type(t) is int:
+                        if t >= 0:
+                            dm[t] += 1
+                        d = out
+                    else:
+                        d = part.setdefault(i, {})
                     dm = tuple(dm)
-                    out[dm] = out[dm] + c * e if dm in out else c * e
+                    d[dm] = d[dm] + c * e if dm in d else c * e
             shifted.append(out)
             partials.append(part)
         scale = R.one
         for i in {i for part in partials for i in part}:
-            if isinstance(general[i], Exception):
-                raise type(general[i])(*general[i].args)
-            den = general[i][1]
+            if isinstance(table[i], Exception):
+                raise type(table[i])(*table[i].args)
+            den = table[i][1]
             if den != scale:
                 scale = scale.lcm(den)
         results = []
@@ -208,7 +208,7 @@ class _RingAlgebra:
             if not scale.is_ground or scale.LC != 1:
                 num *= scale
             for i, d in part.items():
-                rnum, rden = general[i]
+                rnum, rden = table[i]
                 factor = rnum if rden == scale else rnum * scale.exquo(rden)
                 num += R.dtype({m: c for m, c in d.items() if c}) * factor
             results.append(num)
@@ -360,16 +360,21 @@ def apply_prolongation(v: VectorField, e, rates: dict | None = None) -> sp.Expr:
 
 def _prolonged_action(v: VectorField, e, rates) -> tuple:
     """(pr v(e), e, D_x xi) as values of one operator algebra, e being an
-    expression or a pair."""
+    expression or a pair: pr v is the derivation that takes y^(k) to
+    phi^k and every other atom to xi times its rate in ``J.fixed``."""
     m = max(max_jet_order(e), 0)
     jets = ((y, 0) for y in JET[1 : m + 1])
     J = _algebra(rates, (v.xi, max(m, 1)), (v.psi, m), (e, 1), *jets)
-    f = J.lift(e)
+    R, xi = J.ring, J.lift(v.xi)
     phis, dxi = _prolong(J, v, m)
-    out = J.lift(v.xi) * J.dx(f, J.fixed)
-    for k, phi in enumerate(phis):
-        out = out + phi * J.partial(f, JET[k])
-    return out, f, dxi
+    table = {J.index[y]: (phi.num, phi.den) for y, phi in zip(JET, phis) if y in J.index and phi.num}
+    for i, rate in J.fixed.items() if xi.num else ():
+        if R.symbols[i].is_Symbol:
+            if type(rate) is int:
+                rate = R.gens[rate] if rate >= 0 else R.one, R.one
+            table[i] = rate if isinstance(rate, Exception) else (xi.num * rate[0], xi.den * rate[1])
+    f = J.lift(e)
+    return J.dx(f, J.derivation(table)), f, dxi
 
 
 @dataclass(frozen=True)
@@ -447,13 +452,16 @@ def _on_shell(e, eq: DiffEq, rates) -> RingFraction:
 
 
 def _alternating_sum(J, terms):
-    """sum_k (-D_x)^k terms[k]; each term is differentiated on its own, so
-    one reaching past the jet registry raises even where the sum would not."""
-    out = terms[0]
-    for k, term in enumerate(terms[1:], 1):
-        for _ in range(k):
-            term = J.dx(term)
-        out = out - term if k % 2 else out + term
+    """sum_k (-D_x)^k terms[k] by Horner, t_0 - D_x(t_1 - D_x(t_2 - ...)):
+    one D_x step per term.  A nonzero t_k with jet order + k past the
+    registry raises JetOrderLimit, as differentiating it k times would,
+    even where the sum would not."""
+    for k, term in enumerate(terms):
+        if term.num and max_jet_order(term) + k > MAX_JET_ORDER:
+            raise JetOrderLimit("jet order limit exceeded")
+    out = terms[-1]
+    for term in reversed(terms[:-1]):
+        out = term - J.dx(out)
     return out
 
 
@@ -569,7 +577,7 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
             if m <= 0:
                 break
             top, below = family[m], family[m - 1]
-            if not _polynomial_in(f, top) or f.num.degree(J.gen_of[top]) > 1:
+            if not _polynomial_in(f, top) or f.num.degree(J.index[top]) > 1:
                 raise NotExact(f"nonlinear in top derivative {top}", sp.expand(canon(f)))
             c = exprcore._reduced(J.partial(f, top))
             if _polynomial_in(c, below):

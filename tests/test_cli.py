@@ -88,6 +88,7 @@ def test_check_divergence_refuted(capsys):
         ("x;0", "y3+q*y1", "3", "-2/x^2", 0, None),
         ("1;0", "y3+q*y1+x*y", "3", "1", 1, "y"),
         ("x;0", "y3+q*y1", "3", "sqrt(x)", 1, "5*sqrt(x)*y1/2"),
+        ("1;0", "y2 - (1+y1^2)^(-3/2)", "2", None, 0, None),
     ],
 )
 def test_check_lie(capsys, vf, eq, order, q, code, residual):
@@ -285,6 +286,7 @@ def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
     ("transform", "--map", "z=x; w=y", "--integral", "1/(ln(x*y)-ln(x)-ln(y))"),
     ("build-lode", "--n", "3", "--q", "1/(ln(2*x)-ln(2)-ln(x))"),
     ("first-integral", "--n", "3", "--vf", "0;y", "--q", "1/(ln(2*x)-ln(2)-ln(x))"),
+    ("check", "--kind", "lie", "--vf", "0;1/(ln(x*y)-ln(x)-ln(y))", "--eq", "y3", "--order", "3"),
 ], ids=lambda argv: argv[0] + ("-" + argv[2] if argv[0] == "check" else ""))
 def test_zero_denominator_in_input_is_usage_error(capsys, argv):
     # ln(x*y) - ln(x) - ln(y) and ln(2x) - ln(2) - ln(x) are 0 in the ring

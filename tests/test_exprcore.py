@@ -54,6 +54,19 @@ def test_canon_idempotent():
     assert canon(canon(e)) == canon(e)
 
 
+@pytest.mark.parametrize("e", [
+    (X + y) ** sp.Rational(-3, 2),
+    (1 + y**2) ** sp.Rational(-3, 2),
+    (1 + y1**2) ** sp.Rational(-5, 3),
+])
+def test_canon_negative_radical_power_of_a_sum(e):
+    # the normal form 1/(x*sqrt(x + y) + y*sqrt(x + y)) holds the generator
+    # sqrt(x + y) below a sum, where the lift reads it
+    c = canon(e)
+    assert canon(c) == c
+    assert sp.simplify(c - e) == 0
+
+
 def test_canon_rejects_float():
     with pytest.raises(UnsupportedForm):
         canon(0.5 * y)
@@ -276,6 +289,20 @@ def test_numeric_witness_seed_ignores_unused_generators():
         wide = exprcore.RingFraction(*exprcore._as_fraction(c, R, dict(zip(R.symbols, R.gens))))
         assert numeric_witness(wide) == numeric_witness(c)
         assert numeric_witness(wide) is not None
+
+
+def test_numeric_witness_evaluates_an_atom_free_pair_once(monkeypatch):
+    calls = []
+    evalf = sp.Expr.evalf
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return evalf(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.Expr, "evalf", counted)
+    point, value = numeric_witness(sp.log(2) - sp.log(3))
+    assert sorted(calls, key=str) == [sp.log(2), sp.log(3)]
+    assert point == {} and abs(value - sp.log(sp.Rational(3, 2)) / sp.log(6)) < sp.Rational(1, 10**25)
 
 
 def test_numeric_witness_zero_expression():

@@ -396,9 +396,18 @@ def _parity_corpus(case):
         rates = casebook.family_radical_log(+1)[2].rates
         atoms = [X, y, y1, y2, casebook.RADICAL, casebook.LOG_ATOM, PARAMS["k2"]]
         dens, fixed = (casebook.RADICAL,), []
-    else:  # ln(y) and a radical enter the ring as generators
+    elif case == "log-edge":  # ln(y) and a radical enter the ring as generators
         rates, atoms, dens = None, [X, y, y1, y2, q], ()
         fixed = [PARAMS["k2"] - sp.log(y), sp.sqrt(y) * y1 / y2]
+    else:  # nodes over jets and in the fields: the chain-rule rates of every table
+        fields = [
+            VectorField(sp.log(X), y * sp.log(y)),
+            VectorField(sp.exp(X / 2), X * sp.sqrt(y)),
+            VectorField(X**2, y * sp.exp(X)),
+        ]
+        nodes = [sp.log(y1) * y2, sp.sqrt(1 + y1**2) * y2, sp.exp(X / 2) * y2**2 / 2 + sp.log(X) * y1]
+        rest = [_random_expr(rng, [X, y, y1, y2, q]) for _ in range(2)]
+        return None, [*nodes, rest[0], *map(characteristic, fields), rest[1]], fields
     exprs = [_random_expr(rng, atoms, denominators=dens) for _ in range(8)]
     if case == "log-edge":
         exprs = [e + sp.log(y) * _random_expr(rng, atoms, 1) for e in exprs[:4]]
@@ -413,7 +422,7 @@ def _parity_corpus(case):
     return rates, exprs, fields
 
 
-PARITY_CASES = ["polynomial", "rational-u", "deriv-rates", "family", "log-edge"]
+PARITY_CASES = ["polynomial", "rational-u", "deriv-rates", "family", "log-edge", "node-fields"]
 
 
 @pytest.mark.parametrize("case", PARITY_CASES)
