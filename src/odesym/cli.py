@@ -10,7 +10,8 @@ Exit codes:
 
 - 0: every claim verified (an exact zero), or the object was built;
 - 1: a claim was refuted, certified by a nonzero witness;
-- 2: usage or parse error, including an order outside the supported range;
+- 2: usage or parse error, including an order outside the supported range
+  and a ``--json`` path that cannot be written;
 - 3: undecided: no witness was found for a nonzero residual, or the
   kernel could not decide (inconclusive zero test, inexact integration,
   failed elimination, numeric singularity, jet order limit) or failed
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -155,11 +157,23 @@ def _deliver(report, args) -> None:
         if path == "-":
             print(payload)
         else:
-            with open(path, "w") as fh:
-                fh.write(payload + "\n")
+            try:
+                with open(path, "w") as fh:
+                    fh.write(payload + "\n")
+            except OSError as err:
+                raise UsageError(f"cannot write --json {path}: {err}") from err
             print(f"wrote {path}")
     else:
         print(emit_report(report, "text"))
+
+
+def _check_json_path(path) -> None:
+    """Reject a --json PATH that is a directory or lies in no existing
+    directory, before any work; "-" is stdout."""
+    if not path or path == "-":
+        return
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"--json {path} is not a file in an existing directory")
 
 
 def _cmd_generators(args) -> int:
@@ -394,6 +408,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_json_path(getattr(args, "json", None))
         if getattr(args, "n", None) is not None and args.n > MAX_JET_ORDER:
             raise maxsym.BadOrder(f"order {args.n} exceeds the jet registry limit {MAX_JET_ORDER}")
         return args.func(args)

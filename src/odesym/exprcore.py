@@ -6,8 +6,9 @@ derivative ladders ``u, u1, ...``, ``v, v1, ...``, ``q, q1, ...`` of three
 symbol functions of x, and a small set of named parameters.  Coefficients
 are exact rationals.  Elementary function applications are restricted to
 ``ln(g)``, ``exp(g)`` and ``g^(p/r)`` with ``g`` a rational expression;
-each is a power of a generator of QQ[gens], where :func:`canon` works
-(srepr-identical to ``cancel(together(.))`` on rational, ln and most exp input).
+each is a power of a generator of ZZ[gens], where every value is a pair of
+integer polynomials and :func:`canon` works (srepr-identical to
+``cancel(together(.))`` on rational, ln and most exp input).
 
 All atoms carry positive-real assumptions, matching the sampling domain
 (1/10, 10) used by the randomized part of :func:`zero_test`.
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import sympy as sp
 from sympy.core.exprtools import decompose_power
-from sympy.polys.domains import QQ
+from sympy.polys.domains import ZZ
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
@@ -154,7 +155,7 @@ def _normal_node(e) -> sp.Expr:
 
 @functools.lru_cache(maxsize=512)
 def _ring(gens: tuple) -> PolyRing:
-    return PolyRing(gens, QQ)
+    return PolyRing(gens, ZZ)
 
 
 def _lift(e, R) -> "RingFraction":
@@ -171,14 +172,16 @@ def _lift(e, R) -> "RingFraction":
 def _as_fraction(e, R, gen_of) -> tuple:
     """A (numerator, denominator) pair in R for an expression over R's gens.
 
-    Not reduced: a sum adds the numerators over each distinct denominator
-    and brings the groups to the lcm of their denominators, so the only
-    gcd work left is one cancellation of the final pair.
+    A rational p/q is the ground pair (p, q), so both sides keep integer
+    coefficients.  Not reduced: a sum adds the numerators over each
+    distinct denominator and brings the groups to the lcm of their
+    denominators, so the only gcd work left is one cancellation of the
+    final pair.
     """
     if e.is_Symbol:
         return gen_of[e], R.one
     if e.is_Rational:
-        return R.ground_new(QQ(e.p, e.q)), R.one
+        return R.ground_new(e.p), R.ground_new(e.q)
     if e.is_Pow and e.exp.is_Integer:
         num, den = _as_fraction(e.base, R, gen_of)
         k = int(e.exp)
@@ -256,10 +259,7 @@ class RingFraction:
         }
 
     def as_expr(self) -> sp.Expr:
-        num, den = self.num, self.den
-        if den.is_ground:
-            return num.quo_ground(den.LC).as_expr()
-        return num.as_expr() / den.as_expr()
+        return self.num.as_expr() / self.den.as_expr()
 
     def _sympy_(self) -> sp.Expr:
         """``sp.sympify`` of a pair is its expression."""
@@ -340,50 +340,38 @@ def _without_radical(num, den, i) -> tuple:
         num, den = num * g ** (r - k), den * g ** (r - k)
 
 
-def _reduced(f) -> RingFraction:
+def _reduced(f) -> "_CanonicalPair":
     """The pair with its common factors removed in the ring and each radical
     generator g = b^(1/r) reduced by g^r = b: a multiple of g^r - b left by
-    a subtraction cancels."""
+    a subtraction cancels.
+
+    Over ZZ, ``PolyElement.cancel`` returns what ``sp.cancel`` returns: the
+    unique p/q with no common factor (integer contents included) and a
+    positive leading coefficient of q in lex order over the sorted gens.
+    Gens absent from both polynomials change neither the order nor the
+    result, and the radical step ends in such a cancel too.
+    """
     num, den = f.num.cancel(f.den)
     for i, s in enumerate(num.ring.symbols):
         if s.is_Pow:
             num, den = _without_radical(num, den, i)
-    return RingFraction(num, den)
-
-
-def _canonical_pair(e) -> "RingFraction":
-    """cancel's p/q for e (an expression or a RingFraction) as a reduced pair.
-
-    cancel's result is the unique p/q with integer coefficients, no common
-    factor (integer contents included) and a positive leading coefficient
-    of q in lex order over the sorted gens; the reduced pair from the ring
-    gives the same p and q after clearing its rational coefficients, and a
-    radical g = b^(1/r) is reduced by g^r = b.  Gens absent from both
-    polynomials change neither the order nor the result.  A pair this
-    function returned is returned as it is.
-    """
-    if isinstance(e, _CanonicalPair):
-        return e
-    f = _reduced(e if isinstance(e, RingFraction) else RingFraction.from_expr(sp.sympify(e)))
-    cn, num = f.num.clear_denoms()
-    cd, den = f.den.clear_denoms()
-    num, den = num.mul_ground(cd), den.mul_ground(cn)
-    g = math.gcd(*(int(c.numerator) for c in (*num.itercoeffs(), *den.itercoeffs())))
-    if den.LC < 0:
-        g = -g
-    if g != 1:
-        num, den = num.quo_ground(g), den.quo_ground(g)
     return _CanonicalPair(num, den)
 
 
+def _canonical_pair(e) -> "_CanonicalPair":
+    """cancel's p/q for e (an expression or a RingFraction): the
+    :func:`_reduced` pair of its lift.  A pair this function returned is
+    returned as it is."""
+    if isinstance(e, _CanonicalPair):
+        return e
+    return _reduced(e if isinstance(e, RingFraction) else RingFraction.from_expr(sp.sympify(e)))
+
+
 class _CanonicalPair(RingFraction):
-    """A pair in the normal form of :func:`_canonical_pair`: integer
-    coefficients, and its expression is the one :func:`canon` returns."""
+    """A pair in the normal form of :func:`_reduced`: its expression is the
+    one :func:`canon` returns."""
 
     __slots__ = ()
-
-    def as_expr(self) -> sp.Expr:
-        return self.num.as_expr() / self.den.as_expr()
 
 
 def canon(e) -> sp.Expr:
@@ -391,8 +379,9 @@ def canon(e) -> sp.Expr:
 
     Idempotent, and the zero test for rational expressions: a rational
     expression is identically zero iff its canonical form is literal 0.
-    e is a numerator/denominator pair over QQ in its :func:`_generators`,
-    a radical g = b^(1/r) reduced by g^r = b.  The result is
+    e is lifted to a numerator/denominator pair over ZZ in its
+    :func:`_generators`, and the pair ``PolyElement.cancel`` returns for it
+    (a radical g = b^(1/r) reduced by g^r = b) is printed.  The result is
     srepr-identical to ``sp.cancel(sp.together(e))`` on rational and ln
     input and on exp input where cancel reads no exp(-t) or exp(c*t) as a
     generator of its own.  A :class:`RingFraction` is reduced in its ring.
@@ -430,7 +419,7 @@ def _seeded_rng(e) -> random.Random:
 
     def terms(p):
         return sorted(
-            (tuple((names[i], k) for i, k in enumerate(m) if k), int(c.numerator))
+            (tuple((names[i], k) for i, k in enumerate(m) if k), c)
             for m, c in p.items()
         )
 
@@ -465,7 +454,7 @@ def _evaluator(f):
 
     def compiled(p):
         return [
-            (int(c.numerator) * scale[D - degree(m)], [(symbols[i], k) for i, k in enumerate(m) if k])
+            (c * scale[D - degree(m)], [(symbols[i], k) for i, k in enumerate(m) if k])
             for m, c in p.items()
         ]
 

@@ -23,28 +23,31 @@ stay on pairs; only :mod:`transform` (a simultaneous change of x and y)
 and :func:`maxsym.specialize_q` (a tree to print or evaluate) substitute
 into trees.
 
-Each operator is written once, over the sparse ring QQ[G] that
+Each operator is written once, over the sparse ring ZZ[G] that
 :func:`exprcore.canon` uses, G being the input's generators (atoms and
 ln/exp/radical nodes) closed under the rate table for as many D_x steps
-as the operator takes: values are (numerator, denominator) pairs, and
-the result becomes a sympy expression once per call.  A derivation is
-one table of generator rates, applied as sum_g dp/dg * rate(g) with the
-quotient rule for denominators: D_x, D_x with jets held fixed, d/ds of an
-atom and the prolonged action pr v are four such tables, a node's rate
-given by the chain rule in each.  The Euler operator and the Frechet
-adjoint sum (-D_x)^k t_k by Horner, one D_x step per term.  Every input
-enters the algebra through :func:`exprcore._lift`: a tree is lifted, a
-pair is moved by its exponent tuples.  An equation or a Lagrangian
-carries its tree's pair (``pair``), so the n+4 checks of a table lift it
-once.  The inverse total derivative peels in such an algebra too, grown
-only when a piece needs a generator it lacks (its remainder is moved
-there as a pair); each piece becomes an expression for the result, and
-sympy's integrate is left only for log-type antiderivatives.
+as the operator takes: values are (numerator, denominator) pairs of
+integer polynomials, rates included, and the result becomes a sympy
+expression once per call (a rational content may print factored out). A
+derivation is one table of generator rates, applied as sum_g dp/dg *
+rate(g) with the quotient rule for denominators: D_x, D_x with jets held
+fixed, d/ds of an atom and the prolonged action pr v are four such
+tables, a node's rate given by the chain rule in each.  The Euler
+operator and the Frechet adjoint sum (-D_x)^k t_k by Horner, one D_x
+step per term.  Every input enters the algebra through
+:func:`exprcore._lift`: a tree is lifted, a pair is moved by its
+exponent tuples.  An equation or a Lagrangian carries its tree's pair
+(``pair``), so the n+4 checks of a table lift it once.  The inverse total
+derivative peels in such an algebra too, grown only when a piece needs a
+generator it lacks (its remainder is moved there as a pair); each piece
+becomes an expression for the result, and sympy's Risch integrator is
+left only for log-type antiderivatives.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import sympy as sp
@@ -91,11 +94,14 @@ def _quotient_rule(num, den, dnum, dden, scale):
 
 
 class _RingAlgebra:
-    """QQ[gens] with the rate table compiled to ring elements.
+    """ZZ[gens] with the rate table compiled to integer pairs.
 
-    A derivation is one table {generator index: rate}.  A rate j >= 0 is
-    the ladder shift onto generator j and -1 the rate 1 of x: each moves
-    one exponent of a monomial.  Any other rate is a (num, den) pair
+    Every value is a pair of integer polynomials: a rational coefficient of
+    a rate sits in its denominator, and a value is canonical once
+    ``PolyElement.cancel`` has reduced it.  A derivation is one table
+    {generator index: rate}.  A rate j >= 0 is the ladder shift onto
+    generator j and -1 the rate 1 of x: each moves one exponent of a
+    monomial.  Any other rate is a (num, den) pair
     multiplied into the partial derivative, or the error that
     differentiating its generator raises.  :meth:`derivation` completes a
     table of atom rates with each node g(f) at the chain-rule rate
@@ -532,17 +538,19 @@ def _polynomial_in(f, s) -> bool:
 
 def _antiderivative(f, s) -> tuple:
     """The antiderivative in the generator s of a polynomial in s, as a pair
-    and as an expression: each numerator term c s^e becomes c s^(e+1)/(e+1).
-    The expression writes each power of s over its own reduced denominator,
-    as sympy's integrate does."""
+    and as an expression: each numerator term c s^e becomes c s^(e+1)/(e+1),
+    kept integer as c L/(e+1) s^(e+1) over L times the denominator, L the
+    lcm of the e+1.  The expression writes each power of s over its own
+    reduced denominator, as sympy's integrate does."""
     R = f.num.ring
     i = R.symbols.index(s)
-    terms = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c / (m[i] + 1) for m, c in f.num.items()}
-    F = RingFraction(R.dtype(terms), f.den)
+    L = math.lcm(*(m[i] + 1 for m in f.num.itermonoms()))
+    terms = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c * (L // (m[i] + 1)) for m, c in f.num.items()}
+    F = RingFraction(R.dtype(terms), f.den * L)
     if f.den.is_ground:
         return F, F.as_expr()
     groups = exprcore._by_degree(F.num, i)
-    return F, sp.Add(*(RingFraction(*c.cancel(f.den)).as_expr() * s**e for e, c in groups.items()))
+    return F, sp.Add(*(RingFraction(*c.cancel(F.den)).as_expr() * s**e for e, c in groups.items()))
 
 
 def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = True) -> sp.Expr:
@@ -552,8 +560,9 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
     Peels the top order, in one operator algebra: P linear in its highest
     derivative y^(m) (a degree test) with coefficient c = dP/dy^(m)
     contributes the antiderivative of c in y^(m-1), which moves one
-    exponent when c's denominator is free of y^(m-1) (sympy's integrate
-    takes the log-type rest, such as y2/y1 -> ln y1); D_x of that piece is
+    exponent when c's denominator is free of y^(m-1) (sympy's Risch
+    integrator takes the log-type rest, such as y2/y1 -> ln y1, and a rest
+    it leaves unevaluated raises NotExact); D_x of that piece is
     subtracted and the loop recurses.  D_x of the piece must cancel c*y^(m)
     exactly, so a step that leaves y^(m) in the remainder could repeat
     forever and raises NotExact instead (v' = (1 + u'v)/u in the rates
@@ -587,7 +596,9 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
                 except _OutsideRing:
                     d = None
             else:
-                piece, d = sp.integrate(canon(c), below), None
+                piece, d = sp.integrate(canon(c), below, risch=True), None
+                if piece.has(sp.Integral):
+                    raise NotExact(f"no antiderivative in {below} found", sp.expand(canon(f)))
             if d is None:  # D_x of the piece needs generators J lacks
                 J = _peel_algebra(rates, f, piece)
                 f, d = J.lift(f), J.dx(J.lift(piece))

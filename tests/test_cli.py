@@ -184,6 +184,36 @@ def test_reproduce_json_schema(tmp_path, capsys):
         assert set(claim) == {"id", "status", "residual", "paper_ref", "millis"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("generators", "--n", "3"),
+    ("check", "--kind", "lie", "--vf", "1;0", "--eq", "y2", "--order", "2"),
+    ("reproduce", "C1"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_json_path_is_usage_error(capsys, monkeypatch, tmp_path, argv, where):
+    path = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the --json path was checked")
+
+    monkeypatch.setattr(casebook, "run_case", no_work)
+    monkeypatch.setattr(noether, "lie_symmetry_check", no_work)
+    monkeypatch.setattr(maxsym, "generators", no_work)
+    code, out, err = run(capsys, *argv, "--json", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_json_write_failure_is_usage_error(capsys, monkeypatch, tmp_path):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    code, out, err = run(capsys, "generators", "--n", "3", "--json", str(tmp_path / "out.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --json") and err.count("\n") == 1
+
+
 def test_reproduce_deterministic_modulo_millis(tmp_path, capsys):
     paths = []
     for name in ("a.json", "b.json"):

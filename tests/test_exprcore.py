@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import ZZ
 from sympy.polys.polyutils import _sort_gens
 
 from odesym import casebook, exprcore
@@ -65,6 +67,17 @@ def test_canon_negative_radical_power_of_a_sum(e):
     c = canon(e)
     assert canon(c) == c
     assert sp.simplify(c - e) == 0
+
+
+def test_pairs_have_integer_coefficients():
+    e = y / 2 + y1 / 3
+    f = exprcore.RingFraction.from_expr(e)
+    assert f.num.ring.domain == ZZ
+    pair = exprcore._canonical_pair(f)
+    coeffs = [*pair.num.itercoeffs(), *pair.den.itercoeffs()]
+    assert all(ZZ.of_type(c) for c in coeffs)
+    assert math.gcd(*coeffs) == 1 and pair.den.LC > 0
+    assert sp.srepr(canon(f)) == sp.srepr(sp.cancel(sp.together(e)))
 
 
 def test_canon_rejects_float():

@@ -151,6 +151,11 @@ def test_inverse_total_derivative_x_residue():
 def test_inverse_total_derivative_edges():
     assert inverse_total_derivative(y3) == y2  # the rung y2 is not in P
     assert inverse_total_derivative(y2 / y1) == sp.log(y1)  # log-type antiderivative
+    for node in (y * sp.log(y), sp.exp(y) * y1):  # node pieces through the Risch integrator
+        assert inverse_total_derivative(canon(total_derivative(node))) == node
+    r = sp.sqrt(1 + y / X)  # the integrator leaves this top coefficient unevaluated
+    with pytest.raises(NotExact, match="no antiderivative"):
+        inverse_total_derivative(canon(total_derivative(r**3 / (y + r))))
     assert inverse_total_derivative(JET[MAX_JET_ORDER]) == JET[MAX_JET_ORDER - 1]
     # the radical relation sqrt(x)^2 = x cancels in the peel, as canon cancels it
     radical = sp.sqrt(X) * y1**2
