@@ -21,6 +21,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,6 +330,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the odesym command line."""
     parser = argparse.ArgumentParser(
         prog="odesym",
         description="Symmetries, Lagrangians and first integrals of ODEs of maximal symmetry.",
@@ -387,6 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built once per process: ``parse_args``
+    only reads it, on the usage-error path too."""
+    return build_parser()
+
+
 def _attach_expression_values(argv) -> list:
     """Rewrite "--eq VALUE" as "--eq=VALUE" for the expression options, so
     that a value starting with "-" (such as "-x;y") is not taken for an
@@ -401,10 +410,9 @@ def _attach_expression_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_expression_values(argv))
+        args = _parser().parse_args(_attach_expression_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

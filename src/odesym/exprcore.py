@@ -8,7 +8,10 @@ are exact rationals.  Elementary function applications are restricted to
 ``ln(g)``, ``exp(g)`` and ``g^(p/r)`` with ``g`` a rational expression;
 each is a power of a generator of ZZ[gens], where every value is a pair of
 integer polynomials and :func:`canon` works (srepr-identical to
-``cancel(together(.))`` on rational, ln and most exp input).
+``cancel(together(.))`` on rational, ln and most exp input).  Rings are
+keyed by generator set: each set's ring is sorted and built once per
+process, and a pair moves between two rings by an index map built once
+per ring pair.
 
 All atoms carry positive-real assumptions, matching the sampling domain
 (1/10, 10) used by the randomized part of :func:`zero_test`.
@@ -25,6 +28,7 @@ from fractions import Fraction
 import sympy as sp
 from sympy.core.exprtools import decompose_power
 from sympy.polys.domains import ZZ
+from sympy.polys.polyerrors import GeneratorsError
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
@@ -153,19 +157,52 @@ def _normal_node(e) -> sp.Expr:
     return sp.factor_terms(e, radical=True).expand()
 
 
+def _ring(gens) -> PolyRing:
+    """ZZ[gens] for any collection of generators, in ``_sort_gens`` order:
+    the same ring object for equal generator sets, sorted once per process."""
+    return _ring_of(frozenset(gens))
+
+
 @functools.lru_cache(maxsize=512)
-def _ring(gens: tuple) -> PolyRing:
-    return PolyRing(gens, ZZ)
+def _ring_of(gens: frozenset) -> PolyRing:
+    return PolyRing(_sort_gens(gens), ZZ)
+
+
+@functools.lru_cache(maxsize=1024)
+def _move_map(src: PolyRing, dst: PolyRing) -> tuple:
+    """How an exponent tuple of src reads in dst: (take, dropped), take the
+    src index of each dst generator (``src.ngens``, a zero pad, where src
+    lacks it) and dropped the src indices of the generators dst lacks."""
+    index = {s: i for i, s in enumerate(src.symbols)}
+    take = tuple(index.pop(s, src.ngens) for s in dst.symbols)
+    return take, tuple(index.values())
+
+
+def _moved(p, R, take, dropped):
+    """p of another ring in R, by the :func:`_move_map` (take, dropped)."""
+    terms = {}
+    for m, c in p.items():
+        if dropped and any(m[i] for i in dropped):
+            raise GeneratorsError("unable to drop generators")
+        m += (0,)
+        terms[tuple([m[i] for i in take])] = c
+    return R.dtype(terms)
 
 
 def _lift(e, R) -> "RingFraction":
     """e in the ring R, whose generators hold e's: the one way into a ring.
 
     An expression is lifted through :func:`_as_fraction`; a pair of another
-    ring is moved by remapping its exponent tuples.
+    ring is moved by remapping its exponent tuples through the ring pair's
+    cached :func:`_move_map` (both rings are over ZZ, so the coefficients
+    move as they are); GeneratorsError if R lacks a generator it uses.
     """
     if isinstance(e, RingFraction):
-        return RingFraction(e.num.set_ring(R), e.den.set_ring(R))
+        src = e.num.ring
+        if src == R:
+            return RingFraction(e.num, e.den)
+        take, dropped = _move_map(src, R)
+        return RingFraction(_moved(e.num, R, take, dropped), _moved(e.den, R, take, dropped))
     return RingFraction(*_as_fraction(sp.sympify(e), R, dict(zip(R.symbols, R.gens))))
 
 
@@ -214,12 +251,13 @@ class RingFraction:
     """A rational function as a (numerator, denominator) pair of one ring.
 
     The ring is ``_ring(gens)`` with gens in ``_sort_gens`` order, as for
-    :func:`canon`; the pair is not reduced.  Operators keep values in this
-    form between steps, and :func:`canon`, :func:`zero_test` and
-    :func:`numeric_witness` take one directly.  Equations and Lagrangians
-    carry the pair of their tree (``pair``), lifted once, and every value
-    enters a ring through :func:`_lift`, which moves a pair of another ring
-    by its exponent tuples instead of lifting its expression again.
+    :func:`canon`, computed once per generator set; the pair is not
+    reduced.  Operators keep values in this form between steps, and
+    :func:`canon`, :func:`zero_test` and :func:`numeric_witness` take one
+    directly.  Equations and Lagrangians carry the pair of their tree
+    (``pair``), lifted once, and every value enters a ring through
+    :func:`_lift`, which moves a pair of another ring by its exponent
+    tuples instead of lifting its expression again.
     """
 
     __slots__ = ("num", "den")
@@ -230,7 +268,7 @@ class RingFraction:
     @staticmethod
     def from_expr(e) -> "RingFraction":
         """e in the ring of its generators."""
-        return _lift(e, _ring(_sort_gens(_generators(e))))
+        return _lift(e, _ring(_generators(e)))
 
     def __add__(self, other):
         a, b = self.den, other.den
@@ -315,9 +353,9 @@ def _substituted(f, images) -> RingFraction:
             images = {**images, g: g.func(canon(_substituted(g.args[0], images)), *g.args[1:])}
     images = {s: image for s, image in images.items() if s in gens}
     if not images:
-        return f if isinstance(f, RingFraction) else _lift(f, _ring(_sort_gens(gens)))
+        return f if isinstance(f, RingFraction) else _lift(f, _ring(gens))
     own = f.num.ring.symbols if isinstance(f, RingFraction) else ()
-    R = _ring(_sort_gens(gens.union(own, *map(_generators, images.values()))))
+    R = _ring(gens.union(own, *map(_generators, images.values())))
     f = _lift(f, R)
     for s, image in images.items():
         a = _lift(image, R)
@@ -409,13 +447,19 @@ def is_rational_expr(e) -> bool:
         return False
 
 
+@functools.lru_cache(maxsize=512)
+def _names(R) -> tuple:
+    """The printed name of each generator of R."""
+    return tuple(map(str, R.symbols))
+
+
 def _seeded_rng(e) -> random.Random:
     """The sampling RNG of e (an expression or a pair), seeded by a digest of
     its canonical pair: the (generator name, exponent) terms and integer
     coefficients of numerator and denominator.  Generators absent from both
     do not enter, so the seed does not depend on the ring holding the pair."""
     f = _canonical_pair(e)
-    names = [str(s) for s in f.num.ring.symbols]
+    names = _names(f.num.ring)
 
     def terms(p):
         return sorted(
@@ -489,7 +533,7 @@ def _samples(e, points):
     f = _canonical_pair(e)
     rng = _seeded_rng(f)
     evaluate = _evaluator(f)
-    symbols = sorted((s for s in _generators(f) if s.is_Symbol), key=str)
+    symbols = sorted((s for s in _generators(f) if s.is_Symbol), key=lambda s: s.name)
     taken = 0
     for _ in range(40 * points):
         if taken == points:

@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 
 import sympy as sp
-from sympy.polys.polyutils import _sort_gens
 
 from . import exprcore
 from .exprcore import (
@@ -224,7 +223,7 @@ class _RingAlgebra:
 def _rates_key(rates) -> tuple:
     if not rates:
         return ()
-    return tuple(sorted(((s, sp.sympify(r)) for s, r in rates.items()), key=lambda kv: str(kv[0])))
+    return tuple(sorted(((s, sp.sympify(r)) for s, r in rates.items()), key=lambda kv: kv[0].name))
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,7 +233,8 @@ def _rate_atoms(rates_key):
 
 
 @functools.lru_cache(maxsize=256)
-def _ring_algebra(gens, rates_key) -> _RingAlgebra:
+def _ring_algebra(gens: frozenset, rates_key) -> _RingAlgebra:
+    """The algebra of a generator set under a rate table, built once."""
     return _RingAlgebra(gens, rates_key)
 
 
@@ -256,7 +256,7 @@ def _algebra(rates, *items):
                 break
             closed |= frontier
         gens |= closed
-    return _ring_algebra(tuple(_sort_gens(gens)), key)
+    return _ring_algebra(frozenset(gens), key)
 
 
 def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:

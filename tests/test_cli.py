@@ -404,3 +404,38 @@ def test_refutation_is_certified_without_a_lift(capsys, monkeypatch, forbid_lift
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "undecided" not in err
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "generators", "--n", "3")[0] == 0
+        assert run(capsys, "build-lode", "--n", "3")[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    first = run(capsys, "generators", "--n", "4")
+    assert run(capsys, "generators")[0] == 2
+    assert run(capsys, "generators", "--n", "4") == first
+    assert first[0] == 0
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert "reproduce" in out
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()

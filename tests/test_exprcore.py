@@ -1,11 +1,14 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from sympy.polys.domains import ZZ
+from sympy.polys.polyerrors import GeneratorsError
 from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement
 
 from odesym import casebook, exprcore
 from odesym.exprcore import (
@@ -148,6 +151,17 @@ def test_numeric_witness_nonzero():
     point, value = numeric_witness(u * v1 - u1 * v - 1)
     assert isinstance(value, sp.Rational)  # exact for a rational residual
     assert value > sp.Rational(1, 10**9)
+
+
+def test_numeric_witness_points_are_pinned():
+    # literal points and values: a change of the sampler's seed digest moves them
+    R = sp.Rational
+    assert numeric_witness(u * v1 - u1 * v - 1) == (
+        {u: R(187, 50), u1: R(57, 20), v: R(243, 25), v1: R(141, 100)},
+        R(117143, 169877),
+    )
+    point, _ = numeric_witness(X * sp.log(y) - sp.exp(X / 2) * y)
+    assert point == {X: R(409, 50), y: R(81, 100)}
 
 
 def _witness_30_digits(c, points=20):
@@ -322,6 +336,59 @@ def test_numeric_witness_zero_expression():
     assert numeric_witness((y + 1) ** 2 - y**2 - 2 * y - 1) is None
 
 
+def test_ring_is_one_object_per_generator_set():
+    gens = {y1, X, u, sp.log(y), sp.sqrt(q), PARAMS["k2"]}
+    R = exprcore._ring(gens)
+    assert exprcore._ring(tuple(gens)) is R
+    assert exprcore._ring(list(gens)) is R
+    assert exprcore._ring(frozenset(gens)) is R
+    assert exprcore._ring(_sort_gens(gens)) is R
+    assert R.symbols == _sort_gens(gens)
+    assert R.domain == ZZ
+
+
+def _move_corpus():
+    """ln, exp and radical generators, and the n = 6 transformed Lagrangian."""
+    return [
+        X * sp.log(y) - sp.exp(X / 2) * y,
+        (sp.exp(X + k1 * y) + y1) / (sp.log(X * y) - u),
+        sp.sqrt(y) * y1 / (X + sp.sqrt(X * y)),
+        y ** sp.Rational(3, 2) - sp.cbrt(q) * u1 / y,
+        (u * v1 - u1 * v - 1) / (q * y - v1) ** 2,
+        sp.Integer(7) / 3,
+        transformed_lagrangian(6, SourceContext.make_symbolic()).density,
+    ]
+
+
+def test_lift_of_a_pair_matches_set_ring():
+    extras = ({JET[7], COEF_Q[3], sp.sqrt(X)}, {PARAMS["k3"], sp.log(u), v})
+    for e in _move_corpus():
+        pair = exprcore.RingFraction.from_expr(e)
+        own = pair.num.ring
+        for extra, other_extra in (extras, extras[::-1]):
+            R = exprcore._ring(set(own.symbols) | extra)
+            moved = exprcore._lift(pair, R)
+            for got, p in ((moved.num, pair.num), (moved.den, pair.den)):
+                assert got.ring is R
+                assert dict(got) == dict(p.set_ring(R)), e
+            # between two widenings that each lack the other's unused generators
+            other = exprcore._ring(set(own.symbols) | other_extra)
+            across = exprcore._lift(moved, other)
+            for got, p in ((across.num, moved.num), (across.den, moved.den)):
+                assert dict(got) == dict(p.set_ring(other)), e
+            back = exprcore._lift(moved, own)
+            assert (dict(back.num), dict(back.den)) == (dict(pair.num), dict(pair.den))
+
+
+def test_lift_that_drops_a_used_generator_raises():
+    pair = exprcore.RingFraction.from_expr(y * sp.log(u) / (X + 1))
+    R = exprcore._ring({y, X, u, q})
+    with pytest.raises(GeneratorsError):
+        pair.num.set_ring(R)
+    with pytest.raises(GeneratorsError):
+        exprcore._lift(pair, R)
+
+
 def test_substituted_zero_image():
     f = exprcore._substituted((q * y + y1) / (X + q) + q**2, {q: 0})
     assert canon(f) == y1 / X
@@ -492,3 +559,23 @@ def _canon_corpus():
 def test_canon_matches_cancel_together():
     for e in _canon_corpus():
         assert sp.srepr(canon(e)) == sp.srepr(sp.cancel(sp.together(e))), e
+
+
+def test_case_sorts_each_generator_set_once_and_moves_no_pair_by_set_ring(monkeypatch):
+    sorted_sets, set_ring_calls = [], []
+    sort_gens, set_ring = exprcore._sort_gens, PolyElement.set_ring
+
+    def counted_sort(gens, **args):
+        sorted_sets.append(frozenset(gens))
+        return sort_gens(gens, **args)
+
+    def counted_set_ring(self, ring):
+        set_ring_calls.append(ring)
+        return set_ring(self, ring)
+
+    monkeypatch.setattr(exprcore, "_sort_gens", counted_sort)
+    monkeypatch.setattr(PolyElement, "set_ring", counted_set_ring)
+    report = casebook.run_case("C3")
+    assert report.claims
+    assert max(Counter(sorted_sets).values(), default=0) <= 1
+    assert set_ring_calls == []
