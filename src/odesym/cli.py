@@ -99,10 +99,10 @@ def _parse_map(text: str) -> transform.PointTransformation:
 
 
 def _specialized(e, q_expr) -> sp.Expr:
-    """canon of e at a concrete coefficient q: the first lift of q, where a
-    zero denominator is one of the input and a usage error."""
+    """e at a concrete coefficient q: the first lift of q, where a zero
+    denominator is one of the input and a usage error."""
     try:
-        return canon(maxsym.specialize_q(e, q_expr))
+        return maxsym.specialize_q(e, q_expr)
     except ZeroDivisionError as err:
         raise UsageError(str(err)) from err
 
@@ -279,14 +279,12 @@ def _cmd_transform(args) -> int:
             if args.order is None:
                 raise UsageError("--eq needs --order n")
             eq = DiffEq(_parse_expr(args.eq), args.order)
-            out = transform.transform_equation(eq, sigma)
-            objects = [("Delta", out.delta)]
+            objects = [("Delta", canon(transform.transform_equation(eq, sigma).delta))]
         elif args.lagrangian is not None:
             if args.order is None:
                 raise UsageError("--lagrangian needs --order m")
             lag = Lagrangian(_parse_expr(args.lagrangian), args.order)
-            out = transform.transform_lagrangian(lag, sigma)
-            objects = [("L", out.density)]
+            objects = [("L", transform.transform_lagrangian(lag, sigma).density)]
         elif args.vf is not None:
             vf = transform.pushforward(_parse_vf(args.vf), sigma)
             objects = [("xi", vf.xi), ("psi", vf.psi)]
@@ -300,7 +298,7 @@ def _cmd_transform(args) -> int:
         _deliver(_object_report(None, objects), args)
     else:
         for name, expr in objects:
-            print(f"{name} = {render(canon(expr))}")
+            print(f"{name} = {render(expr)}")
     return 0
 
 

@@ -115,7 +115,7 @@ def _generators(e) -> set:
     gens = set()
 
     def walk(e, inside):
-        if e.is_Symbol:
+        if e.is_Symbol or e is sp.E:  # E = exp(1), as canon prints exp(x + 1) = E*exp(x)
             gens.add(e)
         elif isinstance(e, sp.Float):
             raise UnsupportedForm(f"inexact coefficient {e}; use exact rationals")
@@ -139,6 +139,8 @@ def _generators(e) -> set:
             for a in e.args:
                 node(a)
         elif not (e.is_Symbol or e.is_Rational):
+            if e.is_number and e.is_real is False:
+                raise UnsupportedForm(f"non-real constant {e}: the value is not real on the domain")
             normal = _normal_node(e)
             if normal == e:
                 gens.add(decompose_power(e)[0])
@@ -312,26 +314,30 @@ def _by_degree(p, i) -> dict:
     return {j: p.ring.dtype(terms) for j, terms in groups.items()}
 
 
-def _rewritten(num, den, i, a, b, r=1) -> tuple:
-    """num/den with g^r -> a/b for the generator g of index i.
+def _rewritten(num, den, subs) -> tuple:
+    """num/den with g^r -> a/b for the generator g of each index i in subs
+    {i: (a, b, r)}, all keys at once: an image may hold keys.
 
-    g^j becomes g^(j mod r) (a/b)^(j div r), each side is homogenized by
-    the power of b its degree in g needs, and the two powers of b are
-    brought together on one side: no cancellation.
+    Each side is grouped by its exponents of the keys, and g^j becomes
+    g^(j mod r) (a/b)^(j div r).  Both sides are homogenized by the power
+    of each b that the higher of their degrees in g needs, so the powers
+    of b cancel between them: no cancellation.
     """
-    R = num.ring
-    g = R.gens[i]
-    sides = []
-    for p in (num, den):
-        groups = _by_degree(p, i)
-        top = max(groups, default=0) // r
-        powers = {j: a ** (j // r) if j >= r else R.one for j in groups}  # PolyElement refuses 0 ** 0
-        terms = (c * g ** (j % r) * powers[j] * b ** (top - j // r) for j, c in groups.items())
-        sides.append((sum(terms, R.zero), top))
-    (num, dn), (den, dd) = sides
-    if dd >= dn:
-        return num * b ** (dd - dn), den
-    return num, den * b ** (dn - dd)
+    R, sides = num.ring, ({}, {})
+    for p, groups in zip((num, den), sides):
+        for m, c in p.items():
+            rest = tuple(0 if i in subs else d for i, d in enumerate(m))
+            groups.setdefault(tuple(m[i] for i in subs), {})[rest] = c
+    factors = []
+    for k, (i, (a, b, r)) in enumerate(subs.items()):
+        degrees = {e[k] for groups in sides for e in groups}
+        top = max(degrees) // r
+        powers = {j: a ** (j // r) if j >= r else R.one for j in degrees}  # PolyElement refuses 0 ** 0
+        factors.append({j: R.gens[i] ** (j % r) * powers[j] * b ** (top - j // r) for j in degrees})
+    return tuple(
+        sum((R.dtype(t) * math.prod(f[j] for f, j in zip(factors, e)) for e, t in groups.items()), R.zero)
+        for groups in sides
+    )
 
 
 def _substituted(f, images) -> RingFraction:
@@ -340,27 +346,29 @@ def _substituted(f, images) -> RingFraction:
     one way to substitute into a value of the ring.
 
     One ring holds the generators of f and of the images it uses; f and
-    each image enter it through :func:`_lift`, and each key of f is
-    rewritten once (:func:`_rewritten`, no cancellation).  A node of f that
-    holds a key is itself a key, whose image is the node of its argument's
-    canonical image.  The images must be free of the keys.  A pair's ring
-    keeps its generators, so a pair whose ring holds the images' generators
-    does not move; f without a key stays in its own ring, a pair as it is.
+    each image enter it through :func:`_lift`, and the keys of f are
+    rewritten all at once (:func:`_rewritten`, no cancellation), so an
+    image may hold keys: a change of x and y substitutes both together.
+    A node of f that holds a key is itself a key, whose image is the node
+    of its argument's image, cancelled but with no radical reduced, so
+    that a radical monomial stays a factor the node's power splits.  A
+    pair's ring keeps its generators, so a pair whose ring holds the
+    images' generators does not move; f without a key stays in its own
+    ring, a pair as it is.
     """
     gens = _generators(f)
     for g in gens:
         if not g.is_Symbol and g.free_symbols & images.keys():
-            images = {**images, g: g.func(canon(_substituted(g.args[0], images)), *g.args[1:])}
+            arg = _substituted(g.args[0], images)
+            images = {**images, g: g.func(RingFraction(*arg.num.cancel(arg.den)).as_expr(), *g.args[1:])}
     images = {s: image for s, image in images.items() if s in gens}
     if not images:
         return f if isinstance(f, RingFraction) else _lift(f, _ring(gens))
     own = f.num.ring.symbols if isinstance(f, RingFraction) else ()
     R = _ring(gens.union(own, *map(_generators, images.values())))
     f = _lift(f, R)
-    for s, image in images.items():
-        a = _lift(image, R)
-        f = RingFraction(*_rewritten(f.num, f.den, R.symbols.index(s), a.num, a.den))
-    return f
+    lifted = {R.symbols.index(s): _lift(image, R) for s, image in images.items()}
+    return RingFraction(*_rewritten(f.num, f.den, {i: (a.num, a.den, 1) for i, a in lifted.items()}))
 
 
 def _without_radical(num, den, i) -> tuple:
@@ -370,7 +378,7 @@ def _without_radical(num, den, i) -> tuple:
     g, r = R.gens[i], R.symbols[i].exp.q
     b = _lift(R.symbols[i].base, R)
     while True:
-        num, den = _rewritten(num, den, i, b.num, b.den, r)
+        num, den = _rewritten(num, den, {i: (b.num, b.den, r)})
         num, den = num.cancel(den)
         degrees = {m[i] for m in den.itermonoms()}
         if len(degrees) > 1 or not (k := degrees.pop()):

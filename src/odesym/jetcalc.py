@@ -13,15 +13,15 @@ equation y^(n) = rhs enters the same way, as the rate of y^(n-1).
 
 Every map of D_x images is built by :func:`ladder_images`: a root's
 symbol maps to the root, and the k-th symbol above it to the k-th rung of
-its :func:`derivative_ladder`.  The y^(n) elimination (the ladder of the
-solved rhs), the jet images of a point transformation (the ladder of phi
-under D_x / D_x zeta) and the ladders of a source context (u'' -> -q u and
-v' -> (1 + u'v)/u, or a concrete pair's u, v, q) are all such maps.  The
-images enter a ring through :func:`exprcore._substituted`, which rewrites
-each generator of a value (a tree or a pair) in one ring, so the checks
-stay on pairs; only :mod:`transform` (a simultaneous change of x and y)
-and :func:`maxsym.specialize_q` (a tree to print or evaluate) substitute
-into trees.
+its :func:`derivative_ladder`, a pair.  The y^(n) elimination (the ladder
+of the solved rhs), the jet images of a point transformation (the ladder
+of phi under D_x / D_x zeta), the substitution of a concrete q and the
+ladders of a source context (u'' -> -q u and v' -> (1 + u'v)/u, or a
+concrete pair's u, v, q) are all such maps.  Every substitution is
+:func:`exprcore._substituted`: the images move into one ring by their
+exponent tuples, and all keys of a value (a tree or a pair) are rewritten
+at once, so an image may hold keys, as a change of x and y needs.  No
+substitution goes through a tree.
 
 Each operator is written once, over the sparse ring ZZ[G] that
 :func:`exprcore.canon` uses, G being the input's generators (atoms and
@@ -273,7 +273,7 @@ def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:
 
 def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list:
     """[e, D e, ..., D^order e] for D = scale * D_x, as values of one algebra,
-    each step cancelled in the ring; callers convert the images they use."""
+    each step cancelled in the ring; no rung is printed."""
     e, scale = sp.sympify(e), sp.sympify(scale)
     J = _algebra(rates, (e, order), (scale, order))
     ladder, s = [J.lift(e)], J.lift(scale)
@@ -286,16 +286,17 @@ def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list
 def ladder_images(family, root, used, rates: dict | None = None, scale=1) -> dict:
     """The substitution family[0] -> root, family[k] -> (scale*D_x)^k root.
 
-    Only the members of ``used`` are converted from the
-    :func:`derivative_ladder` of root, and root maps to its own tree; no
-    ladder is built when only root is used, and the map is empty when no
-    member is.  A slice such as ``JET[n:]`` starts the family at y^(n).
+    root maps to its own tree, and each member of ``used`` above it to its
+    rung of the :func:`derivative_ladder` of root, a pair of the ladder's
+    algebra; no ladder is built when only root is used, and the map is
+    empty when no member is.  A slice such as ``JET[n:]`` starts the
+    family at y^(n).
     """
     top = top_order(used, family)
     if top < 0:
         return {}
     ladder = derivative_ladder(root, top, rates, scale)[1:] if top else ()
-    return {family[0]: root, **{s: f.as_expr() for s, f in zip(family[1:], ladder) if s in used}}
+    return {family[0]: root, **{s: f for s, f in zip(family[1:], ladder) if s in used}}
 
 
 def dx_fixed_jets(e, rates: dict | None = None) -> sp.Expr:

@@ -149,10 +149,10 @@ class SourceContext:
 def specialize_q(e, q) -> sp.Expr:
     """e with q, q', q'', ... replaced by a concrete q(x) and its derivatives.
 
-    u and v stay formal; the derivatives are those of a concrete reduction.
+    u and v stay formal; the derivatives are those of a concrete reduction,
+    substituted in the ring, and the result is canonical.
     """
-    e = sp.sympify(e)
-    return e.xreplace(ladder_images(COEF_Q, sp.sympify(q), e.free_symbols))
+    return canon(_substituted(e, ladder_images(COEF_Q, sp.sympify(q), _generators(e))))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A transformation sigma = (zeta(x,y), phi(x,y)) reads: the new independent
 variable is z = zeta, the new dependent variable is w = phi.  Objects
 written in (z, w)-jet coordinates use the same atom family as the source
-side; transforming substitutes the jet images z -> zeta, w^(k) -> image.
+side; transforming substitutes the jet images z -> zeta, w^(k) -> image
+into the object's pair, all at once, and prints the canonical result once.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .exprcore import JET, X, canon, max_jet_order, zero_test
-from .jetcalc import DiffEq, Lagrangian, VectorField, dx_fixed_jets, ladder_images
+from . import exprcore
+from .exprcore import JET, X, RingFraction, canon, max_jet_order, zero_test
+from .jetcalc import DiffEq, Lagrangian, VectorField, _polynomial_in, dx_fixed_jets, ladder_images
 
 
 class SingularMap(ValueError):
@@ -71,35 +73,42 @@ def identity_map() -> PointTransformation:
 
 
 def compose(outer: PointTransformation, inner: PointTransformation) -> PointTransformation:
-    """The transformation outer o inner."""
+    """The transformation outer o inner, with canonical components."""
     subs = inner.base_substitution()
-    rates = {**inner.rates, **outer.rates}
-    return PointTransformation(
-        outer.zeta.xreplace(subs),
-        outer.phi.xreplace(subs),
-        rates=rates,
-    )
+    zeta, phi = (canon(exprcore._substituted(c, subs)) for c in (outer.zeta, outer.phi))
+    return PointTransformation(zeta, phi, rates={**inner.rates, **outer.rates})
 
 
 def jet_substitution(sigma: PointTransformation, order: int) -> dict:
     """Images of z, w, w', ..., w^(order) as expressions in the source jets."""
-    return _images(sigma, JET[: order + 1])
+    return {s: sp.sympify(a) for s, a in _images(sigma, JET[: order + 1]).items()}
 
 
 def _images(sigma: PointTransformation, used) -> dict:
-    """Images of z and of the jets among used, the only ones converted:
-    the ladder of phi under D_x / D_x(zeta), w^(k+1) = D_x(w^(k)) / D_x(zeta)."""
+    """Images of z and of the jets among used, the jets' as pairs: the
+    ladder of phi under D_x / D_x(zeta), w^(k+1) = D_x(w^(k)) / D_x(zeta)."""
     dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
     return {X: sigma.zeta, **ladder_images(JET, sigma.phi, used, sigma.rates, scale=1 / dz)}
 
 
+def _image(f, sigma: PointTransformation, weight=1) -> "exprcore._CanonicalPair":
+    """The canonical pair of f (an expression or a pair) with the jet images
+    of sigma substituted, all at once, times weight lifted into its ring."""
+    f = exprcore._substituted(f, _images(sigma, exprcore._generators(f)))
+    R = exprcore._ring(exprcore._generators(f) | exprcore._generators(weight))
+    return exprcore._canonical_pair(exprcore._lift(f, R) * exprcore._lift(weight, R))
+
+
 def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
-    """Image of an equation written in (z, w), normalized monic in y^(n)."""
-    delta = eq.delta.xreplace(_images(sigma, eq.delta.free_symbols))
-    lead = canon(sp.diff(delta, JET[eq.order]))
-    if sp.diff(lead, JET[eq.order]) != 0:
+    """Image of an equation written in (z, w), normalized monic in y^(n):
+    the numerator over its y^(n) coefficient, read by a degree test."""
+    f, top = _image(eq.pair, sigma), JET[eq.order]
+    by_degree = exprcore._by_degree(f.num, f.num.ring.symbols.index(top)) if top in f.free_symbols else {}
+    if max(by_degree, default=0) != 1 or not _polynomial_in(f, top):
         raise SingularMap("transformed equation is nonlinear in its top derivative")
-    return DiffEq(sp.expand(canon(delta / lead)), eq.order)
+    monic = exprcore._canonical_pair(RingFraction(f.num, by_degree[1]))
+    # over a ground denominator the printed polynomial is already expanded
+    return DiffEq(monic.as_expr() if monic.den.is_ground else sp.expand(monic.as_expr()), eq.order)
 
 
 def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
@@ -112,9 +121,7 @@ def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> Diff
     for exactly this weighting; the monic form differs from it by a
     differential-function factor.
     """
-    delta = eq.delta.xreplace(_images(sigma, eq.delta.free_symbols))
-    weight = sigma.zeta_x * sigma.phi_y()
-    return DiffEq(canon(delta * weight), eq.order)
+    return DiffEq(_image(eq.pair, sigma, sigma.zeta_x * sigma.phi_y()).as_expr(), eq.order)
 
 
 def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
@@ -131,21 +138,20 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
     if zero_test(phi_y):
         raise SingularMap("phi_y vanishes identically")
     subs = sigma.base_substitution()
-    xi_t = v.xi.xreplace(subs)
-    psi_t = v.psi.xreplace(subs)
-    xi = canon(xi_t / sigma.zeta_x)
-    psi = canon((psi_t - xi * sigma.phi_x()) / phi_y)
-    return VectorField(xi, psi, name=v.name)
+    parts = (*(exprcore._substituted(c, subs) for c in (v.xi, v.psi)), sigma.zeta_x, sigma.phi_x(), phi_y)
+    R = exprcore._ring(set().union(*map(exprcore._generators, parts)))
+    xi_t, psi_t, zx, px, py = (exprcore._lift(e, R) for e in parts)
+    xi = exprcore._canonical_pair(xi_t * RingFraction(zx.den, zx.num))
+    psi = exprcore._canonical_pair((psi_t - xi * px) * RingFraction(py.den, py.num))
+    return VectorField(xi.as_expr(), psi.as_expr(), name=v.name)
 
 
 def transform_lagrangian(L: Lagrangian, sigma: PointTransformation) -> Lagrangian:
     """Image density L(jet images) * D_x zeta, same declared order."""
-    dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
-    density = canon(L.density.xreplace(_images(sigma, L.density.free_symbols)) * dz)
-    return Lagrangian(density, max(L.order, max_jet_order(density)))
+    density = _image(L.pair, sigma, sigma.zeta_x + sigma.zeta_y() * JET[1])
+    return Lagrangian(density.as_expr(), max(L.order, max_jet_order(density)))
 
 
 def transform_first_integral(F, sigma: PointTransformation) -> sp.Expr:
     """Image of a first integral: plain substitution of the jet images."""
-    F = sp.sympify(F)
-    return canon(F.xreplace(_images(sigma, F.free_symbols)))
+    return _image(F, sigma).as_expr()

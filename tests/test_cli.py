@@ -158,6 +158,35 @@ def test_radical_forms_share_one_canon(capsys):
     assert len({canon(parse(text)) for text in (out.strip(), *written)}) == 1
 
 
+@pytest.mark.parametrize("obj", [
+    ("--eq", "y2", "--order", "2"),
+    ("--eq", "y4", "--order", "4"),
+    ("--lagrangian", "y2^2/2", "--order", "2"),
+    ("--vf", "-x^2;-3*x*y"),
+    ("--integral", "y3"),
+], ids=lambda obj: obj[0][2:] + obj[1])
+def test_transform_text_and_json_print_one_form(capsys, obj):
+    argv = ("transform", "--map", "z=x; w=k2-ln(y)", *obj)
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, payload, _ = run(capsys, *argv, "--json", "-")
+    assert code == 0
+    claims = json.loads(payload)["claims"]
+    assert text == "".join(f"{c['id']} = {c['residual']}\n" for c in claims)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--kind", "divergence", "--vf", "0;ln(-y)", "--eq", "y3", "--order", "3"),
+    ("check", "--kind", "lie", "--vf", "0;ln(-y)", "--eq", "y3", "--order", "3"),
+    ("transform", "--map", "z=x; w=k2-ln(y)", "--integral", "ln(y1)"),
+], ids=["divergence", "lie", "transform"])
+def test_ln_of_a_negative_value_is_usage_error(capsys, argv):
+    # ln(-y), and ln(y1) moved to ln(-y1/y), have no real value on the domain
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_transform_requires_one_object(capsys):
     code, _, err = run(capsys, "transform", "--map", "z=x; w=y", "--eq", "y2", "--vf", "0;y")
     assert code == 2

@@ -98,6 +98,16 @@ def test_canon_rejects_nested_elementary():
         canon(sp.log(sp.log(X)))
 
 
+def test_canon_rejects_ln_of_a_negative_value():
+    # ln(-y) normalizes to log(y) + I*pi: no real value on the domain
+    with pytest.raises(UnsupportedForm, match="non-real"):
+        canon(sp.log(-y))
+    # real constants stay generators, and canon reads its own E*exp(x)
+    assert canon(sp.log(2) * y - sp.log(2) * y) == 0
+    once = canon(sp.exp(X + 1) * y)
+    assert sp.srepr(canon(once)) == sp.srepr(once) == sp.srepr(sp.E * sp.exp(X) * y)
+
+
 def test_partial_examples():
     assert canon(partial(y1**2 * y, y1) - 2 * y1 * y) == 0
     assert canon(partial(q * y**2, q) - y**2) == 0
@@ -410,6 +420,29 @@ def test_substituted_tree_and_its_pair_agree():
     assert sp.srepr(by_tree.as_expr()) == sp.srepr(by_pair.as_expr())
     # the node sqrt(q) holds a key, and becomes the node of q's image
     assert by_tree.as_expr() == canon(e.xreplace(images))
+
+
+def test_substituted_is_simultaneous():
+    # each image holds the other key, and the node ln(y) holds a key
+    e = (y * sp.log(y) + y1**2) / (X + y) + y1 * sp.log(X * y)
+    images = {y: X * y1, y1: y + X}
+    f = exprcore._substituted(e, images)
+    assert sp.srepr(canon(f)) == sp.srepr(canon(e.xreplace(images)))
+    pair = exprcore._substituted(exprcore.RingFraction.from_expr(e), images)
+    assert sp.srepr(canon(pair)) == sp.srepr(canon(f))
+
+
+def test_without_radical_reduces_by_the_base():
+    g = sp.sqrt(y)
+    R = exprcore._ring({X, y, g})
+    i = R.symbols.index(g)
+    gen = R.gens[i]
+    num, den = gen**5 + R(X) * gen**3 + gen, R(X) * gen**2 + gen**4
+    out_num, out_den = exprcore._without_radical(num, den, i)
+    assert max(m[i] for m in out_num.itermonoms()) < 2
+    assert max(m[i] for m in out_den.itermonoms()) < 2
+    value = (g**5 + X * g**3 + g) / (X * g**2 + g**4)
+    assert canon(out_num.as_expr() / out_den.as_expr() - value) == 0
 
 
 # --- randomized agreement with an independent dict-based polynomial oracle ---

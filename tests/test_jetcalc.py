@@ -191,6 +191,7 @@ def test_ladder_images(monkeypatch):
     images = jetcalc.ladder_images(JET[2:], root, {y2, JET[5], X}, scale=scale)
     # the root keeps its own tree; a re-lift would print it as (q*x*y + y1)/x
     assert images == {y2: root, JET[5]: ladder[3].as_expr()}
+    assert isinstance(images[JET[5]], exprcore.RingFraction)  # a rung stays a pair
     assert sp.srepr(images[y2]) == sp.srepr(root) != sp.srepr(ladder[0].as_expr())
     assert jetcalc.ladder_images(JET[2:], root, {y1, X}) == {}
     monkeypatch.setattr(jetcalc, "derivative_ladder", None)  # only the root: no ladder

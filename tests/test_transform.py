@@ -5,7 +5,8 @@ import sympy as sp
 
 from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, canon, zero_test
 from odesym.jetcalc import DiffEq, Lagrangian, VectorField, total_derivative
-from odesym.maxsym import SourceContext, build_lode, source_transformation
+from odesym.casebook import example_map
+from odesym.maxsym import SourceContext, build_lode, generators, source_transformation
 from odesym.noether import divergence_check
 from odesym.transform import (
     MissingInverse,
@@ -195,3 +196,73 @@ def test_solution_correspondence():
     dF = total_derivative(F_t)
     mu = sp.cancel(sp.diff(sp.together(dF), y3))
     assert zero_test(canon(dF - mu * eq_t.delta))
+
+
+# --- pins against the tree path: xreplace of jet_substitution, then canon ---
+
+XY_MAP = PointTransformation(X + y, y)
+
+
+def _substituted_by_tree(e, sigma):
+    e = sp.sympify(e)
+    return e.xreplace(jet_substitution(sigma, max(0, *(k for k, s in enumerate(JET) if s in e.free_symbols))))
+
+
+def _equation_by_tree(eq, sigma):
+    delta = _substituted_by_tree(eq.delta, sigma)
+    lead = canon(sp.diff(delta, JET[eq.order]))
+    return sp.expand(canon(delta / lead))
+
+
+@pytest.mark.parametrize("sigma, eq", [
+    (LOG_MAP, DiffEq(y4, 4)),
+    (LOG_MAP, DiffEq(y3 + X * y1 + y**2, 3)),
+    (XY_MAP, DiffEq(y3 + y1, 3)),
+    (XY_MAP, DiffEq(y2 + sp.log(y1) * y, 2)),
+    *((source_transformation(n, CTX), DiffEq(JET[n], n)) for n in (2, 3, 5)),
+], ids=["log-y4", "log-mixed", "x+y", "x+y-node", "source-2", "source-3", "source-5"])
+def test_transform_equation_matches_tree_reference(sigma, eq):
+    assert sp.srepr(transform_equation(eq, sigma).delta) == sp.srepr(_equation_by_tree(eq, sigma))
+    weight = sigma.zeta_x * sigma.phi_y()
+    covariant = canon(_substituted_by_tree(eq.delta, sigma) * weight)
+    assert sp.srepr(transform_equation_covariant(eq, sigma).delta) == sp.srepr(covariant)
+
+
+@pytest.mark.parametrize("sigma, L", [
+    *((source_transformation(n, CTX), Lagrangian(JET[n // 2] ** 2 / 2, n // 2)) for n in range(2, 9)),
+    (LOG_MAP, Lagrangian(y2**2 / 2, 2)),
+    (XY_MAP, Lagrangian(sp.log(y1), 1)),
+    (XY_MAP, Lagrangian(sp.log(y1) * y + X * y1**2, 1)),
+], ids=[*(f"source-{n}" for n in range(2, 9)), "log", "x+y-ln", "x+y-mixed"])
+def test_transform_lagrangian_matches_tree_reference(sigma, L):
+    dz = sigma.zeta_x + sigma.zeta_y() * y1
+    reference = canon(_substituted_by_tree(L.density, sigma) * dz)
+    assert sp.srepr(transform_lagrangian(L, sigma).density) == sp.srepr(reference)
+
+
+def test_pushforward_of_c6_generators_matches_tree_reference():
+    sigma = example_map()
+    base = sigma.base_substitution()
+    for name, v in generators(4).specialize(SourceContext.zero_q()).by_name().items():
+        xi = canon(v.xi.xreplace(base) / sigma.zeta_x)
+        psi = canon((v.psi.xreplace(base) - xi * sigma.phi_x()) / sigma.phi_y())
+        out = pushforward(v, sigma)
+        assert sp.srepr((out.xi, out.psi)) == sp.srepr((xi, psi)), name
+
+
+@pytest.mark.parametrize("sigma", [LOG_MAP, XY_MAP, source_transformation(3, CTX)], ids=["log", "x+y", "source-3"])
+def test_transform_first_integral_matches_tree_reference(sigma):
+    for F in (y3, y * y1**2 + X * y2, y2 / y1 + sp.exp(X) * y, sp.exp(y1) * y):
+        reference = canon(_substituted_by_tree(F, sigma))
+        assert sp.srepr(transform_first_integral(F, sigma)) == sp.srepr(reference), F
+
+
+def test_compose_matches_tree_reference():
+    # exp(x^2 + 1) prints as E*exp(x^2): the constant E is a generator too
+    outers = (XY_MAP, PointTransformation(X**2 + 1, sp.exp(X) * y), PointTransformation(2 * X, y + X**2))
+    for outer in outers:
+        for inner in (LOG_MAP, *outers):
+            combined = compose(outer, inner)
+            subs = inner.base_substitution()
+            for got, c in ((combined.zeta, outer.zeta), (combined.phi, outer.phi)):
+                assert sp.srepr(got) == sp.srepr(canon(c.xreplace(subs)))
