@@ -107,8 +107,7 @@ def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
     if max(by_degree, default=0) != 1 or not _polynomial_in(f, top):
         raise SingularMap("transformed equation is nonlinear in its top derivative")
     monic = exprcore._canonical_pair(RingFraction(f.num, by_degree[1]))
-    # over a ground denominator the printed polynomial is already expanded
-    return DiffEq(monic.as_expr() if monic.den.is_ground else sp.expand(monic.as_expr()), eq.order)
+    return DiffEq(sp.expand(monic.as_expr()), eq.order)
 
 
 def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> DiffEq:

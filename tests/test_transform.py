@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy as sp
 
-from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, canon, zero_test
+from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, UnsupportedForm, canon, zero_test
 from odesym.jetcalc import DiffEq, Lagrangian, VectorField, total_derivative
 from odesym.casebook import example_map
 from odesym.maxsym import SourceContext, build_lode, generators, source_transformation
@@ -201,6 +201,8 @@ def test_solution_correspondence():
 # --- pins against the tree path: xreplace of jet_substitution, then canon ---
 
 XY_MAP = PointTransformation(X + y, y)
+# sqrt(y1) maps to the root of an uncancelled pair: a radical-reduced argument would hold y^(3/2)
+RADICAL_MAP = PointTransformation(X, X * sp.sqrt(y))
 
 
 def _substituted_by_tree(e, sigma):
@@ -219,8 +221,9 @@ def _equation_by_tree(eq, sigma):
     (LOG_MAP, DiffEq(y3 + X * y1 + y**2, 3)),
     (XY_MAP, DiffEq(y3 + y1, 3)),
     (XY_MAP, DiffEq(y2 + sp.log(y1) * y, 2)),
+    (RADICAL_MAP, DiffEq(y2 + sp.sqrt(y1) * y, 2)),
     *((source_transformation(n, CTX), DiffEq(JET[n], n)) for n in (2, 3, 5)),
-], ids=["log-y4", "log-mixed", "x+y", "x+y-node", "source-2", "source-3", "source-5"])
+], ids=["log-y4", "log-mixed", "x+y", "x+y-node", "radical", "source-2", "source-3", "source-5"])
 def test_transform_equation_matches_tree_reference(sigma, eq):
     assert sp.srepr(transform_equation(eq, sigma).delta) == sp.srepr(_equation_by_tree(eq, sigma))
     weight = sigma.zeta_x * sigma.phi_y()
@@ -233,11 +236,24 @@ def test_transform_equation_matches_tree_reference(sigma, eq):
     (LOG_MAP, Lagrangian(y2**2 / 2, 2)),
     (XY_MAP, Lagrangian(sp.log(y1), 1)),
     (XY_MAP, Lagrangian(sp.log(y1) * y + X * y1**2, 1)),
-], ids=[*(f"source-{n}" for n in range(2, 9)), "log", "x+y-ln", "x+y-mixed"])
+    (RADICAL_MAP, Lagrangian(sp.sqrt(y1), 1)),
+    (RADICAL_MAP, Lagrangian(sp.sqrt(y1) * y + X * y1**2, 1)),
+], ids=[*(f"source-{n}" for n in range(2, 9)), "log", "x+y-ln", "x+y-mixed", "radical", "radical-mixed"])
 def test_transform_lagrangian_matches_tree_reference(sigma, L):
     dz = sigma.zeta_x + sigma.zeta_y() * y1
     reference = canon(_substituted_by_tree(L.density, sigma) * dz)
     assert sp.srepr(transform_lagrangian(L, sigma).density) == sp.srepr(reference)
+
+
+def test_radical_map_refuses_ln_y1_as_the_tree_path_does():
+    # y1 -> sqrt(y) + x y1 / (2 sqrt(y)) puts a radical inside the ln node
+    for F in (sp.log(y1), sp.sqrt(y1) * sp.log(y1)):
+        with pytest.raises(UnsupportedForm):
+            canon(_substituted_by_tree(F, RADICAL_MAP))
+        with pytest.raises(UnsupportedForm):
+            transform_lagrangian(Lagrangian(F, 1), RADICAL_MAP)
+        with pytest.raises(UnsupportedForm):
+            transform_first_integral(F, RADICAL_MAP)
 
 
 def test_pushforward_of_c6_generators_matches_tree_reference():
@@ -250,9 +266,15 @@ def test_pushforward_of_c6_generators_matches_tree_reference():
         assert sp.srepr((out.xi, out.psi)) == sp.srepr((xi, psi)), name
 
 
-@pytest.mark.parametrize("sigma", [LOG_MAP, XY_MAP, source_transformation(3, CTX)], ids=["log", "x+y", "source-3"])
-def test_transform_first_integral_matches_tree_reference(sigma):
-    for F in (y3, y * y1**2 + X * y2, y2 / y1 + sp.exp(X) * y, sp.exp(y1) * y):
+INTEGRALS = (y3, y * y1**2 + X * y2, y2 / y1 + sp.exp(X) * y, sp.exp(y1) * y)
+
+
+@pytest.mark.parametrize("sigma, integrals", [
+    *((sigma, INTEGRALS) for sigma in (LOG_MAP, XY_MAP, source_transformation(3, CTX))),
+    (RADICAL_MAP, (sp.sqrt(y1), y * sp.sqrt(y1) + X * y1**2, 1 / sp.sqrt(y1))),
+], ids=["log", "x+y", "source-3", "radical"])
+def test_transform_first_integral_matches_tree_reference(sigma, integrals):
+    for F in integrals:
         reference = canon(_substituted_by_tree(F, sigma))
         assert sp.srepr(transform_first_integral(F, sigma)) == sp.srepr(reference), F
 
