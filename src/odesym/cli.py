@@ -34,6 +34,7 @@ from .exprcore import (
     MAX_JET_ORDER,
     SOL_U,
     SOL_V,
+    X,
     Inconclusive,
     UnsupportedForm,
     canon,
@@ -96,6 +97,19 @@ def _parse_map(text: str) -> transform.PointTransformation:
         return transform.PointTransformation(pieces["z"], pieces["w"])
     except (transform.SingularMap, ValueError) as err:
         raise UsageError(str(err)) from err
+
+
+def _parse_q(text):
+    """The concrete coefficient q(x) of ``--q``, or None without one: a
+    function of x and the named parameters, nothing else."""
+    if text is None:
+        return None
+    q = _parse_expr(text)
+    extra = q.free_symbols - exprcore._PARAM_SET - {X}
+    if extra:
+        names = ", ".join(sorted(map(str, extra)))
+        raise UsageError(f"--q must be a function of x and the parameters only; it uses {names}")
+    return q
 
 
 def _specialized(e, q_expr) -> sp.Expr:
@@ -192,10 +206,10 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_build_lode(args) -> int:
-    eq = maxsym.build_lode(args.n)
-    delta = eq.delta
-    if args.q is not None:
-        delta = _specialized(delta, _parse_expr(args.q))
+    q_expr = _parse_q(args.q)
+    delta = maxsym.build_lode(args.n).delta
+    if q_expr is not None:
+        delta = _specialized(delta, q_expr)
     if args.json:
         _deliver(_object_report(None, [(f"Delta{args.n}", delta)]), args)
     else:
@@ -204,11 +218,10 @@ def _cmd_build_lode(args) -> int:
 
 
 def _cmd_lagrangian(args) -> int:
-    ctx = maxsym.SourceContext.make_symbolic()
     builders = {
         "canonical": maxsym.canonical_lagrangian,
-        "transformed": lambda n: maxsym.transformed_lagrangian(n, ctx),
-        "natural": lambda n: maxsym.natural_lagrangian(n, ctx),
+        "transformed": maxsym.transformed_lagrangian,
+        "natural": maxsym.natural_lagrangian,
     }
     density = canon(builders[args.kind](args.n).density)
     if args.json:
@@ -220,7 +233,7 @@ def _cmd_lagrangian(args) -> int:
 
 def _cmd_check(args) -> int:
     vf = _parse_vf(args.vf)
-    q_expr = _parse_expr(args.q) if args.q is not None else None
+    q_expr = _parse_q(args.q)
     if args.order is None:
         raise UsageError("check needs an explicit --order matching the input")
     if args.kind == "variational":
@@ -250,9 +263,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_first_integral(args) -> int:
     vf = _parse_vf(args.vf)
+    q_expr = _parse_q(args.q)
     ctx = maxsym.SourceContext.make_symbolic()
     eq = maxsym.build_lode(args.n, ctx)
-    q_expr = _parse_expr(args.q) if args.q is not None else None
     if q_expr is not None:
         _reject_solution_symbols(args.q, vf.xi, vf.psi)
         eq = DiffEq(_specialized(eq.delta, q_expr), args.n)

@@ -5,10 +5,16 @@ source equation y'' + q(x) y = 0 with unit Wronskian: the rewrite context
 whose rates are that equation, the n+4 symmetry generators, the
 linear equation of order n built by transforming the trivial equation, and
 three Lagrangian families (canonical, transformed, natural).
+
+The symbolic objects depend on the order alone, so each process builds the
+generators, Delta_n and the transformed and natural Lagrangians once per
+order, in one bounded memo per builder, and every caller shares that
+frozen value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import sympy as sp
@@ -17,6 +23,7 @@ from . import transform as _transform
 from .exprcore import (
     COEF_Q,
     JET,
+    MAX_JET_ORDER,
     SOL_U,
     SOL_V,
     X,
@@ -87,6 +94,15 @@ class SourceContext:
     def make_symbolic() -> "SourceContext":
         return SourceContext(SOL_U[0], SOL_V[0], COEF_Q[0], rates=_RATES)
 
+    def _is_source_symbolic(self) -> bool:
+        """True when the context holds the values of :meth:`make_symbolic`:
+        u, v, q, Wronskian and rates.  ``symbolic`` alone does not say
+        that; a symbolic context without the source rates cannot eliminate
+        u and v."""
+        return (self.u, self.v, self.q, self.wronskian, self.rates) == (
+            SOL_U[0], SOL_V[0], COEF_Q[0], 1, _RATES,
+        )
+
     @staticmethod
     def from_solutions(u, v, rates=None) -> "SourceContext":
         """Context generated by a concrete solution pair.
@@ -155,6 +171,10 @@ def specialize_q(e, q) -> sp.Expr:
     return canon(_substituted(e, ladder_images(COEF_Q, sp.sympify(q), _generators(e))))
 
 
+# Bound of each memo: one entry for every order the jet registry holds.
+_ORDERS = MAX_JET_ORDER + 1
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """The n+4 point-symmetry generators of a maximal-symmetry equation."""
@@ -188,6 +208,20 @@ class GeneratorSet:
         )
 
 
+def _memoised_by_order(builder):
+    """builder(n, ctx), served from one bounded per-process memo of
+    builder(n) when ctx is None or holds the values of
+    :meth:`SourceContext.make_symbolic`; any other context builds afresh.
+    ``__wrapped__`` is the builder itself."""
+    memo = functools.lru_cache(maxsize=_ORDERS)(builder)
+
+    @functools.wraps(builder)
+    def build(n, ctx=None):
+        return memo(n) if ctx is None or ctx._is_source_symbolic() else builder(n, ctx)
+
+    return build
+
+
 def solution_basis(n: int) -> list:
     """The n solutions s_k = u^(n-k-1) v^k of the order-n equation."""
     if n < 2:
@@ -195,6 +229,7 @@ def solution_basis(n: int) -> list:
     return [SOL_U[0] ** (n - k - 1) * SOL_V[0] ** k for k in range(n)]
 
 
+@functools.lru_cache(maxsize=_ORDERS)
 def generators(n: int) -> GeneratorSet:
     """Generators V_0..V_{n-1}, W_y, F_n, G_n, H_n in terms of u and v."""
     if n < 2:
@@ -244,6 +279,7 @@ def source_transformation(n: int, ctx: SourceContext | None = None):
     )
 
 
+@_memoised_by_order
 def build_lode(n: int, ctx: SourceContext | None = None) -> DiffEq:
     """Monic normal-form linear equation of order n and maximal symmetry.
 
@@ -273,6 +309,7 @@ def canonical_lagrangian(n: int) -> Lagrangian:
     return Lagrangian(sp.Rational(-1, 1) ** m * JET[m] ** 2 / 2, m)
 
 
+@_memoised_by_order
 def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
     """The canonical Lagrangian pushed through the source transformation."""
     ctx = ctx or SourceContext.make_symbolic()
@@ -283,17 +320,20 @@ def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangi
     return Lagrangian(ctx.reduce(L.density), n // 2)
 
 
+@_memoised_by_order
 def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
     """The diagonal density sum_m c_m(x) (y^(m))^2 with E(L) = E(y*Delta_n/2).
 
     y^(2m) enters E((y^(m))^2) with coefficient 2 (-1)^m, so the c_m are
     solved highest first.  This reduction of y*Delta_n/2 to order n/2 is
-    the canonical representative used by the variational identities.
+    the canonical representative used by the variational identities.  A
+    concrete context reduces the symbolic density.
     """
-    ctx = ctx or SourceContext.make_symbolic()
     if n % 2:
         raise OddOrder(f"no Lagrangian construction for odd order {n}")
-    target = euler(JET[0] * build_lode(n, SourceContext.make_symbolic()).delta / 2)
+    if ctx is not None and not ctx.symbolic:
+        return Lagrangian(ctx.reduce(natural_lagrangian(n).density), n // 2)
+    target = euler(JET[0] * build_lode(n).delta / 2)
     dens = sp.Integer(0)
     for m in range(n // 2, -1, -1):
         square = (-1) ** m * sp.diff(target, JET[2 * m]) / 2 * JET[m] ** 2
@@ -301,10 +341,7 @@ def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
         dens += square
     if target != 0:
         raise ValueError("density is not quadratic in the jets")
-    dens = sp.expand(dens)
-    if not ctx.symbolic:
-        dens = ctx.reduce(dens)
-    return Lagrangian(dens, n // 2)
+    return Lagrangian(sp.expand(dens), n // 2)
 
 
 def reference_transformed_lagrangian(n: int) -> Lagrangian:

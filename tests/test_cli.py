@@ -118,6 +118,32 @@ def test_check_rejects_solution_symbols_with_concrete_q(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("build-lode", "--n", "3", "--q", "y"),
+    ("build-lode", "--n", "3", "--q", "y1"),
+    ("build-lode", "--n", "3", "--q", "u"),
+    ("build-lode", "--n", "3", "--q", "q1"),
+    ("build-lode", "--n", "3", "--q", "x*v"),
+    ("first-integral", "--vf", "0;y", "--n", "3", "--q", "u"),
+    ("check", "--kind", "divergence", "--vf", "0;y",
+     "--eq", "y3+4*q*y1+2*q1*y", "--order", "3", "--q", "y"),
+    ("check", "--kind", "variational", "--vf", "0;1",
+     "--lagrangian", "y2^2/2", "--order", "2", "--q", "q"),
+], ids=lambda argv: argv[0] + "-" + argv[-1])
+def test_q_must_be_a_function_of_x(capsys, argv):
+    # a coefficient q(x) holds x and the parameters only; a jet, solution or
+    # q symbol would make the output nonlinear or leave q in it
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: --q") and err.count("\n") == 1
+
+
+def test_q_may_hold_parameters(capsys):
+    code, out, _ = run(capsys, "build-lode", "--n", "3", "--q", "k1*x")
+    assert code == 0
+    assert canon(parse(out.strip()) - parse("y3 + 4*k1*x*y1 + 2*k1*y")) == 0
+
+
 def test_parse_error_reports_position(capsys):
     code, _, err = run(capsys, "build-lode", "--n", "3", "--q", "1/(x")
     assert code == 2

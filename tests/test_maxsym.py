@@ -1,10 +1,15 @@
+import sys
+import threading
+
 import pytest
 import sympy as sp
 
+from odesym.casebook import CASE_IDS
 from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, base_rates, canon, zero_test
 from odesym.jetcalc import Lagrangian, VectorField, euler, total_derivative
 from odesym.maxsym import (
     BadOrder,
+    EliminationFailed,
     OddOrder,
     SourceContext,
     build_lode,
@@ -261,3 +266,81 @@ def test_reduce_concrete_families_match_cancel():
         vf = generators(4).by_name()[name]
         for e in (sym_L4.density, vf.xi, vf.psi, invariance_expression(vf, sym_L4, CTX)):
             assert sp.srepr(ctx.reduce(e)) == sp.srepr(_reduce_by_cancel(ctx, e))
+
+
+# The four builders memoised by order, for the symbolic context.
+MEMOISED = (generators, build_lode, transformed_lagrangian, natural_lagrangian)
+
+
+def _srepr_of(obj):
+    if hasattr(obj, "homogeneity"):
+        return sp.srepr([(vf.name, vf.xi, vf.psi) for vf in obj])
+    if hasattr(obj, "delta"):
+        return sp.srepr((obj.delta, obj.order, obj.leading))
+    return sp.srepr((obj.density, obj.order))
+
+
+def _memoised_at(n):
+    """The memoised builders that accept order n."""
+    return [b for b in MEMOISED if n % 2 == 0 or b in (generators, build_lode)]
+
+
+def test_memo_returns_one_object_per_order():
+    for builder in MEMOISED:
+        assert builder(4) is builder(4)
+    for builder in MEMOISED[1:]:
+        assert builder(4, SourceContext.make_symbolic()) is builder(4)
+        assert builder(4, None) is builder(4)
+    # the lazy pair and solved right-hand side of the shared value are built once
+    assert build_lode(5).pair is build_lode(5, CTX).pair
+    assert build_lode(5).solved_rhs() is build_lode(5).solved_rhs()
+
+
+def test_memo_serves_only_the_source_context():
+    flat = SourceContext.zero_q()
+    assert build_lode(3, flat) is not build_lode(3, flat)
+    assert natural_lagrangian(4, flat) is not natural_lagrangian(4, flat)
+    # symbolic, but without the source rates: u and v cannot be eliminated
+    bare = SourceContext(SOL_U[0], SOL_V[0], COEF_Q[0])
+    assert bare.symbolic
+    with pytest.raises(EliminationFailed):
+        build_lode(4, bare)
+
+
+def test_memoised_values_match_fresh_builds():
+    for n in range(2, 13):
+        for builder in _memoised_at(n):
+            assert _srepr_of(builder(n)) == _srepr_of(builder.__wrapped__(n)), (builder.__name__, n)
+
+
+def test_no_case_mutates_a_memoised_value(case_report):
+    before = {(b, n): _srepr_of(b(n)) for n in range(2, 13) for b in _memoised_at(n)}
+    for cid in CASE_IDS:
+        case_report(cid)
+    for (builder, n), text in before.items():
+        assert _srepr_of(builder(n)) == text == _srepr_of(builder.__wrapped__(n)), (builder.__name__, n)
+
+
+def test_memo_under_concurrent_builds():
+    # four threads build an order no other test builds, at once
+    n, results, errors = 14, [], []
+
+    def build():
+        try:
+            results.append(tuple(_srepr_of(builder(n)) for builder in MEMOISED))
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 4 and len(set(results)) == 1
