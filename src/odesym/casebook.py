@@ -356,7 +356,7 @@ def _case_c5() -> CaseReport:
     L4_sym = natural_lagrangian(4, sym)
 
     def check_family(tag, ctx, vf_name, extra_q_claims=()):
-        lag = Lagrangian(ctx.reduce(L4_sym.density), 2)
+        lag = Lagrangian(ctx._reduce_pair(L4_sym.pair), 2)
         vf = generators(4).specialize(ctx).by_name()[vf_name]
         verdict = variational_check(vf, lag, ctx)
         rec.check(tag, verdict.holds, verdict.pair, f"variational-family-{tag}")

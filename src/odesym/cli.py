@@ -193,23 +193,19 @@ def _check_json_path(path) -> None:
 
 def _cmd_generators(args) -> int:
     gens = maxsym.generators(args.n).by_name()
-    fields = {name: (canon(vf.xi), canon(vf.psi)) for name, vf in gens.items()}
     if args.json:
-        objects = [
-            (f"{name}.{part}", e) for name, xp in fields.items() for part, e in zip(("xi", "psi"), xp)
-        ]
+        objects = [(f"{name}.{p}", getattr(vf, p)) for name, vf in gens.items() for p in ("xi", "psi")]
         _deliver(_object_report(None, objects), args)
     else:
-        for name, (xi, psi) in fields.items():
-            print(f"{name} = ({render(xi)}) d/dx + ({render(psi)}) d/dy")
+        for name, vf in gens.items():
+            print(f"{name} = ({render(vf.xi)}) d/dx + ({render(vf.psi)}) d/dy")
     return 0
 
 
 def _cmd_build_lode(args) -> int:
     q_expr = _parse_q(args.q)
-    delta = maxsym.build_lode(args.n).delta
-    if q_expr is not None:
-        delta = _specialized(delta, q_expr)
+    eq = maxsym.build_lode(args.n)
+    delta = eq.delta if q_expr is None else _specialized(eq.pair, q_expr)
     if args.json:
         _deliver(_object_report(None, [(f"Delta{args.n}", delta)]), args)
     else:
@@ -218,12 +214,7 @@ def _cmd_build_lode(args) -> int:
 
 
 def _cmd_lagrangian(args) -> int:
-    builders = {
-        "canonical": maxsym.canonical_lagrangian,
-        "transformed": maxsym.transformed_lagrangian,
-        "natural": maxsym.natural_lagrangian,
-    }
-    density = canon(builders[args.kind](args.n).density)
+    density = getattr(maxsym, f"{args.kind}_lagrangian")(args.n).density
     if args.json:
         _deliver(_object_report(None, [(f"L{args.n}.{args.kind}", density)]), args)
     else:
@@ -268,7 +259,7 @@ def _cmd_first_integral(args) -> int:
     eq = maxsym.build_lode(args.n, ctx)
     if q_expr is not None:
         _reject_solution_symbols(args.q, vf.xi, vf.psi)
-        eq = DiffEq(_specialized(eq.delta, q_expr), args.n)
+        eq = DiffEq(_specialized(eq.pair, q_expr), args.n)
         ctx = None
     try:
         result = noether.first_integral(vf, eq, ctx)
@@ -292,7 +283,7 @@ def _cmd_transform(args) -> int:
             if args.order is None:
                 raise UsageError("--eq needs --order n")
             eq = DiffEq(_parse_expr(args.eq), args.order)
-            objects = [("Delta", canon(transform.transform_equation(eq, sigma).delta))]
+            objects = [("Delta", canon(transform.transform_equation(eq, sigma).pair))]
         elif args.lagrangian is not None:
             if args.order is None:
                 raise UsageError("--lagrangian needs --order m")

@@ -256,10 +256,11 @@ class RingFraction:
     :func:`canon`, computed once per generator set; the pair is not
     reduced.  Operators keep values in this form between steps, and
     :func:`canon`, :func:`zero_test` and :func:`numeric_witness` take one
-    directly.  Equations and Lagrangians carry the pair of their tree
-    (``pair``), lifted once, and every value enters a ring through
-    :func:`_lift`, which moves a pair of another ring by its exponent
-    tuples instead of lifting its expression again.
+    directly.  An equation or a Lagrangian holds its pair (``pair``) as
+    its primary value, built from a pair or lifted once from an
+    expression, and prints its tree only when that is read.  Every value
+    enters a ring through :func:`_lift`, which moves a pair of another
+    ring by its exponent tuples instead of lifting its expression again.
     """
 
     __slots__ = ("num", "den")
@@ -304,6 +305,11 @@ class RingFraction:
     def _sympy_(self) -> sp.Expr:
         """``sp.sympify`` of a pair is its expression."""
         return self.as_expr()
+
+    def __repr__(self) -> str:
+        """The pair's expression, so that an equation or a Lagrangian given
+        as a pair reads as its value."""
+        return f"{type(self).__name__}({self.as_expr()})"
 
 
 def _by_degree(p, i) -> dict:

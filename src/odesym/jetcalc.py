@@ -36,8 +36,11 @@ tables, a node's rate given by the chain rule in each.  The Euler
 operator and the Frechet adjoint sum (-D_x)^k t_k by Horner, one D_x
 step per term.  Every input enters the algebra through
 :func:`exprcore._lift`: a tree is lifted, a pair is moved by its
-exponent tuples.  An equation or a Lagrangian carries its tree's pair
-(``pair``), so the n+4 checks of a table lift it once.  The inverse total
+exponent tuples.  An equation or a Lagrangian is given as an expression
+or a pair, and its pair (``pair``) is its primary value: the n+4 checks of
+a table take it as it is, an equation is validated on it once (a degree
+test in y^(n)), and the tree (``delta``, ``density``) is a print, made
+only when it is read.  The inverse total
 derivative peels in such an algebra too, grown only when a piece needs a
 generator it lacks (its remainder is moved there as a pair); each piece
 becomes an expression for the result, and sympy's Risch integrator is
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 
@@ -221,9 +224,12 @@ class _RingAlgebra:
 
 
 def _rates_key(rates) -> tuple:
+    """The rate table as a key: each rate an expression, or a pair as it
+    is (a pair compares by identity)."""
     if not rates:
         return ()
-    return tuple(sorted(((s, sp.sympify(r)) for s, r in rates.items()), key=lambda kv: kv[0].name))
+    items = ((s, r if isinstance(r, RingFraction) else sp.sympify(r)) for s, r in rates.items())
+    return tuple(sorted(items, key=lambda kv: kv[0].name))
 
 
 @functools.lru_cache(maxsize=64)
@@ -272,9 +278,10 @@ def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:
 
 
 def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list:
-    """[e, D e, ..., D^order e] for D = scale * D_x, as values of one algebra,
-    each step cancelled in the ring; no rung is printed."""
-    e, scale = sp.sympify(e), sp.sympify(scale)
+    """[e, D e, ..., D^order e] for D = scale * D_x, e an expression or a
+    pair, as values of one algebra, each step cancelled in the ring; no
+    rung is printed."""
+    e, scale = e if isinstance(e, RingFraction) else sp.sympify(e), sp.sympify(scale)
     J = _algebra(rates, (e, order), (scale, order))
     ladder, s = [J.lift(e)], J.lift(scale)
     for _ in range(order):
@@ -385,61 +392,86 @@ def _prolonged_action(v: VectorField, e, rates) -> tuple:
 
 
 @dataclass(frozen=True)
-class Lagrangian:
-    """Lagrangian density with its declared jet order; ``pair`` is the
-    density lifted into the ring once, for every operator that takes it."""
+class _Given:
+    """An object given as an expression or a pair (``value``) with a
+    declared order; ``pair`` is the value in the ring, lifted when first
+    read if an expression was given."""
 
-    density: sp.Expr
+    value: sp.Expr | RingFraction
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "density", sp.sympify(self.density))
-        if max_jet_order(self.density) > self.order:
-            raise ValueError(
-                f"density has jet order {max_jet_order(self.density)} > declared {self.order}"
-            )
+        if not isinstance(self.value, RingFraction):
+            object.__setattr__(self, "value", sp.sympify(self.value))
 
     @functools.cached_property
     def pair(self) -> RingFraction:
-        return RingFraction.from_expr(self.density)
+        return self.value if isinstance(self.value, RingFraction) else RingFraction.from_expr(self.value)
 
 
 @dataclass(frozen=True)
-class DiffEq:
-    """Differential function Delta of declared order n, solvable for y^(n);
-    ``pair`` is Delta lifted into the ring once."""
-
-    delta: sp.Expr
-    order: int
-    leading: sp.Expr = field(init=False)
+class Lagrangian(_Given):
+    """Lagrangian density with its declared jet order, given as an
+    expression or a pair; ``pair`` is taken by every operator, and
+    ``density`` is the expression given, or the pair's print, made when
+    first read."""
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", sp.sympify(self.delta))
-        if self.order < 1 or max_jet_order(self.delta) != self.order:
-            raise ValueError(f"declared order {self.order} does not match {self.delta}")
-        lead = sp.diff(self.delta, JET[self.order])
-        if sp.diff(lead, JET[self.order]) != 0:
-            raise ValueError("equation is not linear in its top derivative")
-        lead = exprcore._canonical_pair(lead)
-        if zero_test(lead):
-            raise ValueError("leading coefficient is identically zero")
-        object.__setattr__(self, "leading", lead.as_expr())
+        super().__post_init__()
+        if max_jet_order(self.value) > self.order:
+            raise ValueError(f"density has jet order {max_jet_order(self.value)} > declared {self.order}")
 
     @functools.cached_property
-    def pair(self) -> RingFraction:
-        return RingFraction.from_expr(self.delta)
+    def density(self) -> sp.Expr:
+        return self.value.as_expr() if isinstance(self.value, RingFraction) else self.value
+
+
+@dataclass(frozen=True)
+class DiffEq(_Given):
+    """Differential function Delta of declared order n, solvable for y^(n),
+    given as an expression or a pair.
+
+    Validated once, on ``pair``: its numerator, split by degree in y^(n),
+    must be linear with a nonzero coefficient, and y^(n) must enter neither
+    the denominator nor a node.  The y^(n) coefficient and the solved rhs
+    come from that split as canonical pairs.  ``delta`` (the expression
+    given, or the pair's expanded print), ``leading`` and ``solved_rhs()``
+    are prints, made when first read.  The declared order is tested on the
+    value as given, so a lead that cancels in the ring is reported as zero.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.order < 1 or max_jet_order(self.value) != self.order:
+            raise ValueError(f"declared order {self.order} does not match {self.delta}")
+        f, top = self.pair, JET[self.order]
+        split = exprcore._by_degree(f.num, f.num.ring.symbols.index(top)) if top in f.free_symbols else {}
+        if max(split, default=0) > 1 or not _polynomial_in(f, top):
+            raise ValueError("equation is not linear in its top derivative")
+        lead = exprcore._canonical_pair(RingFraction(split.get(1, f.num.ring.zero), f.den))
+        if zero_test(lead):
+            raise ValueError("leading coefficient is identically zero")
+        rhs = exprcore._canonical_pair(RingFraction(-split.get(0, f.num.ring.zero), split[1]))
+        object.__setattr__(self, "_lead_and_rhs", (lead, rhs))
+
+    @functools.cached_property
+    def delta(self) -> sp.Expr:
+        return sp.expand(self.value.as_expr()) if isinstance(self.value, RingFraction) else self.value
+
+    @functools.cached_property
+    def leading(self) -> sp.Expr:
+        return self._lead_and_rhs[0].as_expr()
 
     def monic(self) -> "DiffEq":
         return DiffEq(canon(self.delta / self.leading), self.order)
 
     def solved_rhs(self) -> sp.Expr:
-        """y^(n) = rhs on solutions, computed once per equation."""
+        """y^(n) = rhs on solutions, printed once per equation."""
         return self._rhs
 
     @functools.cached_property
     def _rhs(self) -> sp.Expr:
-        rest = self.delta - self.leading * JET[self.order]
-        return canon(-rest / self.leading)
+        return self._lead_and_rhs[1].as_expr()
 
 
 def substitute_solved(e, eq: DiffEq, rates: dict | None = None) -> sp.Expr:
@@ -452,8 +484,9 @@ def substitute_solved(e, eq: DiffEq, rates: dict | None = None) -> sp.Expr:
 def _on_shell(e, eq: DiffEq, rates) -> RingFraction:
     """e (an expression or a pair) on solutions of y^(n) = rhs, as a pair:
     under the on-shell rate D_x y^(n-1) = rhs, the ladder of rhs images
-    y^(n), y^(n+1), ..., substituted in the ring."""
-    n, rhs = eq.order, eq.solved_rhs()
+    y^(n), y^(n+1), ..., substituted in the ring; rhs is the equation's
+    pair, never printed."""
+    n, rhs = eq.order, eq._lead_and_rhs[1]
     onshell = {**(rates or {}), JET[n - 1]: rhs}
     return exprcore._substituted(e, ladder_images(JET[n:], rhs, exprcore._generators(e), onshell))
 

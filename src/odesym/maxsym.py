@@ -37,6 +37,7 @@ from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
+    _euler,
     apply_prolongation,
     euler,
     ladder_images,
@@ -231,7 +232,8 @@ def solution_basis(n: int) -> list:
 
 @functools.lru_cache(maxsize=_ORDERS)
 def generators(n: int) -> GeneratorSet:
-    """Generators V_0..V_{n-1}, W_y, F_n, G_n, H_n in terms of u and v."""
+    """Generators V_0..V_{n-1}, W_y, F_n, G_n, H_n in terms of u and v,
+    each component in the form :func:`canon` prints."""
     if n < 2:
         raise BadOrder(f"order must be >= 2, got {n}")
     u, u1 = SOL_U[0], SOL_U[1]
@@ -246,7 +248,7 @@ def generators(n: int) -> GeneratorSet:
         homogeneity=VectorField(0, y, name="Wy"),
         special=(
             VectorField(u**2, (n - 1) * u * u1 * y, name=f"F{n}"),
-            VectorField(2 * u * v, (n - 1) * (u * v1 + u1 * v) * y, name=f"G{n}"),
+            VectorField(2 * u * v, (n - 1) * (u * v1 * y + u1 * v * y), name=f"G{n}"),
             VectorField(-(v**2), -(n - 1) * v * v1 * y, name=f"H{n}"),
         ),
     )
@@ -290,7 +292,7 @@ def build_lode(n: int, ctx: SourceContext | None = None) -> DiffEq:
     ctx = ctx or SourceContext.make_symbolic()
     sigma = source_transformation(n, ctx)
     eq = _transform.transform_equation(DiffEq(JET[n], n), sigma)
-    if ctx.symbolic and eq.delta.free_symbols & (set(SOL_U) | set(SOL_V)):
+    if ctx.symbolic and _generators(eq.pair) & (set(SOL_U) | set(SOL_V)):
         raise EliminationFailed(eq.delta)
     return eq
 
@@ -317,7 +319,7 @@ def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangi
         raise OddOrder(f"no Lagrangian construction for odd order {n}")
     sigma = source_transformation(n, ctx)
     L = _transform.transform_lagrangian(canonical_lagrangian(n), sigma)
-    return Lagrangian(ctx.reduce(L.density), n // 2)
+    return Lagrangian(ctx._reduce_pair(L.pair), n // 2)
 
 
 @_memoised_by_order
@@ -332,8 +334,8 @@ def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
     if n % 2:
         raise OddOrder(f"no Lagrangian construction for odd order {n}")
     if ctx is not None and not ctx.symbolic:
-        return Lagrangian(ctx.reduce(natural_lagrangian(n).density), n // 2)
-    target = euler(JET[0] * build_lode(n).delta / 2)
+        return Lagrangian(ctx._reduce_pair(natural_lagrangian(n).pair), n // 2)
+    target = _euler(None, JET[0] / 2, build_lode(n).pair).as_expr()
     dens = sp.Integer(0)
     for m in range(n // 2, -1, -1):
         square = (-1) ** m * sp.diff(target, JET[2 * m]) / 2 * JET[m] ** 2

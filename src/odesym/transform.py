@@ -4,7 +4,9 @@ A transformation sigma = (zeta(x,y), phi(x,y)) reads: the new independent
 variable is z = zeta, the new dependent variable is w = phi.  Objects
 written in (z, w)-jet coordinates use the same atom family as the source
 side; transforming substitutes the jet images z -> zeta, w^(k) -> image
-into the object's pair, all at once, and prints the canonical result once.
+into the object's pair, all at once.  The image of an equation or a
+Lagrangian is passed on as its canonical pair, printed only when read;
+every other result is printed once from its canonical pair.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sympy as sp
 
 from . import exprcore
 from .exprcore import JET, X, RingFraction, canon, max_jet_order, zero_test
-from .jetcalc import DiffEq, Lagrangian, VectorField, _polynomial_in, dx_fixed_jets, ladder_images
+from .jetcalc import DiffEq, Lagrangian, VectorField, dx_fixed_jets, ladder_images
 
 
 class SingularMap(ValueError):
@@ -101,13 +103,11 @@ def _image(f, sigma: PointTransformation, weight=1) -> "exprcore._CanonicalPair"
 
 def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
     """Image of an equation written in (z, w), normalized monic in y^(n):
-    the numerator over its y^(n) coefficient, read by a degree test."""
-    f, top = _image(eq.pair, sigma), JET[eq.order]
-    by_degree = exprcore._by_degree(f.num, f.num.ring.symbols.index(top)) if top in f.free_symbols else {}
-    if max(by_degree, default=0) != 1 or not _polynomial_in(f, top):
-        raise SingularMap("transformed equation is nonlinear in its top derivative")
-    monic = exprcore._canonical_pair(RingFraction(f.num, by_degree[1]))
-    return DiffEq(sp.expand(monic.as_expr()), eq.order)
+    the numerator over its y^(n) coefficient, read by a degree test.  A
+    map with a nonzero Jacobian keeps the equation linear in y^(n)."""
+    f = _image(eq.pair, sigma)
+    lead = exprcore._by_degree(f.num, f.num.ring.symbols.index(JET[eq.order]))[1]
+    return DiffEq(exprcore._canonical_pair(RingFraction(f.num, lead)), eq.order)
 
 
 def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
@@ -148,7 +148,7 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
 def transform_lagrangian(L: Lagrangian, sigma: PointTransformation) -> Lagrangian:
     """Image density L(jet images) * D_x zeta, same declared order."""
     density = _image(L.pair, sigma, sigma.zeta_x + sigma.zeta_y() * JET[1])
-    return Lagrangian(density.as_expr(), max(L.order, max_jet_order(density)))
+    return Lagrangian(density, max(L.order, max_jet_order(density)))
 
 
 def transform_first_integral(F, sigma: PointTransformation) -> sp.Expr:

@@ -29,3 +29,18 @@ def forbid_lifts(monkeypatch):
         raise AssertionError(f"residual lifted into the ring again: {e}")
 
     return lambda: monkeypatch.setattr(exprcore.RingFraction, "from_expr", staticmethod(lift))
+
+
+@pytest.fixture
+def forbid_prints(monkeypatch):
+    """A call that makes every later print of a pair that holds a derivative
+    of y (``RingFraction.as_expr``, which ``sp.sympify`` of a pair calls)
+    fail: an equation or a density printed into a tree."""
+    original = exprcore.RingFraction.as_expr
+
+    def as_expr(f):
+        if exprcore.max_jet_order(f) > 0:
+            raise AssertionError(f"a pair of jet order {exprcore.max_jet_order(f)} was printed into a tree")
+        return original(f)
+
+    return lambda: monkeypatch.setattr(exprcore.RingFraction, "as_expr", as_expr)

@@ -380,6 +380,21 @@ def test_zero_denominator_in_input_is_usage_error(capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+ZERO = "(ln(x*y)-ln(x)-ln(y))"  # 0 in the ring
+
+
+@pytest.mark.parametrize("eq, order, err", [
+    (f"y3*{ZERO}+y", "3", "leading coefficient is identically zero"),
+    (f"y3*{ZERO}+y", "2", "declared order 2 does not match y + y3*(-log(x) - log(y) + log(x*y))"),
+    ("y3^2+y", "3", "equation is not linear in its top derivative"),
+    (f"y3 + 1/{ZERO}", "3", "zero base of a negative power in 1/(-log(x) - log(y) + log(x*y))"),
+], ids=["zero-lead", "order", "nonlinear-top", "zero-denominator"])
+def test_equation_errors_keep_their_messages(capsys, eq, order, err):
+    # the declared order is tested on the input as given, before its lead cancels in the ring
+    for argv in (("check", "--kind", "lie", "--vf", "0;y"), ("transform", "--map", "z=x; w=y^2")):
+        assert run(capsys, *argv, "--eq", eq, "--order", order) == (2, "", f"error: {err}\n")
+
+
 def test_order_above_jet_registry_is_bad_order(capsys):
     code, _, err = run(capsys, "generators", "--n", "25")
     assert code == 2

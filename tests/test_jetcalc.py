@@ -258,6 +258,39 @@ def test_diffeq_validation():
     assert canon(eq.solved_rhs() + y / 2) == 0
 
 
+# zero on the domain, but not in the ring: only the zero test sees it
+HIDDEN_ZERO = sp.sqrt(X + 1) * sp.sqrt(X + 2) - sp.sqrt(X**2 + 3 * X + 2)
+
+
+@pytest.mark.parametrize("delta", [
+    y3 + q * y1,
+    y3 * y2 + y,
+    2 * y3 / (X + y) - y1**2 / y,
+    (X * y3 + y) / (y2 + 1),
+    sp.log(y2) * y3 + sp.sqrt(y1),
+], ids=["polynomial", "jet-lead", "denominator", "lead-over-jets", "nodes"])
+def test_diffeq_of_a_pair_matches_its_print(delta):
+    pair = exprcore.RingFraction.from_expr(delta)
+    given, printed = DiffEq(pair, 3), DiffEq(pair.as_expr(), 3)
+    assert sp.srepr(given.leading) == sp.srepr(printed.leading)
+    assert sp.srepr(given.solved_rhs()) == sp.srepr(printed.solved_rhs())
+
+
+@pytest.mark.parametrize("delta, order, message", [
+    (y2 + q * y, 3, "declared order 3 does not match q*y + y2"),
+    (y3**2 + y, 3, "equation is not linear in its top derivative"),
+    (y3 / (y3 + 1) + y, 3, "equation is not linear in its top derivative"),
+    (sp.log(y3) + y, 3, "equation is not linear in its top derivative"),
+    (HIDDEN_ZERO * y3 + y, 3, "leading coefficient is identically zero"),
+], ids=["order", "square", "denominator", "node", "zero-lead"])
+def test_diffeq_of_a_pair_refuses_as_its_print(delta, order, message):
+    pair = exprcore.RingFraction.from_expr(delta)
+    for value in (pair, pair.as_expr()):
+        with pytest.raises(ValueError) as err:
+            DiffEq(value, order)
+        assert str(err.value) == message
+
+
 # --- randomized property suites -------------------------------------------
 
 def _random_jet_poly(rng, max_order=3, terms=3):

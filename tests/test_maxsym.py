@@ -23,7 +23,7 @@ from odesym.maxsym import (
     specialize_q,
     transformed_lagrangian,
 )
-from odesym.noether import lie_symmetry_check
+from odesym.noether import divergence_check, lie_symmetry_check, variational_check
 
 y, y1, y2, y3, y4 = JET[:5]
 u, u1, u2 = SOL_U[0], SOL_U[1], SOL_U[2]
@@ -344,3 +344,29 @@ def test_memo_under_concurrent_builds():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(results) == 4 and len(set(results)) == 1
+
+
+def test_memoised_values_stay_frozen():
+    eq, lag = build_lode(4), transformed_lagrangian(4)
+    before = _srepr_of(eq), _srepr_of(lag)
+    for obj, name in ((eq, "delta"), (eq, "leading"), (eq, "order"), (lag, "density"), (lag, "value")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, y)
+    assert (_srepr_of(eq), _srepr_of(lag)) == before
+
+
+def _verdicts(n, eq, lag, ctx):
+    checks = ((lie_symmetry_check, eq), (divergence_check, eq), (variational_check, lag))
+    return [tuple(check(vf, obj, ctx).holds for check, obj in checks) for vf in generators(n)]
+
+
+def test_builds_and_checks_print_no_equation_or_density(forbid_prints):
+    # Delta_6 and the transformed L_6 built afresh, and the n+4 checks of each
+    # kind on them, run on pairs; the memoised objects give the same verdicts
+    n = 6
+    expected = _verdicts(n, build_lode(n), transformed_lagrangian(n), CTX)
+    forbid_prints()
+    ctx = SourceContext.make_symbolic()
+    eq, lag = build_lode.__wrapped__(n, ctx), transformed_lagrangian.__wrapped__(n, ctx)
+    assert _verdicts(n, eq, lag, ctx) == expected
+    assert [name for name, (_, div, _) in zip(generators(n).by_name(), expected) if not div] == ["Wy"]

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -6,7 +9,14 @@ import sympy as sp
 from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, UnsupportedForm, canon, zero_test
 from odesym.jetcalc import DiffEq, Lagrangian, VectorField, total_derivative
 from odesym.casebook import example_map
-from odesym.maxsym import SourceContext, build_lode, generators, source_transformation
+from odesym.maxsym import (
+    SourceContext,
+    build_lode,
+    generators,
+    natural_lagrangian,
+    source_transformation,
+    transformed_lagrangian,
+)
 from odesym.noether import divergence_check
 from odesym.transform import (
     MissingInverse,
@@ -216,14 +226,17 @@ def _equation_by_tree(eq, sigma):
     return sp.expand(canon(delta / lead))
 
 
-@pytest.mark.parametrize("sigma, eq", [
-    (LOG_MAP, DiffEq(y4, 4)),
-    (LOG_MAP, DiffEq(y3 + X * y1 + y**2, 3)),
-    (XY_MAP, DiffEq(y3 + y1, 3)),
-    (XY_MAP, DiffEq(y2 + sp.log(y1) * y, 2)),
-    (RADICAL_MAP, DiffEq(y2 + sp.sqrt(y1) * y, 2)),
-    *((source_transformation(n, CTX), DiffEq(JET[n], n)) for n in (2, 3, 5)),
-], ids=["log-y4", "log-mixed", "x+y", "x+y-node", "radical", "source-2", "source-3", "source-5"])
+EQUATIONS = {
+    "log-y4": (LOG_MAP, DiffEq(y4, 4)),
+    "log-mixed": (LOG_MAP, DiffEq(y3 + X * y1 + y**2, 3)),
+    "x+y": (XY_MAP, DiffEq(y3 + y1, 3)),
+    "x+y-node": (XY_MAP, DiffEq(y2 + sp.log(y1) * y, 2)),
+    "radical": (RADICAL_MAP, DiffEq(y2 + sp.sqrt(y1) * y, 2)),
+    **{f"source-{n}": (source_transformation(n, CTX), DiffEq(JET[n], n)) for n in (2, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("sigma, eq", EQUATIONS.values(), ids=EQUATIONS.keys())
 def test_transform_equation_matches_tree_reference(sigma, eq):
     assert sp.srepr(transform_equation(eq, sigma).delta) == sp.srepr(_equation_by_tree(eq, sigma))
     weight = sigma.zeta_x * sigma.phi_y()
@@ -231,14 +244,20 @@ def test_transform_equation_matches_tree_reference(sigma, eq):
     assert sp.srepr(transform_equation_covariant(eq, sigma).delta) == sp.srepr(covariant)
 
 
-@pytest.mark.parametrize("sigma, L", [
-    *((source_transformation(n, CTX), Lagrangian(JET[n // 2] ** 2 / 2, n // 2)) for n in range(2, 9)),
-    (LOG_MAP, Lagrangian(y2**2 / 2, 2)),
-    (XY_MAP, Lagrangian(sp.log(y1), 1)),
-    (XY_MAP, Lagrangian(sp.log(y1) * y + X * y1**2, 1)),
-    (RADICAL_MAP, Lagrangian(sp.sqrt(y1), 1)),
-    (RADICAL_MAP, Lagrangian(sp.sqrt(y1) * y + X * y1**2, 1)),
-], ids=[*(f"source-{n}" for n in range(2, 9)), "log", "x+y-ln", "x+y-mixed", "radical", "radical-mixed"])
+LAGRANGIANS = {
+    **{
+        f"source-{n}": (source_transformation(n, CTX), Lagrangian(JET[n // 2] ** 2 / 2, n // 2))
+        for n in range(2, 9)
+    },
+    "log": (LOG_MAP, Lagrangian(y2**2 / 2, 2)),
+    "x+y-ln": (XY_MAP, Lagrangian(sp.log(y1), 1)),
+    "x+y-mixed": (XY_MAP, Lagrangian(sp.log(y1) * y + X * y1**2, 1)),
+    "radical": (RADICAL_MAP, Lagrangian(sp.sqrt(y1), 1)),
+    "radical-mixed": (RADICAL_MAP, Lagrangian(sp.sqrt(y1) * y + X * y1**2, 1)),
+}
+
+
+@pytest.mark.parametrize("sigma, L", LAGRANGIANS.values(), ids=LAGRANGIANS.keys())
 def test_transform_lagrangian_matches_tree_reference(sigma, L):
     dz = sigma.zeta_x + sigma.zeta_y() * y1
     reference = canon(_substituted_by_tree(L.density, sigma) * dz)
@@ -269,22 +288,81 @@ def test_pushforward_of_c6_generators_matches_tree_reference():
 INTEGRALS = (y3, y * y1**2 + X * y2, y2 / y1 + sp.exp(X) * y, sp.exp(y1) * y)
 
 
-@pytest.mark.parametrize("sigma, integrals", [
-    *((sigma, INTEGRALS) for sigma in (LOG_MAP, XY_MAP, source_transformation(3, CTX))),
-    (RADICAL_MAP, (sp.sqrt(y1), y * sp.sqrt(y1) + X * y1**2, 1 / sp.sqrt(y1))),
-], ids=["log", "x+y", "source-3", "radical"])
+INTEGRAL_MAPS = {
+    "log": (LOG_MAP, INTEGRALS),
+    "x+y": (XY_MAP, INTEGRALS),
+    "source-3": (source_transformation(3, CTX), INTEGRALS),
+    "radical": (RADICAL_MAP, (sp.sqrt(y1), y * sp.sqrt(y1) + X * y1**2, 1 / sp.sqrt(y1))),
+}
+
+
+@pytest.mark.parametrize("sigma, integrals", INTEGRAL_MAPS.values(), ids=INTEGRAL_MAPS.keys())
 def test_transform_first_integral_matches_tree_reference(sigma, integrals):
     for F in integrals:
         reference = canon(_substituted_by_tree(F, sigma))
         assert sp.srepr(transform_first_integral(F, sigma)) == sp.srepr(reference), F
 
 
+# exp(x^2 + 1) prints as E*exp(x^2): the constant E is a generator too
+OUTER_MAPS = (XY_MAP, PointTransformation(X**2 + 1, sp.exp(X) * y), PointTransformation(2 * X, y + X**2))
+
+
 def test_compose_matches_tree_reference():
-    # exp(x^2 + 1) prints as E*exp(x^2): the constant E is a generator too
-    outers = (XY_MAP, PointTransformation(X**2 + 1, sp.exp(X) * y), PointTransformation(2 * X, y + X**2))
-    for outer in outers:
-        for inner in (LOG_MAP, *outers):
+    for outer in OUTER_MAPS:
+        for inner in (LOG_MAP, *OUTER_MAPS):
             combined = compose(outer, inner)
             subs = inner.base_substitution()
             for got, c in ((combined.zeta, outer.zeta), (combined.phi, outer.phi)):
                 assert sp.srepr(got) == sp.srepr(canon(c.xreplace(subs)))
+
+
+# --- pins of the printed objects: a sha256 of each srepr ---
+
+OBJECT_PRINTS = pathlib.Path(__file__).parent / "data" / "objects_srepr.json"
+
+
+def _equation_prints(name, eq) -> dict:
+    return {f"{name}.delta": eq.delta, f"{name}.leading": eq.leading, f"{name}.rhs": eq.solved_rhs()}
+
+
+def _object_prints() -> dict:
+    """The digest of each pinned print by name: Delta_n and the Lagrangians
+    (symbolic and at q = 0), and the outputs of the tree-reference corpus."""
+    out, zero_q = {}, SourceContext.zero_q()
+    for n in range(2, 15):
+        out.update(_equation_prints(f"Delta{n}", build_lode(n)))
+    for n in range(2, 15, 2):
+        out[f"L{n}.transformed"] = transformed_lagrangian(n).density
+        out[f"L{n}.natural"] = natural_lagrangian(n).density
+    for n in range(2, 7):
+        out.update(_equation_prints(f"Delta{n}.zero-q", build_lode(n, zero_q)))
+    for n in (2, 4, 6):
+        out[f"L{n}.transformed.zero-q"] = transformed_lagrangian(n, zero_q).density
+        out[f"L{n}.natural.zero-q"] = natural_lagrangian(n, zero_q).density
+    for name, (sigma, eq) in EQUATIONS.items():
+        for kind, image in (("monic", transform_equation(eq, sigma)),
+                            ("covariant", transform_equation_covariant(eq, sigma))):
+            out.update(_equation_prints(f"{kind}.{name}", image))
+            out[f"{kind}.{name}.monic"] = image.monic().delta
+    for name, (sigma, L) in LAGRANGIANS.items():
+        out[f"lagrangian.{name}"] = transform_lagrangian(L, sigma).density
+    for name, v in generators(4).specialize(zero_q).by_name().items():
+        image = pushforward(v, example_map())
+        out[f"pushforward.{name}.xi"], out[f"pushforward.{name}.psi"] = image.xi, image.psi
+    for name, (sigma, integrals) in INTEGRAL_MAPS.items():
+        for k, F in enumerate(integrals):
+            out[f"integral.{name}.{k}"] = transform_first_integral(F, sigma)
+    for i, outer in enumerate(OUTER_MAPS):
+        for j, inner in enumerate((LOG_MAP, *OUTER_MAPS)):
+            combined = compose(outer, inner)
+            out[f"compose.{i}.{j}.zeta"], out[f"compose.{i}.{j}.phi"] = combined.zeta, combined.phi
+    return {name: hashlib.sha256(sp.srepr(e).encode()).hexdigest() for name, e in out.items()}
+
+
+def test_object_prints_match_pins():
+    # the pins were written by the code that printed every object into a tree
+    assert _object_prints() == json.loads(OBJECT_PRINTS.read_text())
+
+
+if __name__ == "__main__":  # python tests/test_transform.py writes the pin file
+    OBJECT_PRINTS.write_text(json.dumps(_object_prints(), indent=1, sort_keys=True) + "\n")
