@@ -256,11 +256,14 @@ class RingFraction:
     :func:`canon`, computed once per generator set; the pair is not
     reduced.  Operators keep values in this form between steps, and
     :func:`canon`, :func:`zero_test` and :func:`numeric_witness` take one
-    directly.  An equation or a Lagrangian holds its pair (``pair``) as
-    its primary value, built from a pair or lifted once from an
-    expression, and prints its tree only when that is read.  Every value
-    enters a ring through :func:`_lift`, which moves a pair of another
-    ring by its exponent tuples instead of lifting its expression again.
+    directly.  An equation, a Lagrangian or a vector field holds its pairs
+    as its primary value, built from pairs or lifted once from
+    expressions, and prints its trees only when they are read.  Every
+    value enters a ring through :func:`_lift`, which moves a pair of
+    another ring by its exponent tuples instead of lifting its expression
+    again.  The operands of ``+``, ``-`` and ``*`` meet in one ring: a pair
+    of another ring, or an expression, moves with this pair into the ring
+    of both operands' generators, and two pairs of one ring stay there.
     """
 
     __slots__ = ("num", "den")
@@ -273,7 +276,16 @@ class RingFraction:
         """e in the ring of its generators."""
         return _lift(e, _ring(_generators(e)))
 
+    def _with(self, other) -> tuple:
+        """self and other (a pair or an expression) in one ring."""
+        R, pair = self.num.ring, isinstance(other, RingFraction)
+        if pair and other.num.ring is R:
+            return self, other
+        U = _ring({*R.symbols, *(other.num.ring.symbols if pair else _generators(other))})
+        return _lift(self, U), _lift(other, U)
+
     def __add__(self, other):
+        self, other = self._with(other)
         a, b = self.den, other.den
         if a == b:
             return RingFraction(self.num + other.num, a)
@@ -287,6 +299,7 @@ class RingFraction:
         return self + -other
 
     def __mul__(self, other):
+        self, other = self._with(other)
         return RingFraction(self.num * other.num, self.den * other.den)
 
     @property

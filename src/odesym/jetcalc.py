@@ -40,11 +40,15 @@ exponent tuples.  An equation or a Lagrangian is given as an expression
 or a pair, and its pair (``pair``) is its primary value: the n+4 checks of
 a table take it as it is, an equation is validated on it once (a degree
 test in y^(n)), and the tree (``delta``, ``density``) is a print, made
-only when it is read.  The inverse total
-derivative peels in such an algebra too, grown only when a piece needs a
-generator it lacks (its remainder is moved there as a pair); each piece
-becomes an expression for the result, and sympy's Risch integrator is
-left only for log-type antiderivatives.
+only when it is read.  A vector field holds its two coefficients the same
+way: ``pairs`` is lifted when first read, ``xi`` and ``psi`` are
+prints, and its prolongation, prolonged action and the characteristic
+pair psi - xi*y1 that the checks take are formed from its pairs (pairs of
+two rings meet in one ring, by :class:`exprcore.RingFraction` arithmetic).
+The inverse total derivative peels in such an algebra too, grown only
+when a piece needs a generator it lacks (its remainder is moved there as
+a pair); each piece becomes an expression for the result, and sympy's
+Risch integrator is left only for log-type antiderivatives.
 """
 
 from __future__ import annotations
@@ -308,35 +312,67 @@ def ladder_images(family, root, used, rates: dict | None = None, scale=1) -> dic
 
 def dx_fixed_jets(e, rates: dict | None = None) -> sp.Expr:
     """x-derivative through coefficient functions only, jets held fixed."""
-    e = sp.sympify(e)
+    return _dx_fixed(sp.sympify(e), rates).as_expr()
+
+
+def _dx_fixed(e, rates) -> RingFraction:
+    """The pair of :func:`dx_fixed_jets` of e, an expression or a pair."""
     J = _algebra(rates, (e, 1))
-    return J.dx(J.lift(e), J.fixed).as_expr()
+    return J.dx(J.lift(e), J.fixed)
+
+
+def _as_pair(value) -> RingFraction:
+    """A value given as an expression or a pair, as a pair: an expression is
+    lifted into the ring of its generators."""
+    return value if isinstance(value, RingFraction) else RingFraction.from_expr(value)
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Point vector field xi(x,y) d/dx + psi(x,y) d/dy."""
+    """Point vector field xi(x,y) d/dx + psi(x,y) d/dy, each coefficient
+    given as an expression or a pair.
 
-    xi: sp.Expr
-    psi: sp.Expr
+    ``pairs`` (xi, psi) is the primary value, an expression lifted when
+    first read (a hidden zero denominator raises there); every operator
+    takes it as it is.  ``xi`` and ``psi`` are the values given, or the
+    pairs' prints, made when first read.
+    """
+
+    xi_value: sp.Expr | RingFraction
+    psi_value: sp.Expr | RingFraction
     name: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", sp.sympify(self.xi))
-        object.__setattr__(self, "psi", sp.sympify(self.psi))
-        for c in (self.xi, self.psi):
+        for attr in ("xi_value", "psi_value"):
+            c = getattr(self, attr)
+            if not isinstance(c, RingFraction):
+                object.__setattr__(self, attr, c := sp.sympify(c))
             if max_jet_order(c) > 0:
-                raise ValueError(f"vector field coefficient {c} involves jets")
+                raise ValueError(f"vector field coefficient {sp.sympify(c)} involves jets")
 
-    def __add__(self, other):
-        return VectorField(self.xi + other.xi, self.psi + other.psi)
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        return _as_pair(self.xi_value), _as_pair(self.psi_value)
+
+    @functools.cached_property
+    def xi(self) -> sp.Expr:
+        return sp.sympify(self.xi_value)
+
+    @functools.cached_property
+    def psi(self) -> sp.Expr:
+        return sp.sympify(self.psi_value)
+
+    @functools.cached_property
+    def characteristic_pair(self) -> RingFraction:
+        """Q = psi - xi*y_x as a pair, not reduced."""
+        return self.pairs[1] - self.pairs[0] * JET[1]
 
     def __rmul__(self, scalar):
-        return VectorField(scalar * self.xi, scalar * self.psi)
+        return VectorField(*(c * scalar for c in self.pairs))
 
 
 def characteristic(v: VectorField) -> sp.Expr:
-    """Evolutionary representative Q = psi - xi*y_x."""
+    """Evolutionary representative Q = psi - xi*y_x, expanded."""
     return sp.expand(v.psi - v.xi * JET[1])
 
 
@@ -350,7 +386,7 @@ def prolong(v: VectorField, order: int, rates: dict | None = None) -> list:
     if order < 0:
         raise ValueError("prolongation order must be >= 0")
     jets = ((y, 0) for y in JET[1 : order + 1])
-    J = _algebra(rates, (v.xi, max(order, 1)), (v.psi, order), *jets)
+    J = _algebra(rates, (v.pairs[0], max(order, 1)), (v.pairs[1], order), *jets)
     return [phi.as_expr() for phi in _prolong(J, v, order)[0]]
 
 
@@ -360,8 +396,8 @@ def _prolong(J, v: VectorField, order: int) -> tuple:
     phi^order holds D_x^order of psi and of xi, so J must close both over
     order steps.
     """
-    phis = [J.lift(v.psi)]
-    dxi = J.dx(J.lift(v.xi))
+    xi, psi = map(J.lift, v.pairs)
+    phis, dxi = [psi], J.dx(xi)
     for k in range(order):
         phis.append(J.dx(phis[-1]) - J.jet(k + 1) * dxi)
     return phis, dxi
@@ -378,8 +414,8 @@ def _prolonged_action(v: VectorField, e, rates) -> tuple:
     phi^k and every other atom to xi times its rate in ``J.fixed``."""
     m = max(max_jet_order(e), 0)
     jets = ((y, 0) for y in JET[1 : m + 1])
-    J = _algebra(rates, (v.xi, max(m, 1)), (v.psi, m), (e, 1), *jets)
-    R, xi = J.ring, J.lift(v.xi)
+    J = _algebra(rates, (v.pairs[0], max(m, 1)), (v.pairs[1], m), (e, 1), *jets)
+    R, xi = J.ring, J.lift(v.pairs[0])
     phis, dxi = _prolong(J, v, m)
     table = {J.index[y]: (phi.num, phi.den) for y, phi in zip(JET, phis) if y in J.index and phi.num}
     for i, rate in J.fixed.items() if xi.num else ():
@@ -406,7 +442,7 @@ class _Given:
 
     @functools.cached_property
     def pair(self) -> RingFraction:
-        return self.value if isinstance(self.value, RingFraction) else RingFraction.from_expr(self.value)
+        return _as_pair(self.value)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ three Lagrangian families (canonical, transformed, natural).
 The symbolic objects depend on the order alone, so each process builds the
 generators, Delta_n and the transformed and natural Lagrangians once per
 order, in one bounded memo per builder, and every caller shares that
-frozen value.
+frozen value; a concrete context gets it reduced in the ring, as the
+generators are by :meth:`GeneratorSet.specialize`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .jetcalc import (
     Lagrangian,
     VectorField,
     _euler,
-    apply_prolongation,
+    _prolonged_action,
     euler,
     ladder_images,
     total_derivative,
@@ -197,9 +198,10 @@ class GeneratorSet:
         return names
 
     def specialize(self, ctx: "SourceContext") -> "GeneratorSet":
-        """Generators with a concrete solution pair substituted."""
+        """Generators with a concrete solution pair substituted: each
+        coefficient pair reduced by the context, and not printed."""
         def conv(vf: VectorField) -> VectorField:
-            return VectorField(ctx.reduce(vf.xi), ctx.reduce(vf.psi), name=vf.name)
+            return VectorField(*map(ctx._reduce_pair, vf.pairs), name=vf.name)
 
         return GeneratorSet(
             n=self.n,
@@ -212,13 +214,19 @@ class GeneratorSet:
 def _memoised_by_order(builder):
     """builder(n, ctx), served from one bounded per-process memo of
     builder(n) when ctx is None or holds the values of
-    :meth:`SourceContext.make_symbolic`; any other context builds afresh.
+    :meth:`SourceContext.make_symbolic`, and as that value's pair reduced
+    by a concrete context; any other symbolic context builds afresh.
     ``__wrapped__`` is the builder itself."""
     memo = functools.lru_cache(maxsize=_ORDERS)(builder)
 
     @functools.wraps(builder)
     def build(n, ctx=None):
-        return memo(n) if ctx is None or ctx._is_source_symbolic() else builder(n, ctx)
+        if ctx is None or ctx._is_source_symbolic():
+            return memo(n)
+        if ctx.symbolic:
+            return builder(n, ctx)
+        value = memo(n)
+        return type(value)(ctx._reduce_pair(value.pair), value.order)
 
     return build
 
@@ -255,11 +263,11 @@ def generators(n: int) -> GeneratorSet:
 
 
 def commutator(v1: VectorField, v2: VectorField, rates=None) -> VectorField:
-    """Lie bracket of point vector fields."""
-    return VectorField(
-        sp.expand(apply_prolongation(v1, v2.xi, rates) - apply_prolongation(v2, v1.xi, rates)),
-        sp.expand(apply_prolongation(v1, v2.psi, rates) - apply_prolongation(v2, v1.psi, rates)),
-    )
+    """Lie bracket of point vector fields: each component is the canonical
+    pair of pr v1 (c2) - pr v2 (c1), c1 and c2 the fields' pairs of that
+    component."""
+    pr = lambda v, c: _prolonged_action(v, c, rates)[0]
+    return VectorField(*(_canonical_pair(pr(v1, c2) - pr(v2, c1)) for c1, c2 in zip(v1.pairs, v2.pairs)))
 
 
 def source_transformation(n: int, ctx: SourceContext | None = None):
@@ -328,13 +336,10 @@ def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
 
     y^(2m) enters E((y^(m))^2) with coefficient 2 (-1)^m, so the c_m are
     solved highest first.  This reduction of y*Delta_n/2 to order n/2 is
-    the canonical representative used by the variational identities.  A
-    concrete context reduces the symbolic density.
+    the canonical representative used by the variational identities.
     """
     if n % 2:
         raise OddOrder(f"no Lagrangian construction for odd order {n}")
-    if ctx is not None and not ctx.symbolic:
-        return Lagrangian(ctx._reduce_pair(natural_lagrangian(n).pair), n // 2)
     target = _euler(None, JET[0] / 2, build_lode(n).pair).as_expr()
     dens = sp.Integer(0)
     for m in range(n // 2, -1, -1):

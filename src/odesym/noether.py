@@ -119,7 +119,7 @@ def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None =
 
 def divergence_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Test E(Q*Delta) = 0, with Q the characteristic of v."""
-    residual = jetcalc._euler(_rates(ctx), characteristic(v), eq.pair)
+    residual = jetcalc._euler(_rates(ctx), v.characteristic_pair, eq.pair)
     return _verdict("divergence", _reduce(residual, ctx))
 
 
@@ -129,22 +129,21 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     F is the inverse total derivative of Q*Delta, computed with the
     context's reduced derivative table (Q*Delta is exact in the quotient
     algebra, not as a free differential polynomial).  Q*Delta is formed
-    from the equation's pair, and the defining identity D_x F - Q*Delta = 0
-    is verified exactly against that reduced product and stored.
+    from the field's and the equation's pairs, and the defining identity
+    D_x F - Q*Delta = 0 is verified exactly against that reduced product
+    and stored.
     """
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:
         raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.pair)
     rates = ctx.deriv_rates() if ctx is not None else None
-    q = characteristic(v)
-    J = jetcalc._algebra(rates, (q, 0), (eq.pair, 0))
-    product = _reduce(J.lift(q) * J.lift(eq.pair), ctx)
+    product = _reduce(v.characteristic_pair * eq.pair, ctx)
     F = inverse_total_derivative(product, rates=rates, check_exact=False)
     J = jetcalc._algebra(rates, (F, 1), (product, 0))
     witness = _reduce(J.dx(J.lift(F)) - J.lift(product), ctx)
     if not zero_test(witness):
         raise NotFirstIntegral("inverse derivative failed verification", witness)
-    return FirstIntegral(F, q, eq, witness.as_expr())
+    return FirstIntegral(F, characteristic(v), eq, witness.as_expr())
 
 
 def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp.Expr:
@@ -172,12 +171,9 @@ def divergence_relation_check(
 ) -> SymmetryVerdict:
     """Linearity of S across equivalent Lagrangians L = theta*L0 + D_x P.
 
-    S(L), S(L0), S(D_x P) and theta are values of one operator algebra,
-    and their combination S(L) - theta*S(L0) - S(D_x P) is reduced once.
+    S(L), S(L0) and S(D_x P) are pairs, and their combination
+    S(L) - theta*S(L0) - S(D_x P) is reduced once.
     """
-    rates = _rates(ctx)
-    dP = total_derivative(sp.sympify(P), rates=rates)
-    S = [_invariance(v, e, ctx) for e in (theta * L0.density + dP, L0.pair, dP)]
-    J = jetcalc._algebra(rates, *((e, 0) for e in (*S, theta)))
-    s, s0, sdP, t = (J.lift(e) for e in (*S, theta))
-    return _verdict("variational", _reduce(s - t * s0 - sdP, ctx))
+    dP = total_derivative(sp.sympify(P), rates=_rates(ctx))
+    s, s0, sdP = (_invariance(v, e, ctx) for e in (L0.pair * theta + dP, L0.pair, dP))
+    return _verdict("variational", _reduce(s - s0 * theta - sdP, ctx))

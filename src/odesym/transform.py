@@ -4,9 +4,10 @@ A transformation sigma = (zeta(x,y), phi(x,y)) reads: the new independent
 variable is z = zeta, the new dependent variable is w = phi.  Objects
 written in (z, w)-jet coordinates use the same atom family as the source
 side; transforming substitutes the jet images z -> zeta, w^(k) -> image
-into the object's pair, all at once.  The image of an equation or a
-Lagrangian is passed on as its canonical pair, printed only when read;
-every other result is printed once from its canonical pair.
+into the object's pair, all at once.  The image of an equation, a
+Lagrangian or a vector field is passed on as its canonical pairs, printed
+only when read; every other result is printed once from its canonical
+pair.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sympy as sp
 
 from . import exprcore
 from .exprcore import JET, X, RingFraction, canon, max_jet_order, zero_test
-from .jetcalc import DiffEq, Lagrangian, VectorField, dx_fixed_jets, ladder_images
+from .jetcalc import DiffEq, Lagrangian, VectorField, _dx_fixed, dx_fixed_jets, ladder_images
 
 
 class SingularMap(ValueError):
@@ -97,8 +98,7 @@ def _image(f, sigma: PointTransformation, weight=1) -> "exprcore._CanonicalPair"
     """The canonical pair of f (an expression or a pair) with the jet images
     of sigma substituted, all at once, times weight lifted into its ring."""
     f = exprcore._substituted(f, _images(sigma, exprcore._generators(f)))
-    R = exprcore._ring(exprcore._generators(f) | exprcore._generators(weight))
-    return exprcore._canonical_pair(exprcore._lift(f, R) * exprcore._lift(weight, R))
+    return exprcore._canonical_pair(f * weight)
 
 
 def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:
@@ -129,20 +129,18 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
     v is written in the (z, w) coordinates; the result acts in (x, y).
     Supported for fiber-preserving maps z = zeta(x), w = phi(x, y) with
     phi_y != 0, which is the family the construction needs; general
-    (x,y)-mixing maps would require a symbolic inverse.
+    (x,y)-mixing maps would require a symbolic inverse.  The coefficients
+    are substituted as pairs, and the result holds canonical pairs.
     """
     if not zero_test(sigma.zeta_y()):
         raise MissingInverse("push-forward implemented for fiber-preserving maps only")
     phi_y = sigma.phi_y()
     if zero_test(phi_y):
         raise SingularMap("phi_y vanishes identically")
-    subs = sigma.base_substitution()
-    parts = (*(exprcore._substituted(c, subs) for c in (v.xi, v.psi)), sigma.zeta_x, sigma.phi_x(), phi_y)
-    R = exprcore._ring(set().union(*map(exprcore._generators, parts)))
-    xi_t, psi_t, zx, px, py = (exprcore._lift(e, R) for e in parts)
-    xi = exprcore._canonical_pair(xi_t * RingFraction(zx.den, zx.num))
-    psi = exprcore._canonical_pair((psi_t - xi * px) * RingFraction(py.den, py.num))
-    return VectorField(xi.as_expr(), psi.as_expr(), name=v.name)
+    xi_t, psi_t = (exprcore._substituted(c, sigma.base_substitution()) for c in v.pairs)
+    xi = exprcore._canonical_pair(xi_t * (1 / sigma.zeta_x))
+    psi = exprcore._canonical_pair((psi_t - xi * _dx_fixed(sigma.phi, sigma.rates)) * (1 / phi_y))
+    return VectorField(xi, psi, name=v.name)
 
 
 def transform_lagrangian(L: Lagrangian, sigma: PointTransformation) -> Lagrangian:

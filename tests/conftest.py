@@ -44,3 +44,15 @@ def forbid_prints(monkeypatch):
         return original(f)
 
     return lambda: monkeypatch.setattr(exprcore.RingFraction, "as_expr", as_expr)
+
+
+@pytest.fixture
+def forbid_pair_prints(monkeypatch):
+    """A call that makes every later print of any pair (``RingFraction.as_expr``)
+    fail.  A vector field coefficient holds no derivative of y, so
+    ``forbid_prints`` does not see it printed."""
+
+    def as_expr(f):
+        raise AssertionError(f"a pair was printed into a tree: ({f.num}) / ({f.den})")
+
+    return lambda: monkeypatch.setattr(exprcore.RingFraction, "as_expr", as_expr)

@@ -399,6 +399,32 @@ def test_lift_that_drops_a_used_generator_raises():
         exprcore._lift(pair, R)
 
 
+def test_pairs_of_two_rings_meet_in_the_union_ring(monkeypatch):
+    a = exprcore.RingFraction.from_expr((X + y) / (X * y1) + sp.log(y))
+    b = exprcore.RingFraction.from_expr(q / (y + 1) - sp.sqrt(u))
+    e = sp.exp(X) / (q + 2)
+    union = exprcore._ring(set(a.num.ring.symbols) | set(b.num.ring.symbols))
+    with_e = exprcore._ring(set(a.num.ring.symbols) | exprcore._generators(e))
+    ops = (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t)
+    for op in ops:
+        for other, ring in ((b, union), (e, with_e)):
+            got = op(a, other)
+            assert got.num.ring is ring and got.den.ring is ring
+            lifted = op(exprcore._lift(a, ring), exprcore._lift(other, ring))
+            assert (got.num, got.den) == (lifted.num, lifted.den)
+            assert sp.srepr(canon(got)) == sp.srepr(canon(op(a.as_expr(), sp.sympify(other))))
+    # two pairs of one ring: the result is of that ring object, and nothing moves
+    c = exprcore._lift((X - y) / sp.log(y), a.num.ring)
+
+    def moved(*args):
+        raise AssertionError("a pair of the same ring was moved")
+
+    monkeypatch.setattr(exprcore, "_lift", moved)
+    for op in ops:
+        got = op(a, c)
+        assert got.num.ring is a.num.ring and got.den.ring is a.num.ring
+
+
 def test_substituted_zero_image():
     f = exprcore._substituted((q * y + y1) / (X + q) + q**2, {q: 0})
     assert canon(f) == y1 / X

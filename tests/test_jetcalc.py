@@ -60,6 +60,37 @@ def test_vector_field_rejects_jets():
         VectorField(y1, 0)
 
 
+# coefficients with denominators and ln, exp and radical nodes
+FIELD_PAIRS = [
+    (X**2 / (1 + y), y / X),
+    (sp.log(X), sp.sqrt(y) * u / (X + SOL_V[0])),
+    (sp.exp(X) * y / q, X * y**2 - u1),
+]
+
+
+@pytest.mark.parametrize("xi, psi", FIELD_PAIRS, ids=["rational", "nodes", "exp"])
+def test_vector_field_of_pairs_matches_its_prints(xi, psi):
+    pairs = [exprcore._canonical_pair(c) for c in (xi, psi)]
+    given, printed = VectorField(*pairs), VectorField(*(p.as_expr() for p in pairs))
+    assert given.pairs == tuple(pairs)
+    for read in (lambda v: v.xi, lambda v: v.psi, characteristic):
+        assert sp.srepr(read(given)) == sp.srepr(read(printed))
+    for got, p in zip(printed.pairs, pairs):
+        assert canon(got) == canon(p)
+    actions = [apply_prolongation(v, y3 + q * y1 / X) for v in (given, printed)]
+    assert sp.srepr(actions[0]) == sp.srepr(actions[1])
+
+
+@pytest.mark.parametrize("xi, psi", [(y1, 0), (0, X * y2 / (y + 1)), (sp.log(y1), y)])
+def test_vector_field_of_pairs_refuses_as_its_prints(xi, psi):
+    messages = []
+    for given in ((xi, psi), [exprcore.RingFraction.from_expr(c) for c in (xi, psi)]):
+        with pytest.raises(ValueError) as err:
+            VectorField(*given)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "involves jets" in messages[0]
+
+
 def test_prolong_homogeneity():
     assert prolong(VectorField(0, y), 2) == [y, y1, y2]
 

@@ -4,9 +4,15 @@ import threading
 import pytest
 import sympy as sp
 
-from odesym.casebook import CASE_IDS
+from odesym.casebook import (
+    CASE_IDS,
+    example_map,
+    family_exponential,
+    family_power,
+    family_radical_log,
+)
 from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, base_rates, canon, zero_test
-from odesym.jetcalc import Lagrangian, VectorField, euler, total_derivative
+from odesym.jetcalc import DiffEq, Lagrangian, VectorField, euler, total_derivative
 from odesym.maxsym import (
     BadOrder,
     EliminationFailed,
@@ -24,6 +30,7 @@ from odesym.maxsym import (
     transformed_lagrangian,
 )
 from odesym.noether import divergence_check, lie_symmetry_check, variational_check
+from odesym.transform import pushforward, transform_equation
 
 y, y1, y2, y3, y4 = JET[:5]
 u, u1, u2 = SOL_U[0], SOL_U[1], SOL_U[2]
@@ -355,6 +362,15 @@ def test_memoised_values_stay_frozen():
     assert (_srepr_of(eq), _srepr_of(lag)) == before
 
 
+def test_memoised_generator_stays_frozen():
+    vf = generators(4).by_name()["G4"]
+    before = sp.srepr((vf.xi, vf.psi))
+    for name in ("xi", "psi", "xi_value", "pairs", "name"):
+        with pytest.raises(AttributeError):
+            setattr(vf, name, y)
+    assert sp.srepr((vf.xi, vf.psi)) == before and generators(4).by_name()["G4"] is vf
+
+
 def _verdicts(n, eq, lag, ctx):
     checks = ((lie_symmetry_check, eq), (divergence_check, eq), (variational_check, lag))
     return [tuple(check(vf, obj, ctx).holds for check, obj in checks) for vf in generators(n)]
@@ -370,3 +386,69 @@ def test_builds_and_checks_print_no_equation_or_density(forbid_prints):
     eq, lag = build_lode.__wrapped__(n, ctx), transformed_lagrangian.__wrapped__(n, ctx)
     assert _verdicts(n, eq, lag, ctx) == expected
     assert [name for name, (_, div, _) in zip(generators(n).by_name(), expected) if not div] == ["Wy"]
+
+
+def test_field_operations_print_no_pair(forbid_pair_prints):
+    # specialising the generators to C5's families, pushing the q = 0
+    # generators forward under C6's map, bracketing, and checking the
+    # results, all on pairs
+    families = (
+        (family_radical_log(+1)[2], "F4"),
+        (family_radical_log(-1)[2], "H4"),
+        (family_exponential()[2], "G4"),
+        (family_power()[2], "G4"),
+    )
+    flat, sigma = SourceContext.zero_q(), example_map()
+    natural_lagrangian(4)  # the symbolic density is solved on trees, once per process
+    forbid_pair_prints()
+    for ctx, name in families:
+        fields = generators(4).specialize(ctx).by_name()
+        assert variational_check(fields[name], natural_lagrangian(4, ctx), ctx).holds, name
+    eq = transform_equation(DiffEq(JET[4], 4), sigma)
+    for name, vf in generators(4).specialize(flat).by_name().items():
+        assert lie_symmetry_check(pushforward(vf, sigma), eq).holds, name
+    gens = generators(6)
+    brackets = {(a, b): commutator(a, b) for a in gens for b in gens if a is not b}
+    assert all(not c.num for a in gens.solution for b in gens.solution if a is not b
+               for c in brackets[a, b].pairs)
+
+
+# [a, b] = c * target, for target None: [a, b] = 0
+def _structure(n):
+    last = f"V{n - 1}"
+    return [
+        (f"F{n}", f"G{n}", 2, f"F{n}"),
+        (f"F{n}", f"H{n}", -1, f"G{n}"),
+        (f"G{n}", f"H{n}", 2, f"H{n}"),
+        ("V0", "Wy", 1, "V0"),
+        ("V1", f"F{n}", -1, "V0"),
+        ("V0", f"H{n}", -(n - 1), "V1"),
+        ("V0", "V1", 0, None),
+        ("V0", f"F{n}", 0, None),
+        (last, f"H{n}", 0, None),
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("rates", [None, CTX.rates], ids=["bare", "source"])
+def test_bracket_structure_constants(n, rates):
+    fields = generators(n).by_name()
+    for a, b, c, target in _structure(n):
+        bracket = commutator(fields[a], fields[b], rates)
+        want = fields[target] if target else VectorField(0, 0)
+        assert CTX.reduce(bracket.xi - c * want.xi) == 0 == CTX.reduce(bracket.psi - c * want.psi), (a, b)
+
+
+CONCRETE = {
+    "zero-q": SourceContext.zero_q(),
+    "exponential": family_exponential()[2],
+    "cube": SourceContext.from_solutions(X**3, -(X**-2) / 5),
+}
+
+
+@pytest.mark.parametrize("ctx", CONCRETE.values(), ids=CONCRETE.keys())
+def test_concrete_context_gets_the_memo_reduced(ctx):
+    # the memoised symbolic value, reduced, prints as the build under ctx does
+    for n in range(2, 6):
+        for builder in (build_lode, transformed_lagrangian) if n % 2 == 0 else (build_lode,):
+            assert _srepr_of(builder(n, ctx)) == _srepr_of(builder.__wrapped__(n, ctx)), (builder.__name__, n)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -7,17 +8,18 @@ import pytest
 import sympy as sp
 
 from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, UnsupportedForm, canon, zero_test
-from odesym.jetcalc import DiffEq, Lagrangian, VectorField, total_derivative
-from odesym.casebook import example_map
+from odesym.jetcalc import DiffEq, Lagrangian, VectorField, characteristic, total_derivative
+from odesym.casebook import example_map, family_exponential, family_power, family_radical_log
 from odesym.maxsym import (
     SourceContext,
     build_lode,
+    commutator,
     generators,
     natural_lagrangian,
     source_transformation,
     transformed_lagrangian,
 )
-from odesym.noether import divergence_check
+from odesym.noether import NotADivergenceSymmetry, divergence_check, first_integral
 from odesym.transform import (
     MissingInverse,
     PointTransformation,
@@ -356,7 +358,56 @@ def _object_prints() -> dict:
         for j, inner in enumerate((LOG_MAP, *OUTER_MAPS)):
             combined = compose(outer, inner)
             out[f"compose.{i}.{j}.zeta"], out[f"compose.{i}.{j}.phi"] = combined.zeta, combined.phi
+    out.update(_vector_field_prints())
     return {name: hashlib.sha256(sp.srepr(e).encode()).hexdigest() for name, e in out.items()}
+
+
+# z = x^2 + 1, w = sqrt(y)/x: a fiber-preserving map whose push-forwards hold a radical
+ROOT_MAP = PointTransformation(X**2 + 1, sp.sqrt(y) / X)
+
+
+def _field_prints(name, v) -> dict:
+    return {f"{name}.xi": v.xi, f"{name}.psi": v.psi}
+
+
+def _vector_field_prints() -> dict:
+    """The prints of the vector fields: the generators and their multiples
+    with their characteristics, the generators specialised to a concrete
+    pair, push-forwards, brackets and the characteristics of first
+    integrals."""
+    out = {}
+    for n in range(2, 15):
+        for name, v in generators(n).by_name().items():
+            for tag, w in (("", v), (".7/3", sp.Rational(7, 3) * v)):
+                out.update(_field_prints(f"field{n}.{name}{tag}", w))
+                out[f"field{n}.{name}{tag}.characteristic"] = characteristic(w)
+    contexts = {
+        "zero-q": SourceContext.zero_q(),
+        "radical-log+": family_radical_log(+1)[2],
+        "radical-log-": family_radical_log(-1)[2],
+        "exponential": family_exponential()[2],
+        "power": family_power()[2],
+    }
+    for tag, ctx in contexts.items():
+        for name, v in generators(4).specialize(ctx).by_name().items():
+            out.update(_field_prints(f"specialize.{tag}.{name}", v))
+    flat = generators(4).specialize(contexts["zero-q"]).by_name()
+    for tag, sigma in (("log", example_map()), ("root", ROOT_MAP)):
+        for name, v in flat.items():
+            for scale, w in (("", v), (".3/5", sp.Rational(3, 5) * v)):
+                out.update(_field_prints(f"pushforward.{tag}.{name}{scale}", pushforward(w, sigma)))
+    for n in (4, 8):
+        for rates_tag, rates in (("bare", None), ("source", CTX.rates)):
+            for (a, v), (b, w) in itertools.combinations(generators(n).by_name().items(), 2):
+                out.update(_field_prints(f"bracket{n}.{rates_tag}.{a}.{b}", commutator(v, w, rates)))
+    for n in (3, 4, 5, 6):
+        fields = generators(n).by_name()
+        for name in ("Wy", f"F{n}", f"G{n}", f"H{n}", "V0"):
+            try:
+                out[f"first-integral{n}.{name}.q"] = first_integral(fields[name], build_lode(n), CTX).q
+            except NotADivergenceSymmetry:  # F, G and H at odd n
+                continue
+    return out
 
 
 def test_object_prints_match_pins():
