@@ -17,6 +17,7 @@ from odesym.maxsym import (
     generators,
     natural_lagrangian,
     source_transformation,
+    specialize_q,
     transformed_lagrangian,
 )
 from odesym.noether import NotADivergenceSymmetry, divergence_check, first_integral
@@ -359,6 +360,7 @@ def _object_prints() -> dict:
             combined = compose(outer, inner)
             out[f"compose.{i}.{j}.zeta"], out[f"compose.{i}.{j}.phi"] = combined.zeta, combined.phi
     out.update(_vector_field_prints())
+    out.update(_first_integral_prints())
     return {name: hashlib.sha256(sp.srepr(e).encode()).hexdigest() for name, e in out.items()}
 
 
@@ -407,6 +409,34 @@ def _vector_field_prints() -> dict:
                 out[f"first-integral{n}.{name}.q"] = first_integral(fields[name], build_lode(n), CTX).q
             except NotADivergenceSymmetry:  # F, G and H at odd n
                 continue
+    return out
+
+
+# the concrete coefficients of the peel corpus in test_jetcalc.py
+CONCRETE_Q = (1, -2 / X**2, -6 / X**2, -12 / X**2, sp.exp(X), 1 / (X**2 + 1), sp.sqrt(X))
+
+
+def _integral_prints(name, F) -> dict:
+    return {f"{name}.expr": F.expr, f"{name}.q": F.q, f"{name}.witness": F.witness}
+
+
+def _first_integral_prints() -> dict:
+    """The prints of first integrals: every divergence symmetry of Delta_n
+    (all generators but W_y at even n, the V_k and W_y at odd n) under the
+    symbolic context for n = 3..10, and W_y of Delta_3, Delta_5 and
+    Delta_7 at q = 0 and at each concrete q, as ``first-integral --q``
+    builds the equation."""
+    out, zero_q = {}, SourceContext.zero_q()
+    for n in range(3, 11):
+        gens = generators(n)
+        for v in (*gens.solution, *(gens.special if n % 2 == 0 else [gens.homogeneity])):
+            out.update(_integral_prints(f"integral{n}.{v.name}", first_integral(v, build_lode(n), CTX)))
+    wy = generators(3).homogeneity
+    for n in (3, 5, 7):
+        out.update(_integral_prints(f"integral{n}.Wy.zero-q", first_integral(wy, build_lode(n, zero_q), zero_q)))
+        for k, qx in enumerate(CONCRETE_Q):
+            eq = DiffEq(specialize_q(build_lode(n).pair, qx), n)
+            out.update(_integral_prints(f"integral{n}.Wy.q{k}", first_integral(wy, eq)))
     return out
 
 
