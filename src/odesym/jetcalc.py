@@ -46,9 +46,11 @@ prints, and its prolongation, prolonged action and the characteristic
 pair psi - xi*y1 that the checks take are formed from its pairs (pairs of
 two rings meet in one ring, by :class:`exprcore.RingFraction` arithmetic).
 The inverse total derivative peels in such an algebra too, grown only
-when a piece needs a generator it lacks (its remainder is moved there as
-a pair); each piece becomes an expression for the result, and sympy's
-Risch integrator is left only for log-type antiderivatives.
+when a piece needs a generator it lacks (F and the remainder are moved
+there as pairs), from its first lift to its result: F is the sum of the
+pieces' pairs, a refusal carries the remainder's pair, and F is printed
+once, from its pieces, only when it is read.  Sympy's Risch integrator is
+left only for log-type antiderivatives.
 """
 
 from __future__ import annotations
@@ -589,10 +591,10 @@ _FAMILIES = (JET, exprcore.SOL_U, exprcore.SOL_V, exprcore.COEF_Q)
 
 
 def _peel_algebra(rates, *exprs) -> _RingAlgebra:
-    """The generators of exprs (expressions or pairs) and the lower rungs of
-    every ladder they touch, closed under the rates for one D_x step."""
+    """The generators of exprs (expressions or pairs), x and the lower rungs
+    of every ladder they touch, closed under the rates for one D_x step."""
     atoms = set().union(*map(exprcore._generators, exprs))
-    rungs = sp.Mul(*(fam[k] for fam in _FAMILIES for k in range(top_order(atoms, fam))))
+    rungs = sp.Mul(X, *(fam[k] for fam in _FAMILIES for k in range(top_order(atoms, fam))))
     return _algebra(rates, *((e, 1) for e in exprs), (rungs, 1))
 
 
@@ -606,26 +608,43 @@ def _polynomial_in(f, s) -> bool:
     return True
 
 
-def _antiderivative(f, s) -> tuple:
+def _antiderivative(f, s) -> RingFraction:
     """The antiderivative in the generator s of a polynomial in s, as a pair
-    and as an expression: each numerator term c s^e becomes c s^(e+1)/(e+1),
-    kept integer as c L/(e+1) s^(e+1) over L times the denominator, L the
-    lcm of the e+1.  The expression writes each power of s over its own
-    reduced denominator, as sympy's integrate does."""
+    of f's ring: each numerator term c s^e becomes c s^(e+1)/(e+1), kept
+    integer as c L/(e+1) s^(e+1) over L times the denominator, L the lcm of
+    the e+1."""
     R = f.num.ring
     i = R.symbols.index(s)
     L = math.lcm(*(m[i] + 1 for m in f.num.itermonoms()))
     terms = {m[:i] + (m[i] + 1,) + m[i + 1 :]: c * (L // (m[i] + 1)) for m, c in f.num.items()}
-    F = RingFraction(R.dtype(terms), f.den * L)
-    if f.den.is_ground:
-        return F, F.as_expr()
-    groups = exprcore._by_degree(F.num, i)
-    return F, sp.Add(*(RingFraction(*c.cancel(F.den)).as_expr() * s**e for e, c in groups.items()))
+    return RingFraction(R.dtype(terms), f.den * L)
+
+
+def _printed(pieces) -> sp.Expr:
+    """F from the pieces of :func:`_peel`, its one print: each antiderivative
+    (pair, s) with each power of s over its own reduced denominator, as
+    sympy's integrate writes it, the integrator's pieces as they came, and
+    the sum expanded."""
+    terms = [p for p in pieces if isinstance(p, sp.Expr)]
+    for F, s in (p for p in pieces if not isinstance(p, sp.Expr)):
+        groups = exprcore._by_degree(F.num, F.num.ring.symbols.index(s))
+        terms += (RingFraction(*c.cancel(F.den)).as_expr() * s**e for e, c in groups.items())
+    return sp.expand(sp.Add(*terms))
 
 
 def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = True) -> sp.Expr:
     """An F with D_x F = P, for P (an expression or a pair) a total
-    derivative; constant fixed to 0.
+    derivative; constant fixed to 0: the :func:`_peel` of P, printed once.
+    With check_exact, P is refused unless E(P) is zero."""
+    if check_exact and not zero_test(residual := _euler(rates, P)):
+        raise NotExact("expression is not a total derivative", residual)
+    return _printed(_peel(P, rates)[1])
+
+
+def _peel(P, rates) -> tuple:
+    """(F, pieces, J): F with D_x F = P as a pair of the algebra J, and the
+    pieces that sum to F, each an antiderivative in s as its pair (pair, s),
+    or as the expression of sympy's Risch integrator.
 
     Peels the top order, in one operator algebra: P linear in its highest
     derivative y^(m) (a degree test) with coefficient c = dP/dy^(m)
@@ -640,46 +659,40 @@ def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = T
     then runs on the u, v and q derivative ladders of any jet-free
     remainder (differentiating those families never reintroduces jets).
     A final ladder-free remainder is integrated when it is polynomial in
-    x, by moving the exponent of x.  The pieces become expressions one by
-    one, and their sum is returned expanded.
+    x, by moving the exponent of x.  J grows only when a piece needs a
+    generator it lacks, and F, the remainder and the piece move there as
+    pairs; a refusal carries the remainder's pair.  No step prints a pair.
     """
-    P = P if isinstance(P, RingFraction) else sp.sympify(P)
-    if check_exact:
-        residual = canon(_euler(rates, P))
-        if not zero_test(residual):
-            raise NotExact("expression is not a total derivative", residual)
     J = _peel_algebra(rates, P)
-    f, pieces = exprcore._reduced(J.lift(P)), []
+    f, F, pieces = exprcore._reduced(J.lift(P)), RingFraction(J.ring.zero, J.ring.one), []
     for family in _FAMILIES:
-        while True:
-            m = top_order(exprcore._generators(f), family)
-            if m <= 0:
-                break
+        while (m := top_order(exprcore._generators(f), family)) > 0:
             top, below = family[m], family[m - 1]
             if not _polynomial_in(f, top) or f.num.degree(J.index[top]) > 1:
-                raise NotExact(f"nonlinear in top derivative {top}", sp.expand(canon(f)))
+                raise NotExact(f"nonlinear in top derivative {top}", f)
             c = exprcore._reduced(J.partial(f, top))
             if _polynomial_in(c, below):
-                d, piece = _antiderivative(c, below)
-                try:
-                    d = J.dx(d)
-                except _OutsideRing:
-                    d = None
+                piece = _antiderivative(c, below)
             else:
-                piece, d = sp.integrate(canon(c), below, risch=True), None
+                piece = sp.integrate(canon(c), below, risch=True)
                 if piece.has(sp.Integral):
-                    raise NotExact(f"no antiderivative in {below} found", sp.expand(canon(f)))
+                    raise NotExact(f"no antiderivative in {below} found", f)
+            pieces.append(piece if isinstance(piece, sp.Expr) else (piece, below))
+            try:
+                d = J.dx(piece) if isinstance(piece, RingFraction) else None
+            except _OutsideRing:
+                d = None
             if d is None:  # D_x of the piece needs generators J lacks
-                J = _peel_algebra(rates, f, piece)
-                f, d = J.lift(f), J.dx(J.lift(piece))
-            pieces.append(piece)
-            f = exprcore._reduced(f - d)
+                J = _peel_algebra(rates, F, f, piece)
+                F, f, piece = map(J.lift, (F, f, piece))
+                d = J.dx(piece)
+            F, f = F + piece, exprcore._reduced(f - d)
             if top in exprcore._generators(f):
-                raise NotExact(f"top derivative {top} survives its peel step", sp.expand(canon(f)))
-    extra = canon(f)
-    if extra != 0:
-        if extra.free_symbols - {X} - exprcore._PARAM_SET or not extra.is_polynomial(X):
-            raise NotExact("residue is not a polynomial in x", extra)
-        K = _algebra(rates, (extra, 0), (X, 0))
-        pieces.append(_antiderivative(K.lift(extra), X)[1])
-    return sp.expand(sp.Add(*pieces))
+                raise NotExact(f"top derivative {top} survives its peel step", f)
+    if f.num:
+        atoms = set().union(*(g.free_symbols for g in f.free_symbols))
+        if atoms - {X} - exprcore._PARAM_SET or not _polynomial_in(f, X):
+            raise NotExact("residue is not a polynomial in x", f)
+        pieces.append((_antiderivative(f, X), X))
+        F = F + pieces[-1][0]
+    return F, tuple(pieces), J

@@ -38,9 +38,9 @@ from .jetcalc import (
     DiffEq,
     Lagrangian,
     VectorField,
+    _algebra,
     _euler,
     _prolonged_action,
-    euler,
     ladder_images,
     total_derivative,
 )
@@ -335,20 +335,21 @@ def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
     """The diagonal density sum_m c_m(x) (y^(m))^2 with E(L) = E(y*Delta_n/2).
 
     y^(2m) enters E((y^(m))^2) with coefficient 2 (-1)^m, so the c_m are
-    solved highest first.  This reduction of y*Delta_n/2 to order n/2 is
-    the canonical representative used by the variational identities.
+    solved highest first, each a ring partial of the Euler pair, and the
+    density is the sum of the squares as a pair.  This reduction of
+    y*Delta_n/2 to order n/2 is the canonical representative used by the
+    variational identities.
     """
     if n % 2:
         raise OddOrder(f"no Lagrangian construction for odd order {n}")
-    target = _euler(None, JET[0] / 2, build_lode(n).pair).as_expr()
-    dens = sp.Integer(0)
+    target, dens = _euler(None, JET[0] / 2, build_lode(n).pair), 0
     for m in range(n // 2, -1, -1):
-        square = (-1) ** m * sp.diff(target, JET[2 * m]) / 2 * JET[m] ** 2
-        target -= euler(square)
-        dens += square
-    if target != 0:
+        J = _algebra(None, (target, 0))
+        square = J.partial(J.lift(target), JET[2 * m]) * ((-1) ** m * JET[m] ** 2 / 2)
+        target, dens = target - _euler(None, square), square + dens
+    if not zero_test(target):
         raise ValueError("density is not quadratic in the jets")
-    return Lagrangian(sp.expand(dens), n // 2)
+    return Lagrangian(dens, n // 2)
 
 
 def reference_transformed_lagrangian(n: int) -> Lagrangian:

@@ -12,11 +12,15 @@ pair and decides on that pair with ``zero_test``.  The verdict, and a
 refusal of :func:`first_integral`, carries that pair to the claim status,
 whose ``numeric_witness`` certifies a refutation on it: a residual is
 lifted into the ring once, by the check, and becomes an expression only
-where it is printed.
+where it is printed.  A first integral is its pair too: F comes from the
+peel (``jetcalc._peel``) as a pair of the peel's algebra, D_x F - Q*Delta
+is verified in that algebra, and F, Q and the verified residual are
+printed only when read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import sympy as sp
@@ -28,7 +32,6 @@ from .jetcalc import (
     Lagrangian,
     VectorField,
     characteristic,
-    inverse_total_derivative,
     total_derivative,
 )
 from .maxsym import SourceContext
@@ -36,9 +39,10 @@ from .maxsym import SourceContext
 
 class _Residual:
     """Carries the residual a check decided on: pair is its canonical pair
-    (an expression is accepted too), witness its expression."""
+    (an expression is accepted too), witness its expression, printed when
+    first read."""
 
-    @property
+    @functools.cached_property
     def witness(self) -> sp.Expr:
         return sp.sympify(self.pair)
 
@@ -70,13 +74,28 @@ class SymmetryVerdict(_Residual):
 
 
 @dataclass(frozen=True)
-class FirstIntegral:
-    """Expression F with characteristic Q such that D_x F = Q*Delta."""
+class FirstIntegral(_Residual):
+    """F with the characteristic Q of a field such that D_x F = Q*Delta.
 
-    expr: sp.Expr
-    q: sp.Expr
+    ``value`` is F as a pair, the sum of its peel ``pieces``, and ``pair``
+    the residual D_x F - Q*Delta that was verified zero; ``expr`` (F
+    printed from its pieces), ``q`` and ``witness`` are prints, made when
+    first read.
+    """
+
+    value: RingFraction
+    pieces: tuple
+    field: VectorField
     equation: DiffEq
-    witness: sp.Expr
+    pair: RingFraction
+
+    @functools.cached_property
+    def expr(self) -> sp.Expr:
+        return jetcalc._printed(self.pieces)
+
+    @functools.cached_property
+    def q(self) -> sp.Expr:
+        return characteristic(self.field)
 
 
 def _reduce(e, ctx: SourceContext | None):
@@ -129,21 +148,19 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     F is the inverse total derivative of Q*Delta, computed with the
     context's reduced derivative table (Q*Delta is exact in the quotient
     algebra, not as a free differential polynomial).  Q*Delta is formed
-    from the field's and the equation's pairs, and the defining identity
-    D_x F - Q*Delta = 0 is verified exactly against that reduced product
-    and stored.
+    from the field's and the equation's pairs, the peel returns F as a pair
+    of its algebra, and the defining identity D_x F - Q*Delta = 0 is
+    verified exactly in that algebra, with no lift, and stored.
     """
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:
         raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.pair)
-    rates = ctx.deriv_rates() if ctx is not None else None
     product = _reduce(v.characteristic_pair * eq.pair, ctx)
-    F = inverse_total_derivative(product, rates=rates, check_exact=False)
-    J = jetcalc._algebra(rates, (F, 1), (product, 0))
-    witness = _reduce(J.dx(J.lift(F)) - J.lift(product), ctx)
+    F, pieces, J = jetcalc._peel(product, ctx.deriv_rates() if ctx is not None else None)
+    witness = _reduce(J.dx(F) - product, ctx)
     if not zero_test(witness):
         raise NotFirstIntegral("inverse derivative failed verification", witness)
-    return FirstIntegral(F, characteristic(v), eq, witness.as_expr())
+    return FirstIntegral(F, pieces, v, eq, witness)
 
 
 def verify_first_integral(F, eq: DiffEq, ctx: SourceContext | None = None) -> sp.Expr:

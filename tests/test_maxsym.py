@@ -399,8 +399,9 @@ def test_field_operations_print_no_pair(forbid_pair_prints):
         (family_power()[2], "G4"),
     )
     flat, sigma = SourceContext.zero_q(), example_map()
-    natural_lagrangian(4)  # the symbolic density is solved on trees, once per process
+    build_lode(4)  # its source transformation is printed, once per process
     forbid_pair_prints()
+    natural_lagrangian.__wrapped__(4)  # the symbolic density is solved on pairs
     for ctx, name in families:
         fields = generators(4).specialize(ctx).by_name()
         assert variational_check(fields[name], natural_lagrangian(4, ctx), ctx).holds, name

@@ -261,6 +261,23 @@ def test_first_integrals_lift_the_equation_once(monkeypatch):
     assert made == {vf.name for vf in generators(4)} - {"Wy"}
 
 
+def _divergence_symmetries(n):
+    gens = generators(n)
+    return [*gens.solution, *(gens.special if n % 2 == 0 else [gens.homogeneity])]
+
+
+def test_first_integrals_lift_and_print_nothing(monkeypatch, forbid_lifts, forbid_pair_prints):
+    # the peel and its verification stay in the ring; F, Q and the witness
+    # are printed only when read, here after the guard is lifted
+    cases = [(v, build_lode(n, CTX)) for n in (4, 5) for v in _divergence_symmetries(n)]
+    expected = [sp.srepr((F.expr, F.q, F.witness)) for F in (first_integral(v, eq, CTX) for v, eq in cases)]
+    forbid_lifts()
+    forbid_pair_prints()
+    integrals = [first_integral(v, eq, CTX) for v, eq in cases]
+    monkeypatch.undo()
+    assert [sp.srepr((F.expr, F.q, F.witness)) for F in integrals] == expected
+
+
 def test_verify_first_integral_multiplies_the_monic_equation():
     # D_x F = y1*(2*y2 + y) = 2*y1*(y2 + y/2): mu belongs to y2 - rhs, not to Delta
     assert verify_first_integral(y1**2 + y**2 / 2, DiffEq(2 * y2 + y, 2)) == 2 * y1
