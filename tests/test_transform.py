@@ -361,7 +361,49 @@ def _object_prints() -> dict:
             out[f"compose.{i}.{j}.zeta"], out[f"compose.{i}.{j}.phi"] = combined.zeta, combined.phi
     out.update(_vector_field_prints())
     out.update(_first_integral_prints())
+    out.update(_map_prints())
     return {name: hashlib.sha256(sp.srepr(e).encode()).hexdigest() for name, e in out.items()}
+
+
+def _sigma_prints(name, sigma) -> dict:
+    return {
+        f"{name}.zeta": sigma.zeta, f"{name}.phi": sigma.phi, f"{name}.zeta_x": sigma.zeta_x,
+        f"{name}.zeta_y": sigma.zeta_y(), f"{name}.phi_x": sigma.phi_x(), f"{name}.phi_y": sigma.phi_y(),
+    }
+
+
+# the concrete contexts whose q and Wronskian are pinned: a flat pair with Wronskian 3
+SOURCE_CONTEXTS = {
+    "zero-q": lambda: SourceContext.zero_q(),
+    "cube": lambda: SourceContext.from_solutions(X**3, -(X**-2) / 5),
+    "flat": lambda: SourceContext.from_solutions(2 * X + 1, 3 * X),
+    "radical-log+": lambda: family_radical_log(+1)[2],
+    "radical-log-": lambda: family_radical_log(-1)[2],
+    "exponential": lambda: family_exponential()[2],
+    "power": lambda: family_power()[2],
+}
+
+
+def _map_prints() -> dict:
+    """The prints of point transformations: the maps of this file, their
+    compositions, the source transformation symbolic for n = 2..14 and at
+    q = 0 for n = 2..6, and the q and Wronskian of concrete contexts."""
+    maps = {
+        "log": LOG_MAP, "x+y": XY_MAP, "radical": RADICAL_MAP, "root": ROOT_MAP,
+        "identity": identity_map(), "example": example_map(),
+        **{f"outer{i}": outer for i, outer in enumerate(OUTER_MAPS)},
+        **{f"compose.{i}.{j}": compose(outer, inner)
+           for i, outer in enumerate(OUTER_MAPS) for j, inner in enumerate((LOG_MAP, *OUTER_MAPS))},
+        **{f"source{n}": source_transformation(n) for n in range(2, 15)},
+        **{f"source{n}.zero-q": source_transformation(n, SourceContext.zero_q()) for n in range(2, 7)},
+    }
+    out = {}
+    for name, sigma in maps.items():
+        out.update(_sigma_prints(f"map.{name}", sigma))
+    for tag, make in SOURCE_CONTEXTS.items():
+        ctx = make()
+        out[f"context.{tag}.q"], out[f"context.{tag}.wronskian"] = ctx.q, ctx.wronskian
+    return out
 
 
 # z = x^2 + 1, w = sqrt(y)/x: a fiber-preserving map whose push-forwards hold a radical
