@@ -94,7 +94,7 @@ def _parse_map(text: str) -> transform.PointTransformation:
         raise UsageError('map must define exactly z and w')
     try:
         return transform.PointTransformation(pieces["z"], pieces["w"])
-    except (transform.SingularMap, ValueError) as err:
+    except (ValueError, ZeroDivisionError) as err:  # SingularMap, or a zero denominator of the input
         raise UsageError(str(err)) from err
 
 

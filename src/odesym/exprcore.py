@@ -261,7 +261,7 @@ class RingFraction:
     expressions, and prints its trees only when they are read.  Every
     value enters a ring through :func:`_lift`, which moves a pair of
     another ring by its exponent tuples instead of lifting its expression
-    again.  The operands of ``+``, ``-`` and ``*`` meet in one ring: a pair
+    again.  The operands of ``+``, ``-``, ``*`` and ``/`` meet in one ring: a pair
     of another ring, or an expression, moves with this pair into the ring
     of both operands' generators, and two pairs of one ring stay there.
     """
@@ -301,6 +301,10 @@ class RingFraction:
     def __mul__(self, other):
         self, other = self._with(other)
         return RingFraction(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        self, other = self._with(other)
+        return RingFraction(self.num * other.den, self.den * other.num)
 
     @property
     def free_symbols(self) -> set:

@@ -284,10 +284,10 @@ def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:
 
 
 def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list:
-    """[e, D e, ..., D^order e] for D = scale * D_x, e an expression or a
-    pair, as values of one algebra, each step cancelled in the ring; no
-    rung is printed."""
-    e, scale = e if isinstance(e, RingFraction) else sp.sympify(e), sp.sympify(scale)
+    """[e, D e, ..., D^order e] for D = scale * D_x, e and scale each an
+    expression or a pair, as values of one algebra, each step cancelled in
+    the ring; no rung is printed."""
+    e, scale = (c if isinstance(c, RingFraction) else sp.sympify(c) for c in (e, scale))
     J = _algebra(rates, (e, order), (scale, order))
     ladder, s = [J.lift(e)], J.lift(scale)
     for _ in range(order):
@@ -314,19 +314,23 @@ def ladder_images(family, root, used, rates: dict | None = None, scale=1) -> dic
 
 def dx_fixed_jets(e, rates: dict | None = None) -> sp.Expr:
     """x-derivative through coefficient functions only, jets held fixed."""
-    return _dx_fixed(sp.sympify(e), rates).as_expr()
-
-
-def _dx_fixed(e, rates) -> RingFraction:
-    """The pair of :func:`dx_fixed_jets` of e, an expression or a pair."""
     J = _algebra(rates, (e, 1))
-    return J.dx(J.lift(e), J.fixed)
+    return J.dx(J.lift(e), J.fixed).as_expr()
 
 
 def _as_pair(value) -> RingFraction:
     """A value given as an expression or a pair, as a pair: an expression is
     lifted into the ring of its generators."""
     return value if isinstance(value, RingFraction) else RingFraction.from_expr(value)
+
+
+def _jet_free(value, what):
+    """A function of x and y given as an expression (sympified) or a pair,
+    as given; ValueError, naming it as what, if it holds a derivative of y."""
+    value = value if isinstance(value, RingFraction) else sp.sympify(value)
+    if max_jet_order(value) > 0:
+        raise ValueError(f"{what} {sp.sympify(value)} involves jets")
+    return value
 
 
 @dataclass(frozen=True)
@@ -346,11 +350,7 @@ class VectorField:
 
     def __post_init__(self):
         for attr in ("xi_value", "psi_value"):
-            c = getattr(self, attr)
-            if not isinstance(c, RingFraction):
-                object.__setattr__(self, attr, c := sp.sympify(c))
-            if max_jet_order(c) > 0:
-                raise ValueError(f"vector field coefficient {sp.sympify(c)} involves jets")
+            object.__setattr__(self, attr, _jet_free(getattr(self, attr), "vector field coefficient"))
 
     @functools.cached_property
     def pairs(self) -> tuple:

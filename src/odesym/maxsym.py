@@ -41,6 +41,7 @@ from .jetcalc import (
     _algebra,
     _euler,
     _prolonged_action,
+    derivative_ladder,
     ladder_images,
     total_derivative,
 )
@@ -112,20 +113,21 @@ class SourceContext:
         Validates that u and v solve the same source equation and that
         their Wronskian is a nonzero constant (not necessarily 1; every
         claim checked against a concrete context is invariant under
-        constant rescaling of the pair).
+        constant rescaling of the pair).  u', u'', v' and v'' are pairs of
+        one :func:`jetcalc.derivative_ladder` per solution, each test is
+        decided on a pair (D_x of the Wronskian u v' - u' v is u v'' - u'' v),
+        and q and the Wronskian are printed once.
         """
-        u = sp.sympify(u)
-        v = sp.sympify(v)
-        d = lambda e: total_derivative(e, rates=rates)
-        q = canon(-d(d(u)) / u)
-        if not zero_test(canon(d(d(v)) + q * v)):
+        (u0, u1, u2), (v0, v1, v2) = (derivative_ladder(e, 2, rates) for e in (u, v))
+        q = _canonical_pair(-u2 / u0)
+        if not zero_test(v2 + q * v0):
             raise ValueError("v does not solve the source equation of u")
-        w = canon(u * d(v) - d(u) * v)
-        if not zero_test(d(w)):
+        w = _canonical_pair(u0 * v1 - u1 * v0)
+        if not zero_test(u0 * v2 - u2 * v0):
             raise ValueError("Wronskian is not constant")
         if zero_test(w):
             raise ValueError("solution pair is linearly dependent")
-        return SourceContext(u, v, q, rates=rates, wronskian=w)
+        return SourceContext(u, v, q.as_expr(), rates=rates, wronskian=w.as_expr())
 
     @staticmethod
     def zero_q() -> "SourceContext":
@@ -274,19 +276,17 @@ def source_transformation(n: int, ctx: SourceContext | None = None):
     """The point transformation carrying the trivial equation to order n.
 
     z has derivative 1/u^2; with the Wronskian w(u,v)=W constant this
-    antiderivative is v/(W u), which is used as the closed form.  The
-    dependent map is w = u^(1-n) y (scaling constant fixed to 1).
+    antiderivative is v/(W u), which is used as the closed form: under the
+    context's :meth:`SourceContext.deriv_rates` (v' = (1 + u'v)/u in
+    symbolic mode) its D_x cancels to 1/u^2 in the ring.  The dependent
+    map is w = u^(1-n) y (scaling constant fixed to 1).  Both components
+    are handed to the map as canonical pairs; nothing is printed.
     """
     ctx = ctx or SourceContext.make_symbolic()
     if n < 2:
         raise BadOrder(f"order must be >= 2, got {n}")
-    zeta = canon(ctx.v / (ctx.wronskian * ctx.u))
-    return _transform.PointTransformation(
-        zeta,
-        ctx.u ** (1 - n) * JET[0],
-        zeta_x=ctx.u ** (-2),
-        rates=ctx.rates,
-    )
+    zeta, phi = map(_canonical_pair, (ctx.v / (ctx.wronskian * ctx.u), ctx.u ** (1 - n) * JET[0]))
+    return _transform.PointTransformation(zeta, phi, ctx.deriv_rates())
 
 
 @_memoised_by_order

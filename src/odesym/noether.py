@@ -32,7 +32,6 @@ from .jetcalc import (
     Lagrangian,
     VectorField,
     characteristic,
-    total_derivative,
 )
 from .maxsym import SourceContext
 
@@ -188,9 +187,9 @@ def divergence_relation_check(
 ) -> SymmetryVerdict:
     """Linearity of S across equivalent Lagrangians L = theta*L0 + D_x P.
 
-    S(L), S(L0) and S(D_x P) are pairs, and their combination
+    D_x P, S(L), S(L0) and S(D_x P) are pairs, and their combination
     S(L) - theta*S(L0) - S(D_x P) is reduced once.
     """
-    dP = total_derivative(sp.sympify(P), rates=_rates(ctx))
+    dP = jetcalc.derivative_ladder(P, 1, _rates(ctx))[1]
     s, s0, sdP = (_invariance(v, e, ctx) for e in (L0.pair * theta + dP, L0.pair, dP))
     return _verdict("variational", _reduce(s - s0 * theta - sdP, ctx))

@@ -4,21 +4,25 @@ A transformation sigma = (zeta(x,y), phi(x,y)) reads: the new independent
 variable is z = zeta, the new dependent variable is w = phi.  Objects
 written in (z, w)-jet coordinates use the same atom family as the source
 side; transforming substitutes the jet images z -> zeta, w^(k) -> image
-into the object's pair, all at once.  The image of an equation, a
-Lagrangian or a vector field is passed on as its canonical pairs, printed
-only when read; every other result is printed once from its canonical
-pair.
+into the object's pair, all at once.  A map is its pairs: the components'
+canonical pairs, their partials and D_x zeta are formed once, in one
+operator algebra, when the map is built, and every function here takes
+them as they are.  The monic image of an equation and the image of a
+Lagrangian, a vector field or a map are passed on as their canonical
+pairs, printed only when read; the covariant image of an equation and a
+transformed first integral are printed once from their canonical pairs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import sympy as sp
 
 from . import exprcore
-from .exprcore import JET, X, RingFraction, canon, max_jet_order, zero_test
-from .jetcalc import DiffEq, Lagrangian, VectorField, _dx_fixed, dx_fixed_jets, ladder_images
+from .exprcore import JET, X, RingFraction, _reduced, max_jet_order, zero_test
+from .jetcalc import DiffEq, Lagrangian, VectorField, _algebra, _jet_free, ladder_images
 
 
 class SingularMap(ValueError):
@@ -31,40 +35,56 @@ class MissingInverse(ValueError):
 
 @dataclass(frozen=True)
 class PointTransformation:
-    """Invertible change of variables z = zeta(x, y), w = phi(x, y).
+    """Invertible change of variables z = zeta(x, y), w = phi(x, y), each
+    component given as an expression or a pair.
 
-    ``zeta_x`` may be supplied when the stored zeta is an antiderivative
-    whose derivative has a simpler normal form (the source transformation
-    stores z = v/(W u) but uses z_x = 1/u^2 directly).  ``rates`` carries
-    x-derivatives of opaque atoms appearing in the component functions.
+    Built once: one operator algebra (``rates`` carries the x-derivatives of
+    opaque atoms in the components) forms the components' pairs
+    (``pairs``), the partials zeta_x, zeta_y, phi_x and phi_y
+    (``partials``, x-derivatives with jets held fixed) and D_x zeta =
+    zeta_x + zeta_y*y1 (``dx_zeta``), each reduced once, and the Jacobian
+    is decided on its pair.  ``zeta`` and ``phi`` (the values given, or the
+    pairs' prints), ``zeta_x``, ``zeta_y()``, ``phi_x()`` and ``phi_y()``
+    are prints, made only when read.
     """
 
-    zeta: sp.Expr
-    phi: sp.Expr
-    zeta_x: sp.Expr = None
+    zeta_value: sp.Expr | RingFraction
+    phi_value: sp.Expr | RingFraction
     rates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", sp.sympify(self.zeta))
-        object.__setattr__(self, "phi", sp.sympify(self.phi))
-        for c in (self.zeta, self.phi):
-            if max_jet_order(c) > 0:
-                raise ValueError(f"transformation component {c} involves jets")
-        zx = self.zeta_x if self.zeta_x is not None else dx_fixed_jets(self.zeta, self.rates)
-        object.__setattr__(self, "zeta_x", sp.sympify(zx))
-        jac = self.zeta_x * self.phi_y() - self.zeta_y() * self.phi_x()
+        for attr in ("zeta_value", "phi_value"):
+            object.__setattr__(self, attr, _jet_free(getattr(self, attr), "transformation component"))
+        pairs = tuple(map(exprcore._canonical_pair, (self.zeta_value, self.phi_value)))
+        J = _algebra(self.rates, *((c, 1) for c in pairs))
+        zeta, phi = map(J.lift, pairs)
+        partials = tuple(_reduced(d) for c in (zeta, phi) for d in (J.dx(c, J.fixed), J.partial(c, JET[0])))
+        vars(self).update(pairs=pairs, partials=partials, dx_zeta=_reduced(J.dx(zeta)))  # frozen: as cached_property stores
+        zeta_x, zeta_y, phi_x, phi_y = partials
         # jac = 0 also wherever D_x zeta = zeta_x + zeta_y*y1 does (zeta_x = zeta_y = 0)
-        if zero_test(jac):
+        if zero_test(zeta_x * phi_y - zeta_y * phi_x):
             raise SingularMap(f"Jacobian of ({self.zeta}, {self.phi}) vanishes")
 
+    @functools.cached_property
+    def zeta(self) -> sp.Expr:
+        return sp.sympify(self.zeta_value)
+
+    @functools.cached_property
+    def phi(self) -> sp.Expr:
+        return sp.sympify(self.phi_value)
+
+    @functools.cached_property
+    def zeta_x(self) -> sp.Expr:
+        return self.partials[0].as_expr()
+
     def zeta_y(self):
-        return sp.diff(self.zeta, JET[0])
+        return self.partials[1].as_expr()
 
     def phi_x(self):
-        return dx_fixed_jets(self.phi, self.rates)
+        return self.partials[2].as_expr()
 
     def phi_y(self):
-        return sp.diff(self.phi, JET[0])
+        return self.partials[3].as_expr()
 
     def base_substitution(self) -> dict:
         """Images of the base coordinates: z -> zeta, w -> phi."""
@@ -77,9 +97,7 @@ def identity_map() -> PointTransformation:
 
 def compose(outer: PointTransformation, inner: PointTransformation) -> PointTransformation:
     """The transformation outer o inner, with canonical components."""
-    subs = inner.base_substitution()
-    zeta, phi = (canon(exprcore._substituted(c, subs)) for c in (outer.zeta, outer.phi))
-    return PointTransformation(zeta, phi, rates={**inner.rates, **outer.rates})
+    return PointTransformation(*(_image(c, inner) for c in outer.pairs), rates={**inner.rates, **outer.rates})
 
 
 def jet_substitution(sigma: PointTransformation, order: int) -> dict:
@@ -88,10 +106,10 @@ def jet_substitution(sigma: PointTransformation, order: int) -> dict:
 
 
 def _images(sigma: PointTransformation, used) -> dict:
-    """Images of z and of the jets among used, the jets' as pairs: the
-    ladder of phi under D_x / D_x(zeta), w^(k+1) = D_x(w^(k)) / D_x(zeta)."""
-    dz = sigma.zeta_x + sigma.zeta_y() * JET[1]
-    return {X: sigma.zeta, **ladder_images(JET, sigma.phi, used, sigma.rates, scale=1 / dz)}
+    """Images of z and of the jets among used, as pairs: the ladder of phi
+    under D_x / D_x(zeta), w^(k+1) = D_x(w^(k)) / D_x(zeta)."""
+    scale = RingFraction(sigma.dx_zeta.den, sigma.dx_zeta.num)
+    return {X: sigma.pairs[0], **ladder_images(JET, sigma.pairs[1], used, sigma.rates, scale)}
 
 
 def _image(f, sigma: PointTransformation, weight=1) -> "exprcore._CanonicalPair":
@@ -120,7 +138,8 @@ def transform_equation_covariant(eq: DiffEq, sigma: PointTransformation) -> Diff
     for exactly this weighting; the monic form differs from it by a
     differential-function factor.
     """
-    return DiffEq(_image(eq.pair, sigma, sigma.zeta_x * sigma.phi_y()).as_expr(), eq.order)
+    zeta_x, _, _, phi_y = sigma.partials
+    return DiffEq(_image(eq.pair, sigma, zeta_x * phi_y).as_expr(), eq.order)
 
 
 def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
@@ -130,22 +149,24 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
     Supported for fiber-preserving maps z = zeta(x), w = phi(x, y) with
     phi_y != 0, which is the family the construction needs; general
     (x,y)-mixing maps would require a symbolic inverse.  The coefficients
-    are substituted as pairs, and the result holds canonical pairs.
+    are substituted as pairs, and the result holds canonical pairs.  Both
+    refusals are decided by ``zero_test`` on the map's partials.
     """
-    if not zero_test(sigma.zeta_y()):
+    zeta_x, zeta_y, phi_x, phi_y = sigma.partials
+    if not zero_test(zeta_y):
         raise MissingInverse("push-forward implemented for fiber-preserving maps only")
-    phi_y = sigma.phi_y()
     if zero_test(phi_y):
         raise SingularMap("phi_y vanishes identically")
-    xi_t, psi_t = (exprcore._substituted(c, sigma.base_substitution()) for c in v.pairs)
-    xi = exprcore._canonical_pair(xi_t * (1 / sigma.zeta_x))
-    psi = exprcore._canonical_pair((psi_t - xi * _dx_fixed(sigma.phi, sigma.rates)) * (1 / phi_y))
+    base = _images(sigma, JET[:1])
+    xi_t, psi_t = (exprcore._substituted(c, base) for c in v.pairs)
+    xi = exprcore._canonical_pair(xi_t / zeta_x)
+    psi = exprcore._canonical_pair((psi_t - xi * phi_x) / phi_y)
     return VectorField(xi, psi, name=v.name)
 
 
 def transform_lagrangian(L: Lagrangian, sigma: PointTransformation) -> Lagrangian:
     """Image density L(jet images) * D_x zeta, same declared order."""
-    density = _image(L.pair, sigma, sigma.zeta_x + sigma.zeta_y() * JET[1])
+    density = _image(L.pair, sigma, sigma.dx_zeta)
     return Lagrangian(density, max(L.order, max_jet_order(density)))
 
 

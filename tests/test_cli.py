@@ -383,6 +383,12 @@ def test_zero_denominator_in_input_is_usage_error(capsys, argv):
 ZERO = "(ln(x*y)-ln(x)-ln(y))"  # 0 in the ring
 
 
+@pytest.mark.parametrize("z, w", [("x", f"y/{ZERO}"), (f"x/{ZERO}", "y")], ids=["w", "z"])
+def test_zero_denominator_in_map_is_usage_error(capsys, z, w):
+    code, out, err = run(capsys, "transform", "--map", f"z={z}; w={w}", "--eq", "y2", "--order", "2")
+    assert (code, out, err) == (2, "", "error: zero base of a negative power in 1/(-log(x) - log(y) + log(x*y))\n")
+
+
 @pytest.mark.parametrize("eq, order, err", [
     (f"y3*{ZERO}+y", "3", "leading coefficient is identically zero"),
     (f"y3*{ZERO}+y", "2", "declared order 2 does not match y + y3*(-log(x) - log(y) + log(x*y))"),

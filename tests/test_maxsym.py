@@ -6,6 +6,9 @@ import sympy as sp
 
 from odesym.casebook import (
     CASE_IDS,
+    example_equation_display,
+    example_generators_expected,
+    example_lagrangian_expected,
     example_map,
     family_exponential,
     family_power,
@@ -26,11 +29,12 @@ from odesym.maxsym import (
     reference_first_integral_homogeneity,
     reference_transformed_lagrangian,
     solution_basis,
+    source_transformation,
     specialize_q,
     transformed_lagrangian,
 )
 from odesym.noether import divergence_check, lie_symmetry_check, variational_check
-from odesym.transform import pushforward, transform_equation
+from odesym.transform import PointTransformation, compose, pushforward, transform_equation, transform_lagrangian
 
 y, y1, y2, y3, y4 = JET[:5]
 u, u1, u2 = SOL_U[0], SOL_U[1], SOL_U[2]
@@ -399,7 +403,6 @@ def test_field_operations_print_no_pair(forbid_pair_prints):
         (family_power()[2], "G4"),
     )
     flat, sigma = SourceContext.zero_q(), example_map()
-    build_lode(4)  # its source transformation is printed, once per process
     forbid_pair_prints()
     natural_lagrangian.__wrapped__(4)  # the symbolic density is solved on pairs
     for ctx, name in families:
@@ -412,6 +415,33 @@ def test_field_operations_print_no_pair(forbid_pair_prints):
     brackets = {(a, b): commutator(a, b) for a in gens for b in gens if a is not b}
     assert all(not c.num for a in gens.solution for b in gens.solution if a is not b
                for c in brackets[a, b].pairs)
+
+
+def test_point_transformations_print_no_pair(forbid_pair_prints, monkeypatch):
+    # the source transformation and the objects it carries, and C6's map
+    # with its equation, push-forwards, Lagrangian and a composition, all
+    # built on pairs; the prints are read once the guard is lifted
+    fields = generators(4).specialize(SourceContext.zero_q()).by_name()
+    forbid_pair_prints()
+    built = {n: (source_transformation(n), build_lode.__wrapped__(n), transformed_lagrangian.__wrapped__(n))
+             for n in (4, 8)}
+    sigma = example_map()
+    eq = transform_equation(DiffEq(y4, 4), sigma)
+    images = {name: pushforward(fields[name], sigma) for name in example_generators_expected()}
+    lag = transform_lagrangian(canonical_lagrangian(4), sigma)
+    # C6's map inside: a node of the outer map holding a key prints its argument's image
+    combined = compose(PointTransformation(2 * X, y + X**2), sigma)
+    monkeypatch.undo()
+    for n, (source, lode, density) in built.items():
+        assert (source.zeta, source.zeta_x, source.phi) == (v / u, u**-2, y / u ** (n - 1))
+        assert sp.srepr(lode.delta) == sp.srepr(build_lode(n).delta)
+        assert sp.srepr(density.density) == sp.srepr(transformed_lagrangian(n).density)
+    shown = sp.together(example_equation_display())
+    assert canon(eq.delta - shown / sp.diff(shown, y4)) == 0
+    for name, want in example_generators_expected().items():
+        assert canon(images[name].xi - want.xi) == 0 == canon(images[name].psi - want.psi), name
+    assert canon(lag.density / example_lagrangian_expected()).is_number
+    assert (combined.zeta, combined.phi) == (2 * X, X**2 + PARAMS["k2"] - sp.log(y))
 
 
 # [a, b] = c * target, for target None: [a, b] = 0
