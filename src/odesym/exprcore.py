@@ -10,8 +10,9 @@ each is a power of a generator of ZZ[gens], where every value is a pair of
 integer polynomials and :func:`canon` works (srepr-identical to
 ``cancel(together(.))`` on rational, ln and most exp input).  Rings are
 keyed by generator set: each set's ring is sorted and built once per
-process, and a pair moves between two rings by an index map built once
-per ring pair.
+process, an expression is lifted by the ring's index map, built once per
+ring, and a pair moves between two rings by an index map built once per
+ring pair.
 
 All atoms carry positive-real assumptions, matching the sampling domain
 (1/10, 10) used by the randomized part of :func:`zero_test`.
@@ -23,10 +24,13 @@ import functools
 import hashlib
 import math
 import random
+import types
 from fractions import Fraction
 
 import sympy as sp
+from sympy.core.add import _addsort
 from sympy.core.exprtools import decompose_power
+from sympy.core.mul import _mulsort
 from sympy.polys.domains import ZZ
 from sympy.polys.polyerrors import GeneratorsError
 from sympy.polys.polyutils import _sort_gens
@@ -205,24 +209,49 @@ def _lift(e, R) -> "RingFraction":
             return RingFraction(e.num, e.den)
         take, dropped = _move_map(src, R)
         return RingFraction(_moved(e.num, R, take, dropped), _moved(e.den, R, take, dropped))
-    return RingFraction(*_as_fraction(sp.sympify(e), R, dict(zip(R.symbols, R.gens))))
+    return RingFraction(*_as_fraction(sp.sympify(e), R, _index(R)))
 
 
-def _as_fraction(e, R, gen_of) -> tuple:
-    """A (numerator, denominator) pair in R for an expression over R's gens.
+@functools.lru_cache(maxsize=512)
+def _index(R) -> types.MappingProxyType:
+    """{generator: index} of R, read-only."""
+    return types.MappingProxyType({s: i for i, s in enumerate(R.symbols)})
 
-    A rational p/q is the ground pair (p, q), so both sides keep integer
-    coefficients.  Not reduced: a sum adds the numerators over each
-    distinct denominator and brings the groups to the lcm of their
-    denominators, so the only gcd work left is one cancellation of the
-    final pair.
+
+def _monomial(e, index):
+    """(exponent tuple, coefficient) of e when it is an integer times
+    positive integer powers of symbol generators of index, else None."""
+    exponents, c = [0] * len(index), 1
+    for a in e.args if e.is_Mul else (e,):
+        if a.is_Integer:
+            c *= a.p
+        elif a.is_Symbol and a in index:
+            exponents[index[a]] += 1
+        elif a.is_Pow and a.exp.is_Integer and a.exp.p > 0 and a.base.is_Symbol and a.base in index:
+            exponents[index[a.base]] += a.exp.p
+        else:
+            return None
+    return tuple(exponents), c
+
+
+def _as_fraction(e, R, index) -> tuple:
+    """A (numerator, denominator) pair in R for an expression over R's gens,
+    whose positions ``index`` holds (the ring's cached :func:`_index`).
+
+    A monomial (an integer times positive powers of symbol generators) is
+    one exponent tuple, and a sum collects its monomial terms in one dict;
+    any other term is lifted by the recursion.  A rational p/q is the
+    ground pair (p, q), so both sides keep integer coefficients.  Not
+    reduced: a sum adds the numerators over each distinct denominator and
+    brings the groups to the lcm of their denominators, so the only gcd
+    work left is one cancellation of the final pair.
     """
     if e.is_Symbol:
-        return gen_of[e], R.one
+        return R.gens[index[e]], R.one
     if e.is_Rational:
         return R.ground_new(e.p), R.ground_new(e.q)
     if e.is_Pow and e.exp.is_Integer:
-        num, den = _as_fraction(e.base, R, gen_of)
+        num, den = _as_fraction(e.base, R, index)
         k = int(e.exp)
         if k < 0:
             if not num:
@@ -230,21 +259,30 @@ def _as_fraction(e, R, gen_of) -> tuple:
             num, den, k = den, num, -k
         return num**k, den**k
     if e.is_Mul:
+        if (term := _monomial(e, index)) is not None:
+            m, c = term
+            return R.from_dict({m: c}), R.one
         num, den = R.one, R.one
         for a in e.args:
-            n, d = _as_fraction(a, R, gen_of)
+            n, d = _as_fraction(a, R, index)
             num, den = num * n, den * d
         return num, den
     if not e.is_Add:  # an elementary node: a power of its generator
         normal = _normal_node(e)
         if normal != e:
-            return _as_fraction(normal, R, gen_of)
+            return _as_fraction(normal, R, index)
         g, k = decompose_power(e)
-        return (gen_of[g] ** k, R.one) if k > 0 else (R.one, gen_of[g] ** -k)
-    groups = {}
+        return (R.gens[index[g]] ** k, R.one) if k > 0 else (R.one, R.gens[index[g]] ** -k)
+    groups, terms = {}, {}
     for a in e.args:
-        n, d = _as_fraction(a, R, gen_of)
-        groups[d] = groups.get(d, R.zero) + n
+        if (term := _monomial(a, index)) is not None:
+            m, c = term
+            terms[m] = terms.get(m, 0) + c
+        else:
+            n, d = _as_fraction(a, R, index)
+            groups[d] = groups.get(d, R.zero) + n
+    if terms:
+        groups[R.one] = groups.get(R.one, R.zero) + R.from_dict(terms)
     den = functools.reduce(lambda a, b: a.lcm(b), groups)
     return sum((n * den.exquo(d) for d, n in groups.items()), R.zero), den
 
@@ -317,7 +355,8 @@ class RingFraction:
         }
 
     def as_expr(self) -> sp.Expr:
-        return self.num.as_expr() / self.den.as_expr()
+        """num/den by sympy's ``/``, each side printed by :func:`_printed`."""
+        return _printed(self.num) / _printed(self.den)
 
     def _sympy_(self) -> sp.Expr:
         """``sp.sympify`` of a pair is its expression."""
@@ -327,6 +366,44 @@ class RingFraction:
         """The pair's expression, so that an equation or a Lagrangian given
         as a pair reads as its value."""
         return f"{type(self).__name__}({self.as_expr()})"
+
+
+def _symbols_only(R) -> bool:
+    """True when every generator of R is a symbol (no ln, exp, radical or E)."""
+    return all(s.is_Symbol for s in R.symbols)
+
+
+def _printed(p) -> sp.Expr:
+    """p's expression, the tree ``p.as_expr()`` returns (equal srepr, the
+    same args in the same order), built without sympy's flatten when every
+    generator of its ring is a symbol.
+
+    Each monomial is ``Mul._from_args`` of its generator powers in
+    ``_mulsort`` order, its integer coefficient first unless it is 1, and
+    the terms are ``Add._from_args`` in ``_addsort`` order, the constant
+    first: the tree ``Mul.flatten`` and ``Add.flatten`` return for them.
+    A ring with a node generator prints through ``PolyElement.as_expr``,
+    as sympy merges powers of nodes (exp(x)^2 = exp(2x), y*sqrt(y) =
+    y^(3/2)).
+    """
+    R = p.ring
+    if not _symbols_only(R):
+        return p.as_expr()
+    symbols, to_sympy = R.symbols, R.domain.to_sympy
+    terms, constant = [], None
+    for m, c in p.items():
+        factors = [symbols[i] if k == 1 else sp.Pow(symbols[i], k) for i, k in enumerate(m) if k]
+        if not factors:
+            constant = to_sympy(c)
+            continue
+        _mulsort(factors)
+        if c != 1:
+            factors.insert(0, to_sympy(c))
+        terms.append(sp.Mul._from_args(factors))
+    _addsort(terms)
+    if constant is not None:
+        terms.insert(0, constant)
+    return sp.Add._from_args(terms)
 
 
 def _by_degree(p, i) -> dict:
@@ -503,19 +580,20 @@ def _seeded_rng(e) -> random.Random:
 
 
 def _evaluator(f):
-    """(value, ref) of a canonical pair at a point: ``evaluate(draws, point)``
-    with each atom drawn as k (draws) and at k/100 (point).
+    """(value, ref) of a canonical pair at a point: ``evaluate(draws)`` with
+    each atom drawn as k, the point each atom at k/100 (:func:`_point`).
 
     With every atom at k/100, each term of numerator and denominator is
     scaled by 100^D over its degree in the atoms, D the largest such degree
-    of the pair, so a rational pair is evaluated in integers.  Each node
-    generator the pair uses (ln, exp or radical) is evaluated once per
-    point at 30 digits, and the sums of a pair with nodes are 30-digit
-    floats.  value is the sum of the numerator's terms n_i and ref is
-    max(|d|, sum |n_i|): |value|/ref is the relative size of the pair,
-    which no common scaling changes, nor does sympy spreading a ground
-    denominator over the sum ((x+y)/2 prints as x/2 + y/2).  None where d
-    vanishes or a node value is not real and finite.
+    of the pair, so a rational pair is evaluated in integers and never
+    builds its point.  Each node generator the pair uses (ln, exp or
+    radical) is evaluated once per point at 30 digits, and the sums of a
+    pair with nodes are 30-digit floats.  value is the sum of the
+    numerator's terms n_i and ref is max(|d|, sum |n_i|): |value|/ref is
+    the relative size of the pair, which no common scaling changes, nor
+    does sympy spreading a ground denominator over the sum ((x+y)/2 prints
+    as x/2 + y/2).  None where d vanishes or a node value is not real and
+    finite.
     """
     symbols = f.num.ring.symbols
     atom = [s.is_Symbol for s in symbols]
@@ -536,8 +614,9 @@ def _evaluator(f):
     num, den = compiled(f.num), compiled(f.den)
     zero = sp.Float(0, 30) if nodes else 0
 
-    def evaluate(draws, point):
+    def evaluate(draws):
         if nodes:
+            point = _point(draws)
             draws = {**draws, **{g: g.xreplace(point).evalf(30) for g in nodes}}
             if not all(draws[g].is_real and draws[g].is_finite for g in nodes):
                 return None
@@ -550,18 +629,29 @@ def _evaluator(f):
     return evaluate
 
 
-def _samples(e, points):
-    """Seeded regular sample points of an expression or a pair.
+@functools.lru_cache(maxsize=1024)
+def _hundredths(k: int) -> sp.Rational:
+    """k/100, one of the 991 values a sample coordinate takes."""
+    return sp.Rational(k, 100)
 
-    Yields (point, value, ref) at up to ``points`` points with every atom
-    of the canonical pair's generators drawn from (1/10, 10), in name
-    order, from the RNG of :func:`_seeded_rng`, skipping singular points
-    and giving up after 40*points draws; |value|/ref is the relative size
-    of e at the point.  Every pair goes through :func:`_evaluator`: in
-    integers when it is rational, with its node generators at 30 digits
-    otherwise; no step builds the pair's expression.
+
+def _point(draws) -> dict:
+    """The sample point of draws {atom: k}: each atom at k/100."""
+    return {s: _hundredths(k) for s, k in draws.items()}
+
+
+def _draws(f, points):
+    """Seeded regular draws of a canonical pair.
+
+    Yields (draws, value, ref) at up to ``points`` draws {atom: k}, k in
+    10..1000, of every atom of the pair's generators, in name order, from
+    the RNG of :func:`_seeded_rng`, skipping singular points and giving up
+    after 40*points draws; |value|/ref is the relative size of f at the
+    point of the draws (:func:`_point`).  Every pair goes through
+    :func:`_evaluator`: in integers when it is rational, with its node
+    generators at 30 digits otherwise; no step builds the pair's
+    expression.
     """
-    f = _canonical_pair(e)
     rng = _seeded_rng(f)
     evaluate = _evaluator(f)
     symbols = sorted((s for s in _generators(f) if s.is_Symbol), key=lambda s: s.name)
@@ -570,12 +660,19 @@ def _samples(e, points):
         if taken == points:
             return
         draws = {s: rng.randint(10, 1000) for s in symbols}
-        point = {s: sp.Rational(k, 100) for s, k in draws.items()}
-        result = evaluate(draws, point)
+        result = evaluate(draws)
         if result is None:
             continue
         taken += 1
-        yield point, *result
+        yield draws, *result
+
+
+def _samples(e, points):
+    """Seeded regular sample points of an expression or a pair: (point,
+    value, ref) for each of the :func:`_draws` of its canonical pair, the
+    point's coordinates taken from the cached k/100."""
+    for draws, value, ref in _draws(_canonical_pair(e), points):
+        yield _point(draws), value, ref
 
 
 def _symbolic_confirm(e) -> bool:
@@ -631,9 +728,9 @@ def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
     Used to certify refutations: a claim "e is not identically zero" is
     backed by a concrete sample where the relative value exceeds ``tol``.
     An expression is lifted to its canonical pair once, and a canonical
-    pair is taken as it is; the samples are those of :func:`_samples`.
-    For a rational pair the relative value is an exact ``sp.Rational``,
-    otherwise a 30-digit float.
+    pair is taken as it is; the samples are its :func:`_draws`, and only
+    the best draw's point is built.  For a rational pair the relative
+    value is an exact ``sp.Rational``, otherwise a 30-digit float.
     """
     f = _canonical_pair(e)
     if not f.num:
@@ -641,15 +738,15 @@ def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
     if not any(s.is_Symbol for s in _generators(f)):
         points = 1  # the one point {}, drawn once
     best = None
-    for point, value, ref in _samples(f, points):
+    for draws, value, ref in _draws(f, points):
         rel = Fraction(abs(value), ref) if isinstance(value, int) else abs(value) / ref
         if best is None or rel > best[1]:
-            best = (point, rel)
+            best = (draws, rel)
     if best is None:
         return None
-    point, rel = best
+    draws, rel = best
     if isinstance(rel, Fraction):
         rel = sp.Rational(rel.numerator, rel.denominator)
     if rel <= tol:
         return None
-    return point, rel
+    return _point(draws), rel

@@ -473,9 +473,11 @@ class DiffEq(_Given):
     must be linear with a nonzero coefficient, and y^(n) must enter neither
     the denominator nor a node.  The y^(n) coefficient and the solved rhs
     come from that split as canonical pairs.  ``delta`` (the expression
-    given, or the pair's expanded print), ``leading`` and ``solved_rhs()``
-    are prints, made when first read.  The declared order is tested on the
-    value as given, so a lead that cancels in the ring is reported as zero.
+    given, or the pair's print, expanded unless it is a polynomial over
+    symbols, whose print is already a sum of monomials), ``leading`` and
+    ``solved_rhs()`` are prints, made when first read.  The declared order
+    is tested on the value as given, so a lead that cancels in the ring is
+    reported as zero.
     """
 
     def __post_init__(self):
@@ -494,7 +496,12 @@ class DiffEq(_Given):
 
     @functools.cached_property
     def delta(self) -> sp.Expr:
-        return sp.expand(self.value.as_expr()) if isinstance(self.value, RingFraction) else self.value
+        f = self.value
+        if not isinstance(f, RingFraction):
+            return f
+        if f.den == 1 and exprcore._symbols_only(f.num.ring):
+            return f.as_expr()
+        return sp.expand(f.as_expr())
 
     @functools.cached_property
     def leading(self) -> sp.Expr:

@@ -323,7 +323,7 @@ def test_numeric_witness_seed_ignores_unused_generators():
         c = canon(e)
         extra = {JET[7], COEF_Q[3], PARAMS["k3"], X, sp.sqrt(X)}
         R = exprcore._ring(_sort_gens(exprcore._generators(c) | extra))
-        wide = exprcore.RingFraction(*exprcore._as_fraction(c, R, dict(zip(R.symbols, R.gens))))
+        wide = exprcore._lift(c, R)
         assert numeric_witness(wide) == numeric_witness(c)
         assert numeric_witness(wide) is not None
 
@@ -344,6 +344,122 @@ def test_numeric_witness_evaluates_an_atom_free_pair_once(monkeypatch):
 
 def test_numeric_witness_zero_expression():
     assert numeric_witness((y + 1) ** 2 - y**2 - 2 * y - 1) is None
+
+
+def _print_corpus():
+    """Pairs at the edges of the print: zero, constants, a coefficient of -1
+    on one generator, jets whose names sort apart from ``Basic.compare``
+    (y2 against y10), ground and monomial denominators, random polynomials
+    over many symbols, Delta_6 and the n = 6 transformed Lagrangian, and
+    rings with ln, exp, radical and E generators."""
+    y10 = JET[10]
+    R = exprcore._ring({y, y2, y10, X})
+    exprs = [
+        -y,
+        y2 - y10,
+        y10**2 * y2 - 3 * y2**2 + y10 - 1,
+        (X + y) / 2,
+        (3 * X - 5 * y**2) / 7,
+        (X**2 - 3 * y * u) / (5 * u**7),
+        -(y2 + 1) / (y10 * X**3),
+        sp.log(y) * y1 - sp.log(y) ** 2,
+        sp.exp(X) ** 2 * y + sp.exp(X),
+        y * sp.sqrt(y) - sp.sqrt(y) / (X + 1),
+        sp.E * X - 1,
+    ]
+    pairs = [
+        exprcore.RingFraction(R.zero, R.one),
+        exprcore.RingFraction(R(-5), R.one),
+        exprcore.RingFraction(R(7), R(3)),
+        exprcore.RingFraction.from_expr(sp.Integer(7) / 3),
+        exprcore.RingFraction(R.gens[0], R.one),
+    ]
+    pairs += [exprcore._canonical_pair(e) for e in exprs]
+    ctx = SourceContext.make_symbolic()
+    pairs += [build_lode(6, ctx).pair, transformed_lagrangian(6, ctx).pair]
+    rng = random.Random(20261020)
+    wide = exprcore._ring({X, *JET[:12], u, u1, v, q, k1})
+    for _ in range(40):
+        terms = {
+            tuple(rng.choice((0, 0, 0, 1, 2)) for _ in wide.symbols): rng.choice((-1, 1, rng.randint(-30, 30)))
+            for _ in range(rng.randint(1, 8))
+        }
+        pairs.append(exprcore.RingFraction(wide.from_dict(terms), wide.from_dict({(0,) * wide.ngens: rng.randint(1, 9)})))
+    return pairs
+
+
+def _same_tree(a, b) -> bool:
+    """Equal srepr and equal args in the same order at every level: srepr
+    prints the terms of a sum in its own order, ``==`` compares args as
+    they are."""
+    return sp.srepr(a) == sp.srepr(b) and a == b
+
+
+def test_print_is_sympys_flatten():
+    for f in _print_corpus():
+        for p in (f.num, f.den):
+            assert _same_tree(exprcore._printed(p), p.as_expr()), p
+        assert _same_tree(f.as_expr(), f.num.as_expr() / f.den.as_expr()), f
+
+
+def test_print_of_a_symbol_ring_skips_sympys_flatten(monkeypatch):
+    corpus = _print_corpus()
+    expected = [f.num.as_expr() / f.den.as_expr() for f in corpus]
+
+    def flattened(self):
+        raise AssertionError("printed through PolyElement.as_expr")
+
+    monkeypatch.setattr(PolyElement, "as_expr", flattened)
+    nodes = 0
+    for f, want in zip(corpus, expected):
+        if exprcore._symbols_only(f.num.ring):
+            assert _same_tree(f.as_expr(), want)
+        else:
+            nodes += 1
+            assert any(not s.is_Symbol for s in f.num.ring.symbols)
+    assert nodes == 4
+
+
+def test_canonical_pair_of_a_print_is_the_pair(monkeypatch):
+    monomials = Counter()
+    monomial = exprcore._monomial
+
+    def counted(e, index):
+        term = monomial(e, index)
+        monomials[term is not None] += 1
+        return term
+
+    monkeypatch.setattr(exprcore, "_monomial", counted)
+    ctx = SourceContext.make_symbolic()
+    corpus = [
+        X * y / 7 + y2,
+        3 * X**2 * y1 - y / (2 * u) + 1,
+        (y - 1) ** -2 + X**-3 * q,
+        sp.E * X + sp.exp(X + 1) - y,
+        sp.log(y) * y1 / (X + sp.sqrt(X * y)),
+        sp.exp(2 * X) * y**2 - sp.cbrt(q) / u1,
+        build_lode(5, ctx).pair,
+        transformed_lagrangian(4, ctx).pair,
+    ]
+    for e in corpus:
+        f = exprcore._canonical_pair(e)
+        back = exprcore._lift(exprcore._canonical_pair(f.as_expr()), f.num.ring)
+        assert (back.num, back.den) == (f.num, f.den), e
+    assert monomials[True] and monomials[False]
+
+
+def test_numeric_witness_builds_only_its_point(monkeypatch):
+    built = []
+    hundredths = exprcore._hundredths
+
+    def counted(k):
+        built.append(k)
+        return hundredths(k)
+
+    monkeypatch.setattr(exprcore, "_hundredths", counted)
+    point, value = numeric_witness((X**2 - 3 * y * u) / (2 * X * y**3))
+    assert isinstance(value, sp.Rational)
+    assert sorted(built) == sorted(r.p * 100 // r.q for r in point.values())
 
 
 def test_ring_is_one_object_per_generator_set():
