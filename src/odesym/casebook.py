@@ -304,11 +304,10 @@ def _membership_claims(rec, n, ctx, kind, positives):
             rec.negative(cid, verdict.pair, label)
 
 
-def _case_c3(include_order_six=True) -> CaseReport:
+def _case_c3() -> CaseReport:
     rec = _Recorder("C3")
     ctx = SourceContext.make_symbolic()
-    evens = (4, 6) if include_order_six else (4,)
-    for n in evens:
+    for n in (4, 6):
         var_pos = {f"V{k}" for k in range((n - 2) // 2 + 1)} | {f"F{n}", f"G{n}"}
         div_pos = {f"V{k}" for k in range(n)} | {f"F{n}", f"G{n}", f"H{n}"}
         _membership_claims(rec, n, ctx, "variational", var_pos)

@@ -10,8 +10,9 @@ Exit codes:
 
 - 0: every claim verified (an exact zero), or the object was built;
 - 1: a claim was refuted, certified by a nonzero witness;
-- 2: usage or parse error, including an order outside the supported range
-  and a ``--json`` path that cannot be written;
+- 2: usage or parse error, including an order outside the supported range,
+  a denominator that vanishes (in the ring, on the source solutions or at
+  ``--q``) and a ``--json`` path that cannot be written;
 - 3: undecided: no witness was found for a nonzero residual, or the
   kernel could not decide (inconclusive zero test, inexact integration,
   failed elimination, numeric singularity, jet order limit) or failed
@@ -21,6 +22,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -31,15 +33,16 @@ import sympy as sp
 
 from . import casebook, exprcore, maxsym, noether, transform
 from .exprcore import (
+    COEF_Q,
     MAX_JET_ORDER,
     SOL_U,
     SOL_V,
     X,
     Inconclusive,
-    UnsupportedForm,
+    _generators,
     canon,
 )
-from .grammar import ParseError, parse, render
+from .grammar import parse, render
 from .jetcalc import DiffEq, JetOrderLimit, Lagrangian, NotExact, VectorField
 
 # Kernel outcomes that leave a claim undecided (exit code 3).
@@ -51,8 +54,9 @@ _UNDECIDED = (
     JetOrderLimit,
 )
 
-# Exit code of a claim status.
-_EXIT_CODES = {"verified": 0, "refuted-witness": 1, "undecided": 3}
+# The ladders u, u', ..., v, v', ... and q, q', ...
+_SOLUTIONS = frozenset(SOL_U) | frozenset(SOL_V)
+_Q_LADDER = frozenset(COEF_Q)
 
 # Options whose value is an expression and may start with "-".
 _EXPRESSION_OPTIONS = ("--vf", "--q", "--eq", "--lagrangian", "--integral", "--map")
@@ -62,25 +66,32 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_expr(text: str) -> sp.Expr:
+@contextlib.contextmanager
+def _usage_errors():
+    """A ValueError or ZeroDivisionError raised while the input is read is
+    a usage error: a parse error, a malformed object, a singular map or a
+    denominator that vanishes."""
     try:
-        e = parse(text)
-        exprcore._generators(e)  # validates the elementary-function grammar
-        return e
-    except (ParseError, UnsupportedForm) as err:
+        yield
+    except (ValueError, ZeroDivisionError) as err:
         raise UsageError(str(err)) from err
+
+
+def _parse_expr(text: str) -> sp.Expr:
+    with _usage_errors():
+        e = parse(text)
+        _generators(e)  # validates the elementary-function grammar
+    return e
 
 
 def _parse_vf(text: str) -> VectorField:
     parts = text.split(";")
     if len(parts) != 2:
         raise UsageError('vector field must be given as "<xi>;<psi>"')
-    try:
+    with _usage_errors():
         vf = VectorField(_parse_expr(parts[0]), _parse_expr(parts[1]))
         vf.pairs  # the first lift, which the checks reuse: a hidden zero denominator is one of the input
-        return vf
-    except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(str(err)) from err
+    return vf
 
 
 def _parse_map(text: str) -> transform.PointTransformation:
@@ -89,13 +100,13 @@ def _parse_map(text: str) -> transform.PointTransformation:
         if "=" not in chunk:
             raise UsageError('map must be given as "z=<expr>; w=<expr>"')
         name, _, rhs = chunk.partition("=")
+        if name.strip() in pieces:
+            raise UsageError('map must define exactly z and w')
         pieces[name.strip()] = _parse_expr(rhs.strip())
     if set(pieces) != {"z", "w"}:
         raise UsageError('map must define exactly z and w')
-    try:
+    with _usage_errors():  # SingularMap, or a zero denominator of the input
         return transform.PointTransformation(pieces["z"], pieces["w"])
-    except (ValueError, ZeroDivisionError) as err:  # SingularMap, or a zero denominator of the input
-        raise UsageError(str(err)) from err
 
 
 def _parse_q(text):
@@ -111,36 +122,50 @@ def _parse_q(text):
     return q
 
 
-def _specialized(e, q_expr) -> sp.Expr:
-    """e at a concrete coefficient q: the first lift of q, where a zero
-    denominator is one of the input and a usage error."""
-    try:
-        return maxsym.specialize_q(e, q_expr)
-    except ZeroDivisionError as err:
-        raise UsageError(str(err)) from err
+def _at_q(q, value):
+    """value (an expression or a pair) at the concrete coefficient q of
+    ``--q``: as it is without one or when it holds no q symbol, else with
+    q, q', ... substituted.  With ``--q``, u and v are refused, and a
+    denominator that vanishes at q is a usage error."""
+    if q is None:
+        return value
+    gens = _generators(value)
+    if gens & _SOLUTIONS:
+        raise UsageError("--q fixes a concrete coefficient; inputs must not use u or v")
+    if not gens & _Q_LADDER:
+        return value
+    with _usage_errors():
+        return maxsym.specialize_q(value, q)
 
 
-def _reject_solution_symbols(q_text, *exprs):
-    if q_text is None:
-        return
-    solutions = set(SOL_U) | set(SOL_V)
-    for e in exprs:
-        if e is not None and sp.sympify(e).free_symbols & solutions:
-            raise UsageError("--q fixes a concrete coefficient; inputs must not use u or v")
+def _field_at_q(q, vf: VectorField) -> VectorField:
+    """vf with :func:`_at_q` applied to both coefficient pairs: vf itself
+    when neither changes."""
+    xi, psi = (_at_q(q, c) for c in vf.pairs)
+    return vf if xi is vf.pairs[0] and psi is vf.pairs[1] else VectorField(xi, psi)
 
 
-def _object_report(case, objects, status="verified") -> dict:
+def _on_solutions(ctx, *pairs) -> None:
+    """Reduce the input's pairs by the symbolic context ctx, if any: a
+    denominator that vanishes on the source solutions (u'' + q u, say) is
+    a usage error."""
+    with _usage_errors():
+        for pair in pairs if ctx is not None else ():
+            ctx._reduce_pair(pair)
+
+
+def _exit_code(statuses) -> int:
+    """1 if any claim is refuted, else 3 if any is undecided, else 0."""
+    statuses = set(statuses)
+    return 1 if "refuted-witness" in statuses else 3 if "undecided" in statuses else 0
+
+
+def _object_report(objects, status="verified") -> dict:
     claims = [
-        {
-            "id": name,
-            "status": status,
-            "residual": render(expr),
-            "paper_ref": "",
-            "millis": 0.0,
-        }
+        {"id": name, "status": status, "residual": render(expr), "paper_ref": "", "millis": 0.0}
         for name, expr in objects
     ]
-    return {"case": case, "claims": claims}
+    return {"case": None, "claims": claims}
 
 
 def emit_report(report: dict, fmt: str = "text") -> str:
@@ -181,6 +206,16 @@ def _deliver(report, args) -> None:
         print(emit_report(report, "text"))
 
 
+def _emit(args, objects, lines) -> int:
+    """A built object's output: its (name, expression) report under
+    ``--json``, else its text lines."""
+    if args.json:
+        _deliver(_object_report(objects), args)
+    else:
+        print("\n".join(lines))
+    return 0
+
+
 def _check_json_path(path) -> None:
     """Reject a --json PATH that is a directory or lies in no existing
     directory, before any work; "-" is stdout."""
@@ -192,38 +227,28 @@ def _check_json_path(path) -> None:
 
 def _cmd_generators(args) -> int:
     gens = maxsym.generators(args.n).by_name()
-    if args.json:
-        objects = [(f"{name}.{p}", getattr(vf, p)) for name, vf in gens.items() for p in ("xi", "psi")]
-        _deliver(_object_report(None, objects), args)
-    else:
-        for name, vf in gens.items():
-            print(f"{name} = ({render(vf.xi)}) d/dx + ({render(vf.psi)}) d/dy")
-    return 0
+    return _emit(
+        args,
+        ((f"{name}.{p}", getattr(vf, p)) for name, vf in gens.items() for p in ("xi", "psi")),
+        (f"{name} = ({render(vf.xi)}) d/dx + ({render(vf.psi)}) d/dy" for name, vf in gens.items()),
+    )
 
 
 def _cmd_build_lode(args) -> int:
-    q_expr = _parse_q(args.q)
+    q = _parse_q(args.q)
     eq = maxsym.build_lode(args.n)
-    delta = eq.delta if q_expr is None else _specialized(eq.pair, q_expr)
-    if args.json:
-        _deliver(_object_report(None, [(f"Delta{args.n}", delta)]), args)
-    else:
-        print(render(delta))
-    return 0
+    delta = eq.delta if q is None else _at_q(q, eq.pair)
+    return _emit(args, [(f"Delta{args.n}", delta)], [render(delta)])
 
 
 def _cmd_lagrangian(args) -> int:
     density = getattr(maxsym, f"{args.kind}_lagrangian")(args.n).density
-    if args.json:
-        _deliver(_object_report(None, [(f"L{args.n}.{args.kind}", density)]), args)
-    else:
-        print(render(density))
-    return 0
+    return _emit(args, [(f"L{args.n}.{args.kind}", density)], [render(density)])
 
 
 def _cmd_check(args) -> int:
     vf = _parse_vf(args.vf)
-    q_expr = _parse_q(args.q)
+    q = _parse_q(args.q)
     if args.order is None:
         raise UsageError("check needs an explicit --order matching the input")
     if args.kind == "variational":
@@ -236,40 +261,31 @@ def _cmd_check(args) -> int:
         text, build = args.eq, DiffEq
         checker = noether.lie_symmetry_check if args.kind == "lie" else noether.divergence_check
     expr = _parse_expr(text)
-    _reject_solution_symbols(args.q, expr, vf.xi, vf.psi)
-    ctx = maxsym.SourceContext.make_symbolic() if q_expr is None else None
-    try:
-        if q_expr is not None:
-            expr = maxsym.specialize_q(expr, q_expr)
+    ctx = maxsym.SourceContext.make_symbolic() if q is None else None
+    with _usage_errors():
+        expr, vf = _at_q(q, expr), _field_at_q(q, vf)
         obj = build(expr, args.order)
-        obj.pair  # the first lift of the input, which the check reuses
-    except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(str(err)) from err
+        _on_solutions(ctx, *vf.pairs, obj.pair)  # the first lifts of the input, which the check reuses
     verdict = checker(vf, obj, ctx)
     status = casebook.claim_status(verdict.holds, verdict.pair)
-    _deliver(_object_report(None, [(f"{args.kind}-symmetry", verdict.witness)], status), args)
-    return _EXIT_CODES[status]
+    _deliver(_object_report([(f"{args.kind}-symmetry", verdict.witness)], status), args)
+    return _exit_code([status])
 
 
 def _cmd_first_integral(args) -> int:
     vf = _parse_vf(args.vf)
-    q_expr = _parse_q(args.q)
+    q = _parse_q(args.q)
     ctx = maxsym.SourceContext.make_symbolic()
     eq = maxsym.build_lode(args.n, ctx)
-    if q_expr is not None:
-        _reject_solution_symbols(args.q, vf.xi, vf.psi)
-        eq = DiffEq(_specialized(eq.pair, q_expr), args.n)
-        ctx = None
+    if q is not None:
+        vf, eq, ctx = _field_at_q(q, vf), DiffEq(_at_q(q, eq.pair), args.n), None
+    _on_solutions(ctx, *vf.pairs)
     try:
         result = noether.first_integral(vf, eq, ctx)
     except noether.NotADivergenceSymmetry as err:
         print(f"not a divergence symmetry: {err}", file=sys.stderr)
-        return _EXIT_CODES[casebook.claim_status(False, err.pair)]
-    if args.json:
-        _deliver(_object_report(None, [("F", result.expr), ("Q", result.q)]), args)
-    else:
-        print(render(result.expr))
-    return 0
+        return _exit_code([casebook.claim_status(False, err.pair)])
+    return _emit(args, [("F", result.expr), ("Q", result.q)], [render(result.expr)])
 
 
 def _cmd_transform(args) -> int:
@@ -277,7 +293,7 @@ def _cmd_transform(args) -> int:
     given = [opt for opt in (args.eq, args.lagrangian, args.vf, args.integral) if opt is not None]
     if len(given) != 1:
         raise UsageError("give exactly one of --eq, --lagrangian, --vf, --integral")
-    try:
+    with _usage_errors():
         if args.eq is not None:
             if args.order is None:
                 raise UsageError("--eq needs --order n")
@@ -293,39 +309,19 @@ def _cmd_transform(args) -> int:
             objects = [("xi", vf.xi), ("psi", vf.psi)]
         else:
             objects = [("F", transform.transform_first_integral(_parse_expr(args.integral), sigma))]
-    except (transform.SingularMap, transform.MissingInverse, ValueError, ZeroDivisionError) as err:
-        if isinstance(err, UsageError):
-            raise
-        raise UsageError(str(err)) from err
-    if args.json:
-        _deliver(_object_report(None, objects), args)
-    else:
-        for name, expr in objects:
-            print(f"{name} = {render(expr)}")
-    return 0
+    return _emit(args, objects, (f"{name} = {render(expr)}" for name, expr in objects))
 
 
 def _cmd_reproduce(args) -> int:
-    if args.case == "all":
-        reports = casebook.run_all()
-    else:
-        try:
-            reports = [casebook.run_case(args.case)]
-        except KeyError as err:
-            raise UsageError(str(err)) from err
+    reports = casebook.run_all() if args.case == "all" else [casebook.run_case(args.case)]
     merged = (
         reports[0].as_dict()
         if len(reports) == 1
         else {"case": "all", "claims": [c for r in reports for c in r.as_dict()["claims"]]}
     )
     _deliver(merged, args)
-    statuses = {c.status for r in reports for c in r.claims}
-    if "refuted-witness" in statuses:
-        summary, code = "refutations found", 1
-    elif "undecided" in statuses:
-        summary, code = "undecided claims found", 3
-    else:
-        summary, code = "all claims verified", 0
+    code = _exit_code(c.status for r in reports for c in r.claims)
+    summary = {0: "all claims verified", 1: "refutations found", 3: "undecided claims found"}[code]
     print(summary, file=sys.stderr)
     return code
 
@@ -421,10 +417,7 @@ def main(argv=None) -> int:
         if getattr(args, "n", None) is not None and args.n > MAX_JET_ORDER:
             raise maxsym.BadOrder(f"order {args.n} exceeds the jet registry limit {MAX_JET_ORDER}")
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (maxsym.BadOrder, maxsym.OddOrder) as err:
+    except (UsageError, maxsym.BadOrder, maxsym.OddOrder) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except _UNDECIDED as err:

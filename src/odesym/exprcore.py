@@ -495,8 +495,12 @@ def _reduced(f) -> "_CanonicalPair":
     unique p/q with no common factor (integer contents included) and a
     positive leading coefficient of q in lex order over the sorted gens.
     Gens absent from both polynomials change neither the order nor the
-    result, and the radical step ends in such a cancel too.
+    result, and the radical step ends in such a cancel too.  A zero
+    denominator raises ZeroDivisionError: ``cancel`` would return 1/0 as
+    (1, 0) and 0/0 as (0, 1).
     """
+    if not f.den:
+        raise ZeroDivisionError("denominator is identically zero")
     num, den = f.num.cancel(f.den)
     for i, s in enumerate(num.ring.symbols):
         if s.is_Pow:

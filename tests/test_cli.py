@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -6,7 +9,7 @@ from odesym import casebook, cli, maxsym, noether
 from odesym.casebook import SingularityEncountered
 from odesym.cli import emit_report, main
 from odesym.exprcore import JET, Inconclusive, canon
-from odesym.grammar import parse
+from odesym.grammar import ParseError, parse
 from odesym.jetcalc import JetOrderLimit, NotExact
 from odesym.noether import SymmetryVerdict
 
@@ -89,6 +92,7 @@ def test_check_divergence_refuted(capsys):
         ("1;0", "y3+q*y1+x*y", "3", "1", 1, "y"),
         ("x;0", "y3+q*y1", "3", "sqrt(x)", 1, "5*sqrt(x)*y1/2"),
         ("1;0", "y2 - (1+y1^2)^(-3/2)", "2", None, 0, None),
+        ("0;q*y", "y3+4*q*y1+2*q1*y", "3", "1", 0, None),
     ],
 )
 def test_check_lie(capsys, vf, eq, order, q, code, residual):
@@ -116,6 +120,32 @@ def test_check_rejects_solution_symbols_with_concrete_q(capsys):
         "--eq", "y3", "--order", "3", "--q", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("kind, vf, obj, order, q", [
+    ("divergence", "0;q*y", ("--eq", "y3+4*q*y1+2*q1*y"), "3", "1"),
+    ("variational", "0;q", ("--lagrangian", "y1^2/2"), "1", "0"),
+], ids=["divergence", "variational"])
+def test_q_reaches_the_field(capsys, kind, vf, obj, order, q):
+    # --q substitutes into the field too: q*y at q = 1 is W_y, q at q = 0 is 0
+    got = run(capsys, "check", "--kind", kind, "--vf", vf, *obj, "--order", order, "--q", q)
+    assert got == (0, f"  {kind}-symmetry: verified\n", "")
+
+
+def test_first_integral_q_reaches_the_field(capsys):
+    argv = ("first-integral", "--n", "3", "--q", "1", "--vf")
+    assert run(capsys, *argv, "0;q*y") == run(capsys, *argv, "0;y") == (0, "2*y^2 + y*y2 - y1^2/2\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--kind", "lie", "--vf", "0;q*u", "--eq", "y3", "--order", "3"),
+    ("check", "--kind", "lie", "--vf", "0;y", "--eq", "y3+v*y", "--order", "3"),
+    ("first-integral", "--vf", "0;u^2", "--n", "3"),
+], ids=["check-field", "check-equation", "first-integral"])
+def test_q_refuses_solution_symbols(capsys, argv):
+    # a field or equation in u or v has no concrete coefficient, with or without q in it
+    got = run(capsys, *argv, "--q", "0")
+    assert got == (2, "", "error: --q fixes a concrete coefficient; inputs must not use u or v\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -372,9 +402,16 @@ def test_internal_error_is_not_a_refutation(capsys, monkeypatch):
     ("build-lode", "--n", "3", "--q", "1/(ln(2*x)-ln(2)-ln(x))"),
     ("first-integral", "--n", "3", "--vf", "0;y", "--q", "1/(ln(2*x)-ln(2)-ln(x))"),
     ("check", "--kind", "lie", "--vf", "0;1/(ln(x*y)-ln(x)-ln(y))", "--eq", "y3", "--order", "3"),
+    pytest.param(("check", "--kind", "lie", "--vf", "0;1/(u2+q*u)", "--eq", "y3", "--order", "3"),
+                 id="check-lie-on-solutions"),
+    pytest.param(("first-integral", "--vf", "0;1/(u2+q*u)", "--n", "3"), id="first-integral-on-solutions"),
+    pytest.param(("check", "--kind", "lie", "--vf", "0;y/(q-1)", "--eq", "y3", "--order", "3", "--q", "1"),
+                 id="check-lie-at-q"),
+    pytest.param(("first-integral", "--vf", "0;y/(q-1)", "--n", "3", "--q", "1"), id="first-integral-at-q"),
 ], ids=lambda argv: argv[0] + ("-" + argv[2] if argv[0] == "check" else ""))
 def test_zero_denominator_in_input_is_usage_error(capsys, argv):
-    # ln(x*y) - ln(x) - ln(y) and ln(2x) - ln(2) - ln(x) are 0 in the ring
+    # ln(x*y) - ln(x) - ln(y) and ln(2x) - ln(2) - ln(x) are 0 in the ring,
+    # u2 + q*u is 0 on the source solutions, and q - 1 is 0 at --q 1
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
@@ -387,6 +424,12 @@ ZERO = "(ln(x*y)-ln(x)-ln(y))"  # 0 in the ring
 def test_zero_denominator_in_map_is_usage_error(capsys, z, w):
     code, out, err = run(capsys, "transform", "--map", f"z={z}; w={w}", "--eq", "y2", "--order", "2")
     assert (code, out, err) == (2, "", "error: zero base of a negative power in 1/(-log(x) - log(y) + log(x*y))\n")
+
+
+@pytest.mark.parametrize("text", ["z=x; w=y; w=y^2", "z=x; z=x^2; w=y"], ids=["w", "z"])
+def test_repeated_map_component_is_usage_error(capsys, text):
+    got = run(capsys, "transform", "--map", text, "--eq", "y2", "--order", "2")
+    assert got == (2, "", "error: map must define exactly z and w\n")
 
 
 @pytest.mark.parametrize("eq, order, err", [
@@ -515,3 +558,36 @@ def test_help_exits_zero(capsys):
 
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """(argv, comment) of each line of the sh block under "## Command line"
+    in README.md; a line with an optional "[...]" part runs without it and
+    again with it, whose output the comment does not state."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        yield shlex.split(re.sub(r"\[.*?\]", "", command))[1:], comment.strip()
+        if "[" in command:
+            yield shlex.split(re.sub(r"\[(.*?)\]", r"\1", command))[1:], ""
+
+
+def test_readme_command_line_block(capsys, monkeypatch, tmp_path):
+    # every line exits 0, and a comment that is an expression is the output
+    monkeypatch.chdir(tmp_path)
+    stated = 0
+    for argv, comment in readme_commands():
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        try:
+            value = parse(comment)
+        except ParseError:
+            continue
+        assert canon(parse(out.strip()) - value) == 0, argv
+        stated += 1
+    assert stated >= 2
+    assert json.loads((tmp_path / "report.json").read_text())["case"] == "all"

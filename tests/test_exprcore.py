@@ -108,6 +108,14 @@ def test_canon_rejects_ln_of_a_negative_value():
     assert sp.srepr(canon(once)) == sp.srepr(once) == sp.srepr(sp.E * sp.exp(X) * y)
 
 
+def test_canonical_pair_of_a_zero_denominator_raises():
+    # PolyElement.cancel would return 1/0 as (1, 0) and 0/0 as (0, 1)
+    R = exprcore.RingFraction.from_expr(y).num.ring
+    for num in (R.one, R.zero):
+        with pytest.raises(ZeroDivisionError):
+            canon(exprcore.RingFraction(num, R.zero))
+
+
 def test_partial_examples():
     assert canon(partial(y1**2 * y, y1) - 2 * y1 * y) == 0
     assert canon(partial(q * y**2, q) - y**2) == 0

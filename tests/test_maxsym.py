@@ -156,6 +156,11 @@ def test_specialize_q_matches_diff_ladder():
             assert canon(specialize_q(delta, qval)) == canon(reference), (n, qval)
 
 
+def test_specialize_q_raises_on_a_denominator_that_vanishes_at_q():
+    with pytest.raises(ZeroDivisionError):
+        specialize_q(y / (COEF_Q[0] - 1), 1)
+
+
 def test_build_lode_oracle_via_first_integral_derivative():
     # D_x of the order-3 homogeneity first integral must equal y * Delta_3
     F3 = reference_first_integral_homogeneity(3)

@@ -54,6 +54,13 @@ def test_lie_check_translation_fails_for_symbolic_q():
     assert COEF_Q[1] in verdict.witness.free_symbols
 
 
+def test_lie_check_raises_on_a_denominator_that_vanishes_on_solutions():
+    # u'' + q u is 0 under the source equation: 1/(u2 + q u) has no value there
+    u, u2 = SOL_U[0], SOL_U[2]
+    with pytest.raises(ZeroDivisionError):
+        lie_symmetry_check(VectorField(0, 1 / (u2 + q * u)), DiffEq(y3, 3), CTX)
+
+
 def test_variational_membership_examples():
     L4 = transformed_lagrangian(4, CTX)
     g = generators(4).by_name()
