@@ -12,7 +12,8 @@ Exit codes:
 - 1: a claim was refuted, certified by a nonzero witness;
 - 2: usage or parse error, including an order outside the supported range,
   a denominator that vanishes (in the ring, on the source solutions or at
-  ``--q``) and a ``--json`` path that cannot be written;
+  ``--q``, in the input or in a check), an undefined value (1/0, ln(0)) and
+  a ``--json`` path that cannot be written;
 - 3: undecided: no witness was found for a nonzero residual, or the
   kernel could not decide (inconclusive zero test, inexact integration,
   failed elimination, numeric singularity, jet order limit) or failed
@@ -39,6 +40,7 @@ from .exprcore import (
     SOL_V,
     X,
     Inconclusive,
+    UndefinedValue,
     _generators,
     canon,
 )
@@ -67,18 +69,23 @@ class UsageError(ValueError):
 
 
 @contextlib.contextmanager
-def _usage_errors():
+def _usage_errors(option=None, where="as written"):
     """A ValueError or ZeroDivisionError raised while the input is read is
     a usage error: a parse error, a malformed object, a singular map or a
-    denominator that vanishes."""
+    denominator that vanishes.  An undefined value (1/0, ln(0)) is one of
+    the option's value, where it is read."""
     try:
         yield
+    except UndefinedValue as err:
+        raise UsageError(f"{option} is undefined {where}" if option else str(err)) from err
     except (ValueError, ZeroDivisionError) as err:
         raise UsageError(str(err)) from err
 
 
-def _parse_expr(text: str) -> sp.Expr:
-    with _usage_errors():
+def _parse_expr(text: str, option=None) -> sp.Expr:
+    """text parsed and checked against the grammar: an error is a usage
+    error, and an undefined value names option."""
+    with _usage_errors(option):
         e = parse(text)
         _generators(e)  # validates the elementary-function grammar
     return e
@@ -89,7 +96,7 @@ def _parse_vf(text: str) -> VectorField:
     if len(parts) != 2:
         raise UsageError('vector field must be given as "<xi>;<psi>"')
     with _usage_errors():
-        vf = VectorField(_parse_expr(parts[0]), _parse_expr(parts[1]))
+        vf = VectorField(_parse_expr(parts[0], "--vf"), _parse_expr(parts[1], "--vf"))
         vf.pairs  # the first lift, which the checks reuse: a hidden zero denominator is one of the input
     return vf
 
@@ -102,7 +109,7 @@ def _parse_map(text: str) -> transform.PointTransformation:
         name, _, rhs = chunk.partition("=")
         if name.strip() in pieces:
             raise UsageError('map must define exactly z and w')
-        pieces[name.strip()] = _parse_expr(rhs.strip())
+        pieces[name.strip()] = _parse_expr(rhs.strip(), "--map")
     if set(pieces) != {"z", "w"}:
         raise UsageError('map must define exactly z and w')
     with _usage_errors():  # SingularMap, or a zero denominator of the input
@@ -114,7 +121,7 @@ def _parse_q(text):
     function of x and the named parameters, nothing else."""
     if text is None:
         return None
-    q = _parse_expr(text)
+    q = _parse_expr(text, "--q")
     extra = q.free_symbols - exprcore._PARAM_SET - {X}
     if extra:
         names = ", ".join(sorted(map(str, extra)))
@@ -122,11 +129,12 @@ def _parse_q(text):
     return q
 
 
-def _at_q(q, value):
+def _at_q(q, value, option):
     """value (an expression or a pair) at the concrete coefficient q of
     ``--q``: as it is without one or when it holds no q symbol, else with
     q, q', ... substituted.  With ``--q``, u and v are refused, and a
-    denominator that vanishes at q is a usage error."""
+    denominator that vanishes at q, or a value of option undefined there,
+    is a usage error."""
     if q is None:
         return value
     gens = _generators(value)
@@ -134,24 +142,32 @@ def _at_q(q, value):
         raise UsageError("--q fixes a concrete coefficient; inputs must not use u or v")
     if not gens & _Q_LADDER:
         return value
-    with _usage_errors():
+    with _usage_errors(option, "at --q"):
         return maxsym.specialize_q(value, q)
 
 
 def _field_at_q(q, vf: VectorField) -> VectorField:
     """vf with :func:`_at_q` applied to both coefficient pairs: vf itself
     when neither changes."""
-    xi, psi = (_at_q(q, c) for c in vf.pairs)
+    xi, psi = (_at_q(q, c, "--vf") for c in vf.pairs)
     return vf if xi is vf.pairs[0] and psi is vf.pairs[1] else VectorField(xi, psi)
 
 
-def _on_solutions(ctx, *pairs) -> None:
-    """Reduce the input's pairs by the symbolic context ctx, if any: a
-    denominator that vanishes on the source solutions (u'' + q u, say) is
-    a usage error."""
-    with _usage_errors():
+def _on_solutions(ctx, option, *pairs) -> None:
+    """Reduce the pairs of option's value by the symbolic context ctx, if
+    any: a denominator that vanishes on the source solutions (u'' + q u,
+    say), or a value undefined there, is a usage error."""
+    with _usage_errors(option, "on the source solutions"):
         for pair in pairs if ctx is not None else ():
             ctx._reduce_pair(pair)
+
+
+def _vanishing(ctx) -> UsageError:
+    """The usage error of a check or a first integral that divides by zero:
+    a denominator of the input vanishes on the source solutions, or at
+    ``--q`` when ctx is None."""
+    where = "on the source solutions" if ctx is not None else "at --q"
+    return UsageError(f"a denominator vanishes {where}")
 
 
 def _exit_code(statuses) -> int:
@@ -237,7 +253,7 @@ def _cmd_generators(args) -> int:
 def _cmd_build_lode(args) -> int:
     q = _parse_q(args.q)
     eq = maxsym.build_lode(args.n)
-    delta = eq.delta if q is None else _at_q(q, eq.pair)
+    delta = eq.delta if q is None else _at_q(q, eq.pair, "--q")
     return _emit(args, [(f"Delta{args.n}", delta)], [render(delta)])
 
 
@@ -254,19 +270,24 @@ def _cmd_check(args) -> int:
     if args.kind == "variational":
         if args.lagrangian is None:
             raise UsageError("variational checks need --lagrangian <expr> --order m")
-        text, build, checker = args.lagrangian, Lagrangian, noether.variational_check
+        text, option, build, checker = args.lagrangian, "--lagrangian", Lagrangian, noether.variational_check
     else:
         if args.eq is None:
             raise UsageError(f"{args.kind} checks need --eq <expr> --order n")
-        text, build = args.eq, DiffEq
+        text, option, build = args.eq, "--eq", DiffEq
         checker = noether.lie_symmetry_check if args.kind == "lie" else noether.divergence_check
-    expr = _parse_expr(text)
+    expr = _parse_expr(text, option)
     ctx = maxsym.SourceContext.make_symbolic() if q is None else None
     with _usage_errors():
-        expr, vf = _at_q(q, expr), _field_at_q(q, vf)
+        expr, vf = _at_q(q, expr, option), _field_at_q(q, vf)
         obj = build(expr, args.order)
-        _on_solutions(ctx, *vf.pairs, obj.pair)  # the first lifts of the input, which the check reuses
-    verdict = checker(vf, obj, ctx)
+        # the first lifts of the input, which the check reuses
+        _on_solutions(ctx, "--vf", *vf.pairs)
+        _on_solutions(ctx, option, obj.pair)
+    try:
+        verdict = checker(vf, obj, ctx)
+    except ZeroDivisionError as err:
+        raise _vanishing(ctx) from err
     status = casebook.claim_status(verdict.holds, verdict.pair)
     _deliver(_object_report([(f"{args.kind}-symmetry", verdict.witness)], status), args)
     return _exit_code([status])
@@ -278,10 +299,12 @@ def _cmd_first_integral(args) -> int:
     ctx = maxsym.SourceContext.make_symbolic()
     eq = maxsym.build_lode(args.n, ctx)
     if q is not None:
-        vf, eq, ctx = _field_at_q(q, vf), DiffEq(_at_q(q, eq.pair), args.n), None
-    _on_solutions(ctx, *vf.pairs)
+        vf, eq, ctx = _field_at_q(q, vf), DiffEq(_at_q(q, eq.pair, "--q"), args.n), None
+    _on_solutions(ctx, "--vf", *vf.pairs)
     try:
         result = noether.first_integral(vf, eq, ctx)
+    except ZeroDivisionError as err:
+        raise _vanishing(ctx) from err
     except noether.NotADivergenceSymmetry as err:
         print(f"not a divergence symmetry: {err}", file=sys.stderr)
         return _exit_code([casebook.claim_status(False, err.pair)])
@@ -297,18 +320,18 @@ def _cmd_transform(args) -> int:
         if args.eq is not None:
             if args.order is None:
                 raise UsageError("--eq needs --order n")
-            eq = DiffEq(_parse_expr(args.eq), args.order)
+            eq = DiffEq(_parse_expr(args.eq, "--eq"), args.order)
             objects = [("Delta", canon(transform.transform_equation(eq, sigma).pair))]
         elif args.lagrangian is not None:
             if args.order is None:
                 raise UsageError("--lagrangian needs --order m")
-            lag = Lagrangian(_parse_expr(args.lagrangian), args.order)
+            lag = Lagrangian(_parse_expr(args.lagrangian, "--lagrangian"), args.order)
             objects = [("L", transform.transform_lagrangian(lag, sigma).density)]
         elif args.vf is not None:
             vf = transform.pushforward(_parse_vf(args.vf), sigma)
             objects = [("xi", vf.xi), ("psi", vf.psi)]
         else:
-            objects = [("F", transform.transform_first_integral(_parse_expr(args.integral), sigma))]
+            objects = [("F", transform.transform_first_integral(_parse_expr(args.integral, "--integral"), sigma))]
     return _emit(args, objects, (f"{name} = {render(expr)}" for name, expr in objects))
 
 

@@ -43,6 +43,10 @@ class UnsupportedForm(ValueError):
     """An expression uses a function application outside the atom grammar."""
 
 
+class UndefinedValue(UnsupportedForm):
+    """An expression holds an undefined value, such as 1/0 or ln(0)."""
+
+
 class Inconclusive(RuntimeError):
     """zero_test could not decide: sampling says zero, symbolics disagree."""
 
@@ -136,6 +140,8 @@ def _generators(e) -> set:
             walk(e.args[0], True)
             node(_normal_node(e))
         elif not e.is_Rational:
+            if e is sp.nan or e.is_infinite:
+                raise UndefinedValue(f"undefined value {e}")
             raise UnsupportedForm(f"unsupported node {type(e).__name__} in {e}")
 
     def node(e):

@@ -157,6 +157,151 @@ def parse(text: str) -> sp.Expr:
 
 
 def render(e) -> str:
-    """Print an expression in the grammar; parse(render(e)) == canon-equal e."""
-    out = sp.StrPrinter({"order": "lex"}).doprint(sp.sympify(e))
-    return out.replace("**", "^").replace("log(", "ln(")
+    """Print an expression in the grammar; parse(render(e)) == canon-equal e.
+
+    The text is ``StrPrinter({"order": "lex"})``'s with ``^`` for ``**`` and
+    ``ln`` for ``log``.  The kernel's shapes (see :func:`_direct`) are
+    written from the tree's args; every other tree goes through StrPrinter.
+    """
+    if not isinstance(e, sp.Basic):
+        e = sp.sympify(e)
+    out = _direct(e)
+    if out is None:
+        out = sp.StrPrinter({"order": "lex"}).doprint(e)
+        out = out.replace("**", "^").replace("log(", "ln(")
+    return out
+
+
+# The direct printer.  It follows StrPrinter's rules for these shapes:
+#
+# - a Mul's factors sort by sort_key: its Rational coefficient first, then
+#   the symbol powers by the symbol's name, then a sum and a Pow(sum, -1);
+#   a negative coefficient prints as a leading "-", |p| is the first
+#   numerator factor, and q and the negative powers form the denominator,
+#   "/d" for one factor and "/(d1*d2)" for more;
+# - a sum's terms go in descending lex order of their exponent vectors
+#   over the sum's symbols sorted by name, ties by the coefficient, and a
+#   term that prints with a leading "-" joins as " - ";
+# - a bare power prints as y^k, 1/y or y^(-k).
+
+
+def _symbol_power(e):
+    """(name, exponent) of a Symbol or of its integer power other than the
+    0th and 1st (an unevaluated y^1 prints its exponent); else None."""
+    if type(e) is sp.Symbol:
+        return e.name, 1
+    if type(e) is sp.Pow:
+        base, k = e.args
+        if type(base) is sp.Symbol and k.is_Integer and k.p not in (0, 1):
+            return base.name, k.p
+    return None
+
+
+def _quotient(e):
+    """The factors (coefficient, {name: exponent}, numerator sum,
+    denominator sum) of e, a sum None when there is none: e is a Rational,
+    a symbol power, Pow(sum, -1), or a Mul of an optional Rational first
+    arg, symbol powers, at most one sum and at most one Pow(sum, -1).
+    None for any other tree, an unevaluated Mul (1 as the first arg, a
+    Number after it, a repeated symbol) included."""
+    if e.is_Rational:
+        return e, {}, None, None
+    if type(e) is sp.Pow and type(e.base) is sp.Add and e.exp is sp.S.NegativeOne:
+        return sp.S.One, {}, None, e.base
+    if type(e) is not sp.Mul:
+        power = _symbol_power(e)
+        return None if power is None else (sp.S.One, dict((power,)), None, None)
+    args = e.args
+    coefficient = args[0]
+    if coefficient.is_Rational:
+        if coefficient is sp.S.One:
+            return None
+        args = args[1:]
+    else:
+        coefficient = sp.S.One
+    powers, top, bottom = {}, None, None
+    for a in args:
+        power = _symbol_power(a)
+        if power is not None:
+            if power[0] in powers:
+                return None
+            powers[power[0]] = power[1]
+        elif type(a) is sp.Add and top is None:
+            top = a
+        elif type(a) is sp.Pow and type(a.base) is sp.Add and a.exp is sp.S.NegativeOne and bottom is None:
+            bottom = a.base
+        else:
+            return None
+    return coefficient, powers, top, bottom
+
+
+def _quotient_text(coefficient, powers, top=None, bottom=None) -> str:
+    """The text StrPrinter gives the Mul of these factors: the sums as
+    their texts."""
+    sign, p, q = "", coefficient.p, coefficient.q
+    if p < 0:
+        sign, p = "-", -p
+    num = [str(p)] if p != 1 else []
+    den = [str(q)] if q != 1 else []
+    for name in sorted(powers):
+        k = powers[name]
+        if k > 0:
+            num.append(name if k == 1 else f"{name}^{k}")
+        else:
+            den.append(name if k == -1 else f"{name}^{-k}")
+    if top is not None:
+        num.append(f"({top})")
+    if bottom is not None:
+        den.append(f"({bottom})")
+    out = sign + ("*".join(num) or "1")
+    if len(den) == 1:
+        return f"{out}/{den[0]}"
+    return f"{out}/({'*'.join(den)})" if den else out
+
+
+def _sum_text(e):
+    """The text of a sum of monomials, else None."""
+    terms, names = [], set()
+    for t in e.args:
+        monomial = _quotient(t)
+        if monomial is None or monomial[2] is not None or monomial[3] is not None:
+            return None
+        terms.append((t, monomial[0], monomial[1]))
+        names.update(monomial[1])
+    order = sorted(names)
+    terms.sort(key=lambda t: (tuple(-t[2].get(name, 0) for name in order), t[1]))
+    texts = [_power_text(t) if type(t) is sp.Pow else _quotient_text(c, powers) for t, c, powers in terms]
+    return texts[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in texts[1:])
+
+
+def _power_text(e) -> str:
+    """The text of a bare symbol power (not inside a Mul)."""
+    name, k = _symbol_power(e)
+    if k > 0:
+        return f"{name}^{k}"
+    return f"1/{name}" if k == -1 else f"{name}^({k})"
+
+
+def _direct(e):
+    """e's text when e has a kernel shape, else None: a Rational, a Symbol,
+    an integer power of one, a sum of monomials (a Rational first arg times
+    symbol powers), or a quotient as sympy's ``/`` builds it: a Rational
+    times symbol powers times at most one such sum and at most one
+    Pow(sum, -1)."""
+    if type(e) is sp.Add:
+        return _sum_text(e)
+    parts = _quotient(e)
+    if parts is None:
+        return None
+    coefficient, powers, top, bottom = parts
+    if type(e) is sp.Pow and bottom is None:
+        return _power_text(e)
+    if top is not None:
+        top = _sum_text(top)
+        if top is None:
+            return None
+    if bottom is not None:
+        bottom = _sum_text(bottom)
+        if bottom is None:
+            return None
+    return _quotient_text(coefficient, powers, top, bottom)

@@ -4,6 +4,7 @@ import re
 import shlex
 
 import pytest
+import sympy as sp
 
 from odesym import casebook, cli, maxsym, noether
 from odesym.casebook import SingularityEncountered
@@ -442,6 +443,68 @@ def test_equation_errors_keep_their_messages(capsys, eq, order, err):
     # the declared order is tested on the input as given, before its lead cancels in the ring
     for argv in (("check", "--kind", "lie", "--vf", "0;y"), ("transform", "--map", "z=x; w=y^2")):
         assert run(capsys, *argv, "--eq", eq, "--order", order) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--kind", "lie", "--vf", "0;sqrt(u2+q*u)", "--eq", "y3", "--order", "3"),
+    ("check", "--kind", "divergence", "--vf", "0;sqrt(u2+q*u)", "--eq", "y3", "--order", "3"),
+    ("first-integral", "--vf", "0;sqrt(u2+q*u)", "--n", "3"),
+], ids=["check-lie", "check-divergence", "first-integral"])
+def test_check_dividing_by_zero_on_solutions_is_usage_error(capsys, argv):
+    # the field reduces to 0 on the source solutions, its derivatives divide by it
+    assert run(capsys, *argv) == (2, "", "error: a denominator vanishes on the source solutions\n")
+
+
+@pytest.mark.parametrize("argv, option, where", [
+    (("build-lode", "--n", "3", "--q", "ln(x-x)"), "--q", "as written"),
+    (("check", "--kind", "lie", "--vf", "0;ln(u2+q*u)", "--eq", "y3", "--order", "3"),
+     "--vf", "on the source solutions"),
+    (("check", "--kind", "lie", "--vf", "0;y", "--eq", "y3 + 1/0", "--order", "3"), "--eq", "as written"),
+    (("first-integral", "--vf", "0;ln(q)", "--n", "3", "--q", "0"), "--vf", "at --q"),
+], ids=["q", "vf-on-solutions", "eq", "vf-at-q"])
+def test_undefined_input_names_its_option(capsys, argv, option, where):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {option} is undefined {where}\n")
+    assert "ComplexInfinity" not in err and "zoo" not in err
+
+
+KERNEL_COMMANDS = [
+    ("generators", "--n", "12"),
+    ("build-lode", "--n", "8", "--q", "-6/x^2"),
+    ("lagrangian", "--n", "6", "--kind", "transformed"),
+    ("first-integral", "--vf", "0;y", "--n", "5", "--q", "-2/x^2"),
+]
+
+
+@pytest.mark.parametrize("argv", [*KERNEL_COMMANDS, *((*argv, "--json", "-") for argv in KERNEL_COMMANDS)],
+                         ids=lambda argv: " ".join(argv))
+def test_kernel_shapes_never_reach_strprinter(capsys, monkeypatch, argv):
+    # the generators, equations, Lagrangians and first integrals print directly
+    expected = run(capsys, *argv)
+
+    def doprint(self, e):
+        raise AssertionError(f"StrPrinter reached for {sp.srepr(e)}")
+
+    monkeypatch.setattr(sp.StrPrinter, "doprint", doprint)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
+def test_node_output_prints_through_strprinter(capsys, monkeypatch):
+    # the integral under C6's map holds ln(y): a tree outside the direct shapes
+    argv = ("transform", "--map", "z=x; w=k2-ln(y)", "--integral", "y*y2")
+    expected = run(capsys, *argv)
+    printed = []
+    doprint = sp.StrPrinter.doprint
+
+    def recorded(self, e):
+        printed.append(e)
+        return doprint(self, e)
+
+    monkeypatch.setattr(sp.StrPrinter, "doprint", recorded)
+    assert run(capsys, *argv) == expected
+    assert expected == (0, "F = (-k2*y*y2 + k2*y1^2 + y*y2*ln(y) - y1^2*ln(y))/y^2\n", "")
+    assert any(e.has(sp.log) for e in printed)
 
 
 def test_order_above_jet_registry_is_bad_order(capsys):

@@ -4,6 +4,8 @@ import sympy as sp
 from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, X, canon
 from odesym.grammar import ParseError, parse, render
 from odesym import maxsym
+from odesym.jetcalc import DiffEq
+from odesym.noether import first_integral
 
 
 def test_parse_basic():
@@ -70,3 +72,57 @@ def test_round_trip_library_outputs():
     produced.extend(vf.psi for vf in gens)
     for e in produced:
         assert canon(parse(render(canon(e))) - e) == 0
+
+
+def _strprinter(e) -> str:
+    """StrPrinter's lex text in the grammar: the text render must give."""
+    return sp.StrPrinter({"order": "lex"}).doprint(e).replace("**", "^").replace("log(", "ln(")
+
+
+x, y, y1, y2, y10 = X, *JET[:3], JET[10]
+
+EDGE_CASES = [
+    y**-2, 1 / y, -(x + y) / x, (x + y) / (2 * x), (x + y) / 2, -y1**2 / 2, y * y10 + y * y2,
+    3 * y / (2 * x), y / (y1 + 1), -y / (x * (y1 + 1)), 1 - 2 * y, sp.Rational(-3, 4),
+    y**2 - 3 + 2 / y - y**-2,  # a Laurent sum with a constant term
+]
+
+
+@pytest.mark.parametrize("e", EDGE_CASES, ids=str)
+def test_render_prints_kernel_shapes_as_strprinter_does(monkeypatch, e):
+    expected = _strprinter(e)
+
+    def doprint(self, e):
+        raise AssertionError("a kernel shape reached StrPrinter")
+
+    monkeypatch.setattr(sp.StrPrinter, "doprint", doprint)
+    assert render(e) == expected
+
+
+def _library_objects():
+    """(name, expression) of the generators, Delta_n (symbolic and at
+    q = -2/x^2), the Lagrangians and the first integrals of W_y at each
+    concrete q."""
+    from test_transform import CONCRETE_Q
+
+    q = -2 / X**2
+    for n in range(2, 15):
+        for name, vf in maxsym.generators(n).by_name().items():
+            yield f"{name}{n}.xi", vf.xi
+            yield f"{name}{n}.psi", vf.psi
+        eq = maxsym.build_lode(n)
+        yield f"Delta{n}", eq.delta
+        yield f"Delta{n}.q", maxsym.specialize_q(eq.pair, q)
+    for n in range(2, 11, 2):
+        yield f"L{n}.transformed", maxsym.transformed_lagrangian(n).density
+        yield f"L{n}.natural", maxsym.natural_lagrangian(n).density
+    wy = maxsym.generators(3).homogeneity
+    for n in (3, 5, 7):
+        for k, qx in enumerate(CONCRETE_Q):
+            eq = DiffEq(maxsym.specialize_q(maxsym.build_lode(n).pair, qx), n)
+            yield f"F{n}.q{k}", first_integral(wy, eq).expr
+
+
+def test_render_matches_strprinter_on_library_objects():
+    for name, e in _library_objects():
+        assert render(e) == _strprinter(e), name
