@@ -35,7 +35,6 @@ import sympy as sp
 from . import casebook, exprcore, maxsym, noether, transform
 from .exprcore import (
     COEF_Q,
-    MAX_JET_ORDER,
     SOL_U,
     SOL_V,
     X,
@@ -72,13 +71,16 @@ class UsageError(ValueError):
 def _usage_errors(option=None, where="as written"):
     """A ValueError or ZeroDivisionError raised while the input is read is
     a usage error: a parse error, a malformed object, a singular map or a
-    denominator that vanishes.  An undefined value (1/0, ln(0)) is one of
-    the option's value, where it is read."""
+    denominator that vanishes.  An undefined value (1/0, ln(0)) and a
+    vanishing denominator are those of the option's value, where it is
+    read, when option is given."""
     try:
         yield
     except UndefinedValue as err:
         raise UsageError(f"{option} is undefined {where}" if option else str(err)) from err
-    except (ValueError, ZeroDivisionError) as err:
+    except ZeroDivisionError as err:
+        raise UsageError(f"a denominator of {option} vanishes {where}" if option else str(err)) from err
+    except ValueError as err:
         raise UsageError(str(err)) from err
 
 
@@ -131,10 +133,10 @@ def _parse_q(text):
 
 def _at_q(q, value, option):
     """value (an expression or a pair) at the concrete coefficient q of
-    ``--q``: as it is without one or when it holds no q symbol, else with
-    q, q', ... substituted.  With ``--q``, u and v are refused, and a
-    denominator that vanishes at q, or a value of option undefined there,
-    is a usage error."""
+    ``--q``: as it is without one or when it holds no q symbol, else the
+    canonical pair with q, q', ... substituted.  With ``--q``, u and v are
+    refused, and a denominator that vanishes at q, or a value of option
+    undefined there, is a usage error."""
     if q is None:
         return value
     gens = _generators(value)
@@ -143,7 +145,7 @@ def _at_q(q, value, option):
     if not gens & _Q_LADDER:
         return value
     with _usage_errors(option, "at --q"):
-        return maxsym.specialize_q(value, q)
+        return maxsym._specialized(value, q)
 
 
 def _field_at_q(q, vf: VectorField) -> VectorField:
@@ -437,8 +439,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_json_path(getattr(args, "json", None))
-        if getattr(args, "n", None) is not None and args.n > MAX_JET_ORDER:
-            raise maxsym.BadOrder(f"order {args.n} exceeds the jet registry limit {MAX_JET_ORDER}")
+        if getattr(args, "n", None) is not None:
+            maxsym._order(args.n, even=args.command == "lagrangian")
         return args.func(args)
     except (UsageError, maxsym.BadOrder, maxsym.OddOrder) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -677,14 +677,6 @@ def _draws(f, points):
         yield draws, *result
 
 
-def _samples(e, points):
-    """Seeded regular sample points of an expression or a pair: (point,
-    value, ref) for each of the :func:`_draws` of its canonical pair, the
-    point's coordinates taken from the cached k/100."""
-    for draws, value, ref in _draws(_canonical_pair(e), points):
-        yield _point(draws), value, ref
-
-
 def _symbolic_confirm(e) -> bool:
     for simplifier in (
         lambda t: sp.cancel(sp.radsimp(t)),
@@ -707,7 +699,7 @@ def zero_test(e, points: int = 20, tol=sp.Rational(1, 10**9)) -> bool:
     :func:`_canonical_pair` returned is taken as it is), and rational input
     is decided exactly by that pair.  For input with elementary atoms the
     pair decides only the nonzero direction; a nonzero is then sampled by
-    :func:`_samples` at ``points`` random rational points in (1/10, 10),
+    :func:`_draws` at ``points`` random rational points in (1/10, 10),
     all atoms independent (a pair without atoms at its one point, each
     time), against the relative tolerance ``tol``.  If every sample is
     below it, a cheap symbolic confirmation on the pair's expression must
@@ -719,7 +711,7 @@ def zero_test(e, points: int = 20, tol=sp.Rational(1, 10**9)) -> bool:
     if is_rational_expr(f):
         return False
     taken = 0
-    for _, value, ref in _samples(f, points):
+    for _, value, ref in _draws(f, points):
         if abs(value) > tol * ref:
             return False
         taken += 1

@@ -122,7 +122,7 @@ class _RingAlgebra:
     def __init__(self, gens, rates_key):
         R = exprcore._ring(gens)
         self.ring = R
-        self.index = index = {s: i for i, s in enumerate(R.symbols)}
+        self.index = index = exprcore._index(R)
         overlay = dict(rates_key)
         total = {}
         for i, s in enumerate(R.symbols):

@@ -31,7 +31,6 @@ from .exprcore import (
     _canonical_pair,
     _generators,
     _substituted,
-    canon,
     zero_test,
 )
 from .jetcalc import (
@@ -96,15 +95,6 @@ class SourceContext:
     @staticmethod
     def make_symbolic() -> "SourceContext":
         return SourceContext(SOL_U[0], SOL_V[0], COEF_Q[0], rates=_RATES)
-
-    def _is_source_symbolic(self) -> bool:
-        """True when the context holds the values of :meth:`make_symbolic`:
-        u, v, q, Wronskian and rates.  ``symbolic`` alone does not say
-        that; a symbolic context without the source rates cannot eliminate
-        u and v."""
-        return (self.u, self.v, self.q, self.wronskian, self.rates) == (
-            SOL_U[0], SOL_V[0], COEF_Q[0], 1, _RATES,
-        )
 
     @staticmethod
     def from_solutions(u, v, rates=None) -> "SourceContext":
@@ -172,11 +162,28 @@ def specialize_q(e, q) -> sp.Expr:
     u and v stay formal; the derivatives are those of a concrete reduction,
     substituted in the ring, and the result is canonical.
     """
-    return canon(_substituted(e, ladder_images(COEF_Q, sp.sympify(q), _generators(e))))
+    return _specialized(e, q).as_expr()
+
+
+def _specialized(e, q):
+    """The canonical pair whose expression :func:`specialize_q` returns."""
+    return _canonical_pair(_substituted(e, ladder_images(COEF_Q, sp.sympify(q), _generators(e))))
 
 
 # Bound of each memo: one entry for every order the jet registry holds.
 _ORDERS = MAX_JET_ORDER + 1
+
+
+def _order(n: int, even: bool = False) -> int:
+    """n, when the library builds objects of order n: at most the jet
+    registry's limit, even for a Lagrangian construction, and at least 2."""
+    if n > MAX_JET_ORDER:
+        raise BadOrder(f"order {n} exceeds the jet registry limit {MAX_JET_ORDER}")
+    if even and n % 2:
+        raise OddOrder(f"no Lagrangian construction for odd order {n}")
+    if n < 2:
+        raise BadOrder(f"order must be >= 2, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -215,19 +222,17 @@ class GeneratorSet:
 
 def _memoised_by_order(builder):
     """builder(n, ctx), served from one bounded per-process memo of
-    builder(n) when ctx is None or holds the values of
-    :meth:`SourceContext.make_symbolic`, and as that value's pair reduced
-    by a concrete context; any other symbolic context builds afresh.
-    ``__wrapped__`` is the builder itself."""
+    builder(n) when ctx is None or symbolic, and as that value's pair
+    reduced by a concrete context.  Any symbolic context reduces by the
+    source relations, whatever its rates, so the memo's value is its
+    answer.  ``__wrapped__`` is the builder itself."""
     memo = functools.lru_cache(maxsize=_ORDERS)(builder)
 
     @functools.wraps(builder)
     def build(n, ctx=None):
-        if ctx is None or ctx._is_source_symbolic():
-            return memo(n)
-        if ctx.symbolic:
-            return builder(n, ctx)
         value = memo(n)
+        if ctx is None or ctx.symbolic:
+            return value
         return type(value)(ctx._reduce_pair(value.pair), value.order)
 
     return build
@@ -235,8 +240,7 @@ def _memoised_by_order(builder):
 
 def solution_basis(n: int) -> list:
     """The n solutions s_k = u^(n-k-1) v^k of the order-n equation."""
-    if n < 2:
-        raise BadOrder(f"order must be >= 2, got {n}")
+    _order(n)
     return [SOL_U[0] ** (n - k - 1) * SOL_V[0] ** k for k in range(n)]
 
 
@@ -244,8 +248,6 @@ def solution_basis(n: int) -> list:
 def generators(n: int) -> GeneratorSet:
     """Generators V_0..V_{n-1}, W_y, F_n, G_n, H_n in terms of u and v,
     each component in the form :func:`canon` prints."""
-    if n < 2:
-        raise BadOrder(f"order must be >= 2, got {n}")
     u, u1 = SOL_U[0], SOL_U[1]
     v, v1 = SOL_V[0], SOL_V[1]
     y = JET[0]
@@ -283,8 +285,7 @@ def source_transformation(n: int, ctx: SourceContext | None = None):
     are handed to the map as canonical pairs; nothing is printed.
     """
     ctx = ctx or SourceContext.make_symbolic()
-    if n < 2:
-        raise BadOrder(f"order must be >= 2, got {n}")
+    _order(n)
     zeta, phi = map(_canonical_pair, (ctx.v / (ctx.wronskian * ctx.u), ctx.u ** (1 - n) * JET[0]))
     return _transform.PointTransformation(zeta, phi, ctx.deriv_rates())
 
@@ -311,11 +312,7 @@ def canonical_lagrangian(n: int) -> Lagrangian:
     Written in the shared jet coordinates; its Euler-Lagrange expression is
     exactly w^(n).
     """
-    if n % 2:
-        raise OddOrder(f"no Lagrangian construction for odd order {n}")
-    if n < 2:
-        raise BadOrder(f"order must be >= 2, got {n}")
-    m = n // 2
+    m = _order(n, even=True) // 2
     return Lagrangian(sp.Rational(-1, 1) ** m * JET[m] ** 2 / 2, m)
 
 
@@ -323,8 +320,7 @@ def canonical_lagrangian(n: int) -> Lagrangian:
 def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
     """The canonical Lagrangian pushed through the source transformation."""
     ctx = ctx or SourceContext.make_symbolic()
-    if n % 2:
-        raise OddOrder(f"no Lagrangian construction for odd order {n}")
+    _order(n, even=True)
     sigma = source_transformation(n, ctx)
     L = _transform.transform_lagrangian(canonical_lagrangian(n), sigma)
     return Lagrangian(ctx._reduce_pair(L.pair), n // 2)
@@ -340,8 +336,7 @@ def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
     y*Delta_n/2 to order n/2 is the canonical representative used by the
     variational identities.
     """
-    if n % 2:
-        raise OddOrder(f"no Lagrangian construction for odd order {n}")
+    _order(n, even=True)
     target, dens = _euler(None, JET[0] / 2, build_lode(n).pair), 0
     for m in range(n // 2, -1, -1):
         J = _algebra(None, (target, 0))

@@ -108,6 +108,8 @@ def _verdict(kind: str, residual) -> SymmetryVerdict:
 
 
 def _rates(ctx: SourceContext | None):
+    """The context's own rates: each check reduces once, at the end; under the
+    peel's ``deriv_rates()`` the divergence check is as exact but twice as slow."""
     return ctx.rates if ctx is not None else None
 
 

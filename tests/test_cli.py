@@ -6,7 +6,7 @@ import shlex
 import pytest
 import sympy as sp
 
-from odesym import casebook, cli, maxsym, noether
+from odesym import casebook, cli, exprcore, maxsym, noether
 from odesym.casebook import SingularityEncountered
 from odesym.cli import emit_report, main
 from odesym.exprcore import JET, Inconclusive, canon
@@ -466,6 +466,39 @@ def test_undefined_input_names_its_option(capsys, argv, option, where):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {option} is undefined {where}\n")
     assert "ComplexInfinity" not in err and "zoo" not in err
+
+
+@pytest.mark.parametrize("argv, where", [
+    (("check", "--kind", "lie", "--vf", "0;1/(u2+q*u)", "--eq", "y3", "--order", "3"), "on the source solutions"),
+    (("first-integral", "--vf", "0;y/(q-1)", "--n", "3", "--q", "1"), "at --q"),
+], ids=["on-solutions", "at-q"])
+def test_vanishing_input_denominator_names_its_option(capsys, argv, where):
+    assert run(capsys, *argv) == (2, "", f"error: a denominator of --vf vanishes {where}\n")
+
+
+@pytest.mark.parametrize("argv, prints, lifts", [
+    (("first-integral", "--vf", "0;y", "--n", "5", "--q", "1/(x^2+1)"), 7, 2),
+    (("check", "--kind", "divergence", "--vf", "0;q*y", "--eq", "y3+4*q*y1+2*q1*y", "--order", "3",
+      "--q", "1"), 1, 2),
+], ids=["first-integral", "check"])
+def test_q_values_stay_pairs(capsys, monkeypatch, argv, prints, lifts):
+    # the values at --q go on as pairs: no print of one that is lifted again
+    expected = run(capsys, *argv)  # builds and memoises Delta_n
+    counts = {"as_expr": 0, "from_expr": 0}
+    as_expr, from_expr = exprcore.RingFraction.as_expr, exprcore.RingFraction.from_expr
+
+    def counted_as_expr(f):
+        counts["as_expr"] += 1
+        return as_expr(f)
+
+    def counted_from_expr(*args, **kwargs):
+        counts["from_expr"] += 1
+        return from_expr(*args, **kwargs)
+
+    monkeypatch.setattr(exprcore.RingFraction, "as_expr", counted_as_expr)
+    monkeypatch.setattr(exprcore.RingFraction, "from_expr", staticmethod(counted_from_expr))
+    assert run(capsys, *argv) == expected and expected[0] == 0
+    assert counts["as_expr"] <= prints and counts["from_expr"] <= lifts, counts
 
 
 KERNEL_COMMANDS = [

@@ -251,11 +251,16 @@ class _ScriptedRandom(random.Random):
         return self._first.pop(0) if self._first else super().randint(a, b)
 
 
+def _samples(c, points=20):
+    """(point, value, ref) of each of the sampler's draws of c."""
+    return [(exprcore._point(d), value, ref) for d, value, ref in exprcore._draws(exprcore._canonical_pair(c), points)]
+
+
 def test_samples_skip_zero_denominator(monkeypatch):
     c = canon(1 / (X - y) + 1)
     # x = y = 1/2 twice, where the denominator x - y vanishes
     monkeypatch.setattr(exprcore, "_seeded_rng", lambda e: _ScriptedRandom([50, 50, 50, 50]))
-    samples = list(exprcore._samples(c, 20))
+    samples = _samples(c)
     assert len(samples) == 20
     assert all(point[X] != point[y] for point, _, _ in samples)
     assert samples[0][0] != {X: sp.Rational(1, 2), y: sp.Rational(1, 2)}
@@ -316,7 +321,7 @@ def test_integer_sampler_matches_fraction_tree(monkeypatch):
     for e, first in _sampler_corpus():
         c = canon(e)
         monkeypatch.setattr(exprcore, "_seeded_rng", lambda e: _ScriptedRandom(first))
-        got = [(point, Fraction(abs(value), ref)) for point, value, ref in exprcore._samples(c, 20)]
+        got = [(point, Fraction(abs(value), ref)) for point, value, ref in _samples(c)]
         assert got == _fraction_samples(c, _ScriptedRandom(first)), c
 
 

@@ -18,7 +18,6 @@ from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, base_rates, ca
 from odesym.jetcalc import DiffEq, Lagrangian, VectorField, euler, total_derivative
 from odesym.maxsym import (
     BadOrder,
-    EliminationFailed,
     OddOrder,
     SourceContext,
     build_lode,
@@ -85,6 +84,35 @@ def test_generators_counts_and_solutions():
 def test_generators_bad_order():
     with pytest.raises(BadOrder):
         generators(1)
+
+
+ORDER_BUILDERS = (generators, source_transformation, build_lode,
+                  canonical_lagrangian, transformed_lagrangian, natural_lagrangian)
+# order: (error of an equation's builder, error of a Lagrangian's builder); None builds
+ORDER_RULE = {
+    -1: (BadOrder, OddOrder),
+    0: (BadOrder, BadOrder),
+    1: (BadOrder, OddOrder),
+    2: (None, None),
+    3: (None, OddOrder),
+    24: (None, None),
+    25: (BadOrder, BadOrder),
+    26: (BadOrder, BadOrder),
+}
+
+
+@pytest.mark.parametrize("n", ORDER_RULE)
+@pytest.mark.parametrize("builder", ORDER_BUILDERS, ids=lambda b: b.__name__)
+def test_one_order_rule(builder, n):
+    # orders 2..24, even ones for a Lagrangian; past the jet registry before parity
+    error = ORDER_RULE[n][builder.__name__.endswith("_lagrangian")]
+    if error is None:
+        builder(n)
+        return
+    with pytest.raises(error) as info:
+        builder(n)
+    assert type(info.value) is error
+    assert ("exceeds the jet registry limit" in str(info.value)) == (n > 24)
 
 
 def test_commutator_examples():
@@ -316,11 +344,10 @@ def test_memo_serves_only_the_source_context():
     flat = SourceContext.zero_q()
     assert build_lode(3, flat) is not build_lode(3, flat)
     assert natural_lagrangian(4, flat) is not natural_lagrangian(4, flat)
-    # symbolic, but without the source rates: u and v cannot be eliminated
+    # symbolic without the source rates: its reduction applies the source relations all the same
     bare = SourceContext(SOL_U[0], SOL_V[0], COEF_Q[0])
     assert bare.symbolic
-    with pytest.raises(EliminationFailed):
-        build_lode(4, bare)
+    assert build_lode(4, bare) is build_lode(4)
 
 
 def test_memoised_values_match_fresh_builds():
