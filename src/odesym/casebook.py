@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.printing.pycode import PythonCodePrinter
 
 from .exprcore import (
     COEF_Q,
@@ -41,6 +42,7 @@ from .maxsym import (
     reference_first_integral_homogeneity,
     reference_transformed_lagrangian,
     specialize_q,
+    _specialized,
     transformed_lagrangian,
 )
 from .noether import (
@@ -503,53 +505,85 @@ def run_all() -> list:
 # ---------------------------------------------------------------------------
 # Numeric redundancy: Runge-Kutta drift of first integrals.
 
+def _rk4_source(n: int, rhs: str, F: str) -> str:
+    """Python source of ``_run(_h, _steps, _s0, ..., _s{n-1})``: classical
+    RK4 on y^(n) = rhs from x = 0 with the state (y, ..., y^(n-1)) held in
+    scalars, evaluating the printed ``rhs`` at each stage and ``F`` after
+    each step inline.  It returns ``(drift, None)``, or ``(None, x)`` at
+    the first x where F is not finite.
+
+    Each float operation, and its order, is that of RK4 written on state
+    lists, ``s + h / 2 * k`` and ``s + h / 6 * (a + 2 * b + 2 * c + d)``
+    with k_i = s_{i+1} below the top component, so the drift is the same
+    to the bit.  Loop names start with ``_``, so they meet neither the jet
+    symbols nor the names of ``math``.
+    """
+    jets = ", ".join(["x", *(str(J) for J in JET[:n])])
+
+    def at(t, state):
+        return f"{jets} = {t}, {', '.join(state)}"
+
+    def stage(name, step, slopes):
+        return [f"{name}{i} = _s{i} + {step} * {k}" for i, k in enumerate(slopes)]
+
+    s, p, q, r = ([f"{name}{i}" for i in range(n)] for name in ("_s", "_p", "_q", "_r"))
+    k1, k2, k3, k4 = ([*state[1:], f"_k{j}"] for j, state in enumerate((s, p, q, r), 1))
+    # x, y, ... hold (t, state) on entering the loop: F was evaluated there
+    loop = [
+        f"_k1 = ({rhs})",
+        *stage("_p", "_h2", k1), at("_t + _h2", p), f"_k2 = ({rhs})",
+        *stage("_q", "_h2", k2), at("_t + _h2", q), f"_k3 = ({rhs})",
+        *stage("_r", "_h", k3), at("_t + _h", r), f"_k4 = ({rhs})",
+        # in increasing i, _s{i+1} (that is k1_i) is still the old state
+        *(f"_s{i} = _s{i} + _h6 * ({a} + 2 * {b} + 2 * {c} + {d})"
+          for i, (a, b, c, d) in enumerate(zip(k1, k2, k3, k4))),
+        "_t += _h", at("_t", s), f"_value = ({F})",
+        "if not isfinite(_value):", "    return None, _t",
+        "_d = abs(_value - _reference) / _scale",
+        "if _d > _drift:", "    _drift = _d",
+    ]
+    head = [
+        "_h2 = _h / 2", "_h6 = _h / 6", "_t = 0.0", at("_t", s), f"_reference = ({F})",
+        "_drift = 0.0", "_scale = max(1.0, abs(_reference))", "for _ in range(_steps):",
+    ]
+    body = [f"    {line}" for line in head] + [f"        {line}" for line in loop]
+    return "\n".join([f"def _run(_h, _steps, {', '.join(s)}):", *body, "    return _drift, None"])
+
+
 def numeric_validate(F, q_expr=None, ic=(), span=2.0, steps=2000, equation=None):
     """Max relative drift of F along an RK4 trajectory of its equation.
 
     ``F`` is a FirstIntegral or a plain expression (then ``equation`` is
     required).  ``q_expr`` substitutes a concrete coefficient function for
     the symbolic q; initial conditions give (y, y', ..., y^(n-1)) at x=0.
+    The rhs and F are printed once, by the printer and settings that
+    ``lambdify(..., modules="math")`` uses, into one generated loop
+    (:func:`_rk4_source`) run in the namespace of ``math``.
     """
     expr = F.expr if hasattr(F, "expr") else sp.sympify(F)
     eq = equation if equation is not None else F.equation
     n = eq.order
     if len(ic) != n:
         raise ValueError(f"need {n} initial values, got {len(ic)}")
-    rhs_expr = eq.solved_rhs()
-    if q_expr is not None:
-        rhs_expr = specialize_q(rhs_expr, q_expr)
+    if q_expr is None:
+        rhs_expr = eq.solved_rhs()
+    else:
+        rhs_expr = _specialized(eq._lead_and_rhs[1], q_expr).as_expr()
         expr = specialize_q(expr, q_expr)
     state_syms = [X, *JET[:n]]
     extra = (set(rhs_expr.free_symbols) | set(expr.free_symbols)) - set(state_syms)
     if extra:
         raise ValueError(f"unbound symbols for numeric validation: {sorted(extra, key=str)}")
-    rhs = sp.lambdify(state_syms, rhs_expr, modules="math")
-    Ff = sp.lambdify(state_syms, expr, modules="math")
-
-    def deriv(t, s):
-        return [*s[1:], rhs(t, *s)]
-
+    printer = PythonCodePrinter({"fully_qualified_modules": False, "inline": True,
+                                 "allow_unknown_functions": True, "user_functions": {}})
+    namespace = dict(math.__dict__)
+    exec(_rk4_source(n, printer.doprint(rhs_expr), printer.doprint(expr)), namespace)
     h = span / steps
     state = [float(c) for c in ic]
-    t = 0.0
     try:
-        reference = Ff(t, *state)
-        drift = 0.0
-        scale = max(1.0, abs(reference))
-        for _ in range(steps):
-            k1v = deriv(t, state)
-            k2v = deriv(t + h / 2, [s + h / 2 * k for s, k in zip(state, k1v)])
-            k3v = deriv(t + h / 2, [s + h / 2 * k for s, k in zip(state, k2v)])
-            k4v = deriv(t + h, [s + h * k for s, k in zip(state, k3v)])
-            state = [
-                s + h / 6 * (a + 2 * b + 2 * c + d)
-                for s, a, b, c, d in zip(state, k1v, k2v, k3v, k4v)
-            ]
-            t += h
-            value = Ff(t, *state)
-            if not math.isfinite(value):
-                raise SingularityEncountered(f"nonfinite invariant value at x={t}")
-            drift = max(drift, abs(value - reference) / scale)
+        drift, singular_at = namespace["_run"](h, steps, *state)
     except (ValueError, OverflowError, ZeroDivisionError) as err:
         raise SingularityEncountered(str(err)) from err
+    if singular_at is not None:
+        raise SingularityEncountered(f"nonfinite invariant value at x={singular_at}")
     return drift

@@ -17,11 +17,17 @@ from odesym.casebook import (
     run_case,
 )
 from odesym.cli import emit_report
-from odesym.exprcore import COEF_Q, JET, canon
+from odesym.exprcore import COEF_Q, JET, X, canon
 from odesym.jetcalc import DiffEq
-from odesym.maxsym import SourceContext, build_lode, generators
+from odesym.maxsym import (
+    SourceContext,
+    build_lode,
+    generators,
+    reference_first_integral_homogeneity,
+    specialize_q,
+)
 from odesym.noether import divergence_check, first_integral
-from odesym.transform import transform_equation
+from odesym.transform import PointTransformation, transform_equation
 
 CTX = SourceContext.make_symbolic()
 GOLDEN_REPORT = pathlib.Path(__file__).parent / "data" / "reproduce_all.json"
@@ -82,6 +88,117 @@ def test_numeric_singularity_reported():
     with pytest.raises(SingularityEncountered):
         # y crosses zero almost immediately
         numeric_validate(component, ic=(0.05, -40.0, 0.0, 0.0), span=2, steps=400, equation=eq)
+
+
+def _reference_drift(F, q_expr=None, ic=(), span=2.0, steps=2000, equation=None):
+    """The RK4 harness as one lambdify'd function per expression and one
+    list per stage: the reference whose drifts the generated loop of
+    numeric_validate must reproduce bit for bit."""
+    expr = F.expr if hasattr(F, "expr") else sp.sympify(F)
+    eq = equation if equation is not None else F.equation
+    n = eq.order
+    rhs_expr = eq.solved_rhs()
+    if q_expr is not None:
+        rhs_expr = specialize_q(rhs_expr, q_expr)
+        expr = specialize_q(expr, q_expr)
+    state_syms = [X, *JET[:n]]
+    rhs = sp.lambdify(state_syms, rhs_expr, modules="math")
+    Ff = sp.lambdify(state_syms, expr, modules="math")
+
+    def deriv(t, s):
+        return [*s[1:], rhs(t, *s)]
+
+    h = span / steps
+    state = [float(c) for c in ic]
+    t = 0.0
+    try:
+        reference = Ff(t, *state)
+        drift = 0.0
+        scale = max(1.0, abs(reference))
+        for _ in range(steps):
+            k1v = deriv(t, state)
+            k2v = deriv(t + h / 2, [s + h / 2 * k for s, k in zip(state, k1v)])
+            k3v = deriv(t + h / 2, [s + h / 2 * k for s, k in zip(state, k2v)])
+            k4v = deriv(t + h, [s + h * k for s, k in zip(state, k3v)])
+            state = [
+                s + h / 6 * (a + 2 * b + 2 * c + d)
+                for s, a, b, c, d in zip(state, k1v, k2v, k3v, k4v)
+            ]
+            t += h
+            value = Ff(t, *state)
+            if not math.isfinite(value):
+                raise SingularityEncountered(f"nonfinite invariant value at x={t}")
+            drift = max(drift, abs(value - reference) / scale)
+    except (ValueError, OverflowError, ZeroDivisionError) as err:
+        raise SingularityEncountered(str(err)) from err
+    return drift
+
+
+_IC = (1.0, 0.2, -0.3, 0.1, 0.5, -0.2, 0.05)
+
+
+def _parity_cases():
+    """(name, F, equation, options) cases of numeric_validate: the homogeneity
+    integrals as FirstIntegral and as expression, the corrupted one, the
+    four C6 components on a shifted x at k2 = 3/2, and two hand-made F on
+    y2 = 0 (the second reads math's sqrt, log and exp)."""
+    y, y1 = JET[:2]
+    shift = sp.Rational(5, 4)
+    for n in (3, 5, 7):
+        for q in (1, sp.Rational(3, 2)):
+            options = {"q_expr": q, "ic": _IC[:n]}
+            F = first_integral(generators(n).homogeneity, build_lode(n, CTX), CTX)
+            yield f"homogeneity{n}-integral-q{q}", F, None, options
+            yield f"homogeneity{n}-expr-q{q}", reference_first_integral_homogeneity(n), build_lode(n), options
+    corrupted = reference_first_integral_homogeneity(3) + sp.Rational(2, 100) * COEF_Q[0] * y**2
+    yield "corrupted3", corrupted, build_lode(3), {"q_expr": sp.Rational(3, 2), "ic": (1.0, 0.0, 1.0)}
+    eq = transform_equation(DiffEq(JET[4], 4), PointTransformation(X + shift, casebook.K2 - sp.log(y)))
+    for j, component in enumerate(example_first_integral_components()):
+        F = component.xreplace({X: X + shift}).xreplace({casebook.K2: sp.Rational(3, 2)})
+        yield f"component{j}", F, eq, {"ic": (1.0, 0.1, -0.05, 0.02)}
+    flat, ic = DiffEq(JET[2], 2), {"ic": (1.0, 0.5), "steps": 200}
+    yield "linear", y1, flat, ic
+    yield "math-names", sp.sqrt(y1) + sp.log(y1) + sp.exp(y1), flat, ic
+    yield "math-names-moving", sp.sqrt(y) + sp.log(y) * sp.exp(X * y1), flat, ic
+
+
+def test_drift_matches_the_list_loop():
+    for name, F, equation, options in _parity_cases():
+        options = {**options, "span": 2, "equation": equation}
+        assert numeric_validate(F, **options) == _reference_drift(F, **options), name
+
+
+def test_singularity_matches_the_list_loop():
+    y, y1 = JET[:2]
+    cases = [
+        # y * y1 passes the float range: inf, with no OverflowError
+        (y * y1, DiffEq(JET[2], 2), (1e154, 1e154)),
+        # the OverflowError of test_numeric_singularity_reported
+        (example_first_integral_components()[0], transform_equation(DiffEq(JET[4], 4), example_map()),
+         (0.05, -40.0, 0.0, 0.0)),
+    ]
+    for F, eq, ic in cases:
+        options = {"ic": ic, "span": 2, "steps": 400, "equation": eq}
+        with pytest.raises(SingularityEncountered) as reference:
+            _reference_drift(F, **options)
+        with pytest.raises(SingularityEncountered) as generated:
+            numeric_validate(F, **options)
+        assert type(generated.value.__cause__) is type(reference.value.__cause__)
+        assert str(generated.value) == str(reference.value)
+
+
+def test_drift_needs_no_lambdify(monkeypatch):
+    y, y1 = JET[:2]
+    cases = [(n, y * JET[n - 1] - y1**2 / 2 + COEF_Q[0] * y**2 * X) for n in range(2, 8)]
+    expected = [_reference_drift(F, q_expr=sp.Rational(3, 2), ic=_IC[:n], steps=300, equation=build_lode(n))
+                for n, F in cases]
+
+    def no_lambdify(*args, **kwargs):
+        raise AssertionError("numeric_validate must not call lambdify")
+
+    monkeypatch.setattr(sp, "lambdify", no_lambdify)
+    assert [numeric_validate(F, q_expr=sp.Rational(3, 2), ic=_IC[:n], steps=300, equation=build_lode(n))
+            for n, F in cases] == expected
 
 
 def test_independence_determinant_nonzero():
