@@ -299,7 +299,7 @@ def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list
 def ladder_images(family, root, used, rates: dict | None = None, scale=1) -> dict:
     """The substitution family[0] -> root, family[k] -> (scale*D_x)^k root.
 
-    root maps to its own tree, and each member of ``used`` above it to its
+    root maps to itself, and each member of ``used`` above it to its
     rung of the :func:`derivative_ladder` of root, a pair of the ladder's
     algebra; no ladder is built when only root is used, and the map is
     empty when no member is.  A slice such as ``JET[n:]`` starts the

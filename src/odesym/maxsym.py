@@ -28,6 +28,7 @@ from .exprcore import (
     SOL_U,
     SOL_V,
     X,
+    RingFraction,
     _canonical_pair,
     _generators,
     _substituted,
@@ -66,9 +67,11 @@ class EliminationFailed(RuntimeError):
 _RATES = {SOL_U[1]: -COEF_Q[0] * SOL_U[0], SOL_V[1]: -COEF_Q[0] * SOL_V[0]}
 # v' solved from the unit Wronskian u v' - u' v = 1.
 _V1 = (1 + SOL_U[1] * SOL_V[0]) / SOL_U[0]
-# The ladders a symbolic context substitutes, with their roots: u'' = -q u
-# and v' = (1 + u'v)/u.
-_SYMBOLIC_ROOTS = ((SOL_U[2:], -COEF_Q[0] * SOL_U[0]), (SOL_V[1:], _V1))
+# The symbolic context's u, v, q and Wronskian, and the ladders it
+# substitutes with their roots u'' = -q u and v' = (1 + u'v)/u, as pairs
+# lifted once per process.
+_SYMBOLIC_PAIRS = tuple(map(_canonical_pair, (SOL_U[0], SOL_V[0], COEF_Q[0], 1)))
+_SYMBOLIC_ROOTS = ((SOL_U[2:], _canonical_pair(-COEF_Q[0] * SOL_U[0])), (SOL_V[1:], _canonical_pair(_V1)))
 
 
 class SourceContext:
@@ -76,21 +79,29 @@ class SourceContext:
 
     The symbolic context is the one whose rates are the source equation
     u'' = -q u, v'' = -q v: operators run under it never produce u^(k) or
-    v^(k) with k >= 2.  A concrete context has explicit expressions for u,
-    v and q, with ``rates`` supplying x-derivatives of any opaque atoms
-    they use.  Reduction substitutes ladders in the ring, one root per
+    v^(k) with k >= 2.  A concrete context has explicit values of u, v and
+    q, with ``rates`` supplying x-derivatives of any opaque atoms they use.
+    u, v, q and the Wronskian are held as given (``values``), each an
+    expression or a pair; ``pairs`` are their canonical pairs, lifted when
+    first read (the symbolic context's are lifted once per process), and
+    ``u``, ``v``, ``q`` and ``wronskian`` are prints, made when first read.
+    Reduction substitutes ladders of pairs in the ring, one root per
     ladder: u'' -> -q u and v' -> (1 + u'v)/u (the unit Wronskian
-    u*v' - u'*v = 1) in symbolic mode, u, v and q -> their expressions in
+    u*v' - u'*v = 1) in symbolic mode, u, v and q -> their pairs in
     concrete mode.
     """
 
     def __init__(self, u, v, q, rates=None, wronskian=sp.Integer(1)):
-        self.u = sp.sympify(u)
-        self.v = sp.sympify(v)
-        self.q = sp.sympify(q)
+        self.values = tuple(c if isinstance(c, RingFraction) else sp.sympify(c) for c in (u, v, q, wronskian))
         self.rates = dict(rates) if rates else {}
-        self.wronskian = sp.sympify(wronskian)
-        self.symbolic = self.u is SOL_U[0]
+        self.symbolic = self.values[0] is SOL_U[0]
+
+    u, v, q, wronskian = (functools.cached_property(lambda self, i=i: sp.sympify(self.values[i])) for i in range(4))
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """(u, v, q, Wronskian) as canonical pairs."""
+        return _SYMBOLIC_PAIRS if self.symbolic else tuple(map(_canonical_pair, self.values))
 
     @staticmethod
     def make_symbolic() -> "SourceContext":
@@ -98,7 +109,8 @@ class SourceContext:
 
     @staticmethod
     def from_solutions(u, v, rates=None) -> "SourceContext":
-        """Context generated by a concrete solution pair.
+        """Context generated by a concrete solution pair, each solution an
+        expression or a pair.
 
         Validates that u and v solve the same source equation and that
         their Wronskian is a nonzero constant (not necessarily 1; every
@@ -106,7 +118,7 @@ class SourceContext:
         constant rescaling of the pair).  u', u'', v' and v'' are pairs of
         one :func:`jetcalc.derivative_ladder` per solution, each test is
         decided on a pair (D_x of the Wronskian u v' - u' v is u v'' - u'' v),
-        and q and the Wronskian are printed once.
+        and the context is given the q and Wronskian pairs decided on.
         """
         (u0, u1, u2), (v0, v1, v2) = (derivative_ladder(e, 2, rates) for e in (u, v))
         q = _canonical_pair(-u2 / u0)
@@ -117,7 +129,7 @@ class SourceContext:
             raise ValueError("Wronskian is not constant")
         if zero_test(w):
             raise ValueError("solution pair is linearly dependent")
-        return SourceContext(u, v, q.as_expr(), rates=rates, wronskian=w.as_expr())
+        return SourceContext(u, v, q, rates=rates, wronskian=w)
 
     @staticmethod
     def zero_q() -> "SourceContext":
@@ -142,15 +154,16 @@ class SourceContext:
         replaced by the derivative of the ladder's root under
         :meth:`deriv_rates` (:func:`jetcalc.ladder_images`), in the ring
         (:func:`exprcore._substituted`), and goes to its canonical pair.
-        The roots are u'' -> -q u and v' -> (1 + u'v)/u in symbolic mode,
-        and u, v, q -> the context's expressions in concrete mode.  The
-        result is the expression of that pair, as :func:`canon` prints it.
+        The roots are the pairs of u'' -> -q u and v' -> (1 + u'v)/u in
+        symbolic mode, and of u, v, q -> the context's values in concrete
+        mode.  The result is the expression of that pair, as :func:`canon`
+        prints it.
         """
         return self._reduce_pair(e).as_expr()
 
     def _reduce_pair(self, e):
         """The canonical pair whose expression :meth:`reduce` returns."""
-        roots = _SYMBOLIC_ROOTS if self.symbolic else ((SOL_U, self.u), (SOL_V, self.v), (COEF_Q, self.q))
+        roots = _SYMBOLIC_ROOTS if self.symbolic else tuple(zip((SOL_U, SOL_V, COEF_Q), self.pairs))
         used, rates = _generators(e), self.deriv_rates()
         images = (ladder_images(family, root, used, rates) for family, root in roots)
         return _canonical_pair(_substituted(e, {s: a for m in images for s, a in m.items()}))
@@ -282,11 +295,14 @@ def source_transformation(n: int, ctx: SourceContext | None = None):
     context's :meth:`SourceContext.deriv_rates` (v' = (1 + u'v)/u in
     symbolic mode) its D_x cancels to 1/u^2 in the ring.  The dependent
     map is w = u^(1-n) y (scaling constant fixed to 1).  Both components
-    are handed to the map as canonical pairs; nothing is printed.
+    are formed from the context's pairs and handed to the map as canonical
+    pairs; nothing is printed.
     """
     ctx = ctx or SourceContext.make_symbolic()
     _order(n)
-    zeta, phi = map(_canonical_pair, (ctx.v / (ctx.wronskian * ctx.u), ctx.u ** (1 - n) * JET[0]))
+    u, v, _, w = ctx.pairs
+    zeta = _canonical_pair(v / (w * u))
+    phi = _canonical_pair(RingFraction(u.den ** (n - 1), u.num ** (n - 1)) * JET[0])
     return _transform.PointTransformation(zeta, phi, ctx.deriv_rates())
 
 

@@ -56,3 +56,24 @@ def forbid_pair_prints(monkeypatch):
         raise AssertionError(f"a pair was printed into a tree: ({f.num}) / ({f.den})")
 
     return lambda: monkeypatch.setattr(exprcore.RingFraction, "as_expr", as_expr)
+
+
+@pytest.fixture
+def count_prints_and_lifts(monkeypatch):
+    """{"prints": ..., "lifts": ...}, counting from now on every print of a
+    pair (``RingFraction.as_expr``) and every lift of an expression, not a
+    pair, into a ring (``exprcore._lift``)."""
+    counts = {"prints": 0, "lifts": 0}
+    as_expr, lift = exprcore.RingFraction.as_expr, exprcore._lift
+
+    def counted_as_expr(f):
+        counts["prints"] += 1
+        return as_expr(f)
+
+    def counted_lift(e, R):
+        counts["lifts"] += not isinstance(e, exprcore.RingFraction)
+        return lift(e, R)
+
+    monkeypatch.setattr(exprcore.RingFraction, "as_expr", counted_as_expr)
+    monkeypatch.setattr(exprcore, "_lift", counted_lift)
+    return counts

@@ -241,6 +241,22 @@ def test_reproduce_all_report_is_byte_stable(case_report):
     assert payload.encode() == GOLDEN_REPORT.read_bytes()
 
 
+# the prints of pairs and lifts of trees of each case, run in that order in
+# a fresh process, when a source context held its values as trees
+TREE_CONTEXT_COUNTS = dict(zip(CASE_IDS, zip((0, 6, 0, 14, 14, 19, 0), (22, 16, 142, 59, 136, 69, 23))))
+
+
+def test_cases_print_and_lift_no_more_than_with_tree_contexts(count_prints_and_lifts):
+    counts = {}
+    for case_id in CASE_IDS:
+        before = dict(count_prints_and_lifts)
+        run_case(case_id)
+        counts[case_id] = tuple(count_prints_and_lifts[k] - before[k] for k in ("prints", "lifts"))
+    assert all(a <= b for c in CASE_IDS for a, b in zip(counts[c], TREE_CONTEXT_COUNTS[c])), counts
+    prints, lifts = map(sum, zip(*counts.values()))
+    assert prints < 53 and lifts < 467, counts
+
+
 def test_refutation_is_certified_without_a_lift(forbid_lifts):
     # W_y is no divergence symmetry at n = 4 (a C3 non-membership claim); its
     # status comes from the pair the check decided on

@@ -425,9 +425,10 @@ def test_builds_and_checks_print_no_equation_or_density(forbid_prints):
 
 
 def test_field_operations_print_no_pair(forbid_pair_prints):
-    # specialising the generators to C5's families, pushing the q = 0
-    # generators forward under C6's map, bracketing, and checking the
-    # results, all on pairs
+    # building C5's families and specialising the generators to them,
+    # pushing the q = 0 generators forward under C6's map, bracketing, and
+    # checking the results, all on pairs
+    forbid_pair_prints()
     families = (
         (family_radical_log(+1)[2], "F4"),
         (family_radical_log(-1)[2], "H4"),
@@ -435,7 +436,6 @@ def test_field_operations_print_no_pair(forbid_pair_prints):
         (family_power()[2], "G4"),
     )
     flat, sigma = SourceContext.zero_q(), example_map()
-    forbid_pair_prints()
     natural_lagrangian.__wrapped__(4)  # the symbolic density is solved on pairs
     for ctx, name in families:
         fields = generators(4).specialize(ctx).by_name()
@@ -453,8 +453,8 @@ def test_point_transformations_print_no_pair(forbid_pair_prints, monkeypatch):
     # the source transformation and the objects it carries, and C6's map
     # with its equation, push-forwards, Lagrangian and a composition, all
     # built on pairs; the prints are read once the guard is lifted
-    fields = generators(4).specialize(SourceContext.zero_q()).by_name()
     forbid_pair_prints()
+    fields = generators(4).specialize(SourceContext.zero_q()).by_name()
     built = {n: (source_transformation(n), build_lode.__wrapped__(n), transformed_lagrangian.__wrapped__(n))
              for n in (4, 8)}
     sigma = example_map()
@@ -507,6 +507,22 @@ CONCRETE = {
     "exponential": family_exponential()[2],
     "cube": SourceContext.from_solutions(X**3, -(X**-2) / 5),
 }
+
+
+@pytest.mark.parametrize("ctx", [*CONCRETE.values(), family_power()[2]], ids=[*CONCRETE, "power"])
+def test_values_given_as_pairs_or_trees_reduce_alike(ctx):
+    # the same context given its u, v, q and Wronskian as pairs and as their prints
+    contexts = (SourceContext(*ctx.pairs[:3], ctx.rates, ctx.pairs[3]),
+                SourceContext(ctx.u, ctx.v, ctx.q, ctx.rates, ctx.wronskian))
+    reads = [[sp.srepr((c.q, c.wronskian)), _srepr_of(generators(4).specialize(c)),
+              _srepr_of(natural_lagrangian(4, c)), *(_srepr_of(build_lode(n, c)) for n in (4, 5, 6))]
+             for c in contexts]
+    assert reads[0] == reads[1]
+
+
+def test_symbolic_source_transformation_lifts_at_most_two_trees(count_prints_and_lifts):
+    source_transformation(7, SourceContext.make_symbolic())
+    assert count_prints_and_lifts["prints"] == 0 and count_prints_and_lifts["lifts"] <= 2
 
 
 @pytest.mark.parametrize("ctx", CONCRETE.values(), ids=CONCRETE.keys())

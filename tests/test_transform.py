@@ -384,6 +384,24 @@ SOURCE_CONTEXTS = {
 }
 
 
+def test_source_contexts_print_no_pair(forbid_pair_prints, monkeypatch):
+    # building each context, specialising the generators to it, and the
+    # natural Lagrangian, Delta_n and the source transformation under it,
+    # all on pairs; the maps' prints are read once the guard is lifted
+    forbid_pair_prints()
+    built = {}
+    for tag, make in SOURCE_CONTEXTS.items():
+        ctx = make()
+        generators(4).specialize(ctx)
+        natural_lagrangian(4, ctx)
+        for n in (4, 5):
+            build_lode(n, ctx)
+            built[tag, n] = ctx, source_transformation(n, ctx)
+    monkeypatch.undo()
+    for (tag, n), (ctx, sigma) in built.items():
+        assert canon(sigma.zeta - ctx.v / (ctx.wronskian * ctx.u)) == 0 == canon(sigma.phi - ctx.u ** (1 - n) * y), tag
+
+
 def _map_prints() -> dict:
     """The prints of point transformations: the maps of this file, their
     compositions, the source transformation symbolic for n = 2..14 and at
