@@ -29,9 +29,10 @@ from .exprcore import (
     RingFraction,
     _canonical_pair,
     canon,
-    numeric_witness,
+    witnessed,
     zero_test,
 )
+from .grammar import sympy_text
 from .jetcalc import DiffEq, Lagrangian, VectorField, derivative_ladder
 from .maxsym import (
     SourceContext,
@@ -69,7 +70,8 @@ class SingularityEncountered(RuntimeError):
 @dataclass(frozen=True)
 class ClaimResult:
     """One claim's outcome; ``residual`` prints the residual as given (a
-    pair or an expression) when first read."""
+    pair or an expression) when first read, and :meth:`as_dict` writes it
+    as ``str`` does, by the grammar's direct printer."""
 
     claim_id: str
     status: str  # verified | refuted-witness | undecided
@@ -85,7 +87,7 @@ class ClaimResult:
         return {
             "id": self.claim_id,
             "status": self.status,
-            "residual": str(self.residual),
+            "residual": sympy_text(self.residual),
             "paper_ref": self.label,
             "millis": round(self.millis, 3),
         }
@@ -110,7 +112,9 @@ def claim_status(exact_zero: bool, residual, negative: bool = False) -> str:
     exact_zero is the claim's exact decision that its residual vanishes.
     It verifies a positive claim and refutes a negative (non-membership)
     claim.  Otherwise a numeric witness must certify the residual as
-    nonzero; it refutes a positive claim and verifies a negative one.
+    nonzero (``exprcore.witnessed``, which stops sampling at the first
+    draw that certifies it); it refutes a positive claim and verifies a
+    negative one.
     residual is the canonical pair a check decided on, certified as it is,
     or an expression.  Without a witness, or with an inexact residual (a
     Float), the claim is undecided.
@@ -118,7 +122,7 @@ def claim_status(exact_zero: bool, residual, negative: bool = False) -> str:
     if exact_zero:
         return "refuted-witness" if negative else "verified"
     exact = isinstance(residual, RingFraction) or not sp.sympify(residual).has(sp.Float)
-    if not exact or numeric_witness(residual) is None:
+    if not exact or not witnessed(residual):
         return "undecided"
     return "verified" if negative else "refuted-witness"
 

@@ -692,7 +692,10 @@ def _symbolic_confirm(e) -> bool:
     return False
 
 
-def zero_test(e, points: int = 20, tol=sp.Rational(1, 10**9)) -> bool:
+_WITNESS_TOL = sp.Rational(1, 10**9)  # relative value above which a draw is nonzero
+
+
+def zero_test(e, points: int = 20, tol=_WITNESS_TOL) -> bool:
     """Decide whether an expression or a pair vanishes identically.
 
     e is reduced to its canonical pair once (a pair that
@@ -723,27 +726,33 @@ def zero_test(e, points: int = 20, tol=sp.Rational(1, 10**9)) -> bool:
     return True
 
 
-def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
+def _relative_draws(e, points):
+    """(draws, rel) at each regular draw of e's canonical pair: rel is the
+    relative value |value|/ref of :func:`_draws`, an exact ``Fraction`` for
+    a rational pair, otherwise a 30-digit float.  An expression is lifted
+    to its canonical pair once, and a canonical pair is taken as it is; a
+    zero pair has no draws, and a pair without atoms is drawn once, at the
+    one point {}."""
+    f = _canonical_pair(e)
+    if not f.num:
+        return
+    if not any(s.is_Symbol for s in _generators(f)):
+        points = 1
+    for draws, value, ref in _draws(f, points):
+        yield draws, Fraction(abs(value), ref) if isinstance(value, int) else abs(value) / ref
+
+
+def numeric_witness(e, points: int = 20, tol=_WITNESS_TOL):
     """Best nonzero sample of an expression or a pair: (point, relative value)
     or None.
 
-    Used to certify refutations: a claim "e is not identically zero" is
-    backed by a concrete sample where the relative value exceeds ``tol``.
-    An expression is lifted to its canonical pair once, and a canonical
-    pair is taken as it is; the samples are its :func:`_draws`, and only
-    the best draw's point is built.  For a rational pair the relative
-    value is an exact ``sp.Rational``, otherwise a 30-digit float.
+    A claim "e is not identically zero" is backed by a concrete sample
+    where the relative value exceeds ``tol``; this returns the best of the
+    :func:`_relative_draws`, the first on a tie, and builds only its point.
+    For a rational pair the relative value is an exact ``sp.Rational``,
+    otherwise a 30-digit float.
     """
-    f = _canonical_pair(e)
-    if not f.num:
-        return None
-    if not any(s.is_Symbol for s in _generators(f)):
-        points = 1  # the one point {}, drawn once
-    best = None
-    for draws, value, ref in _draws(f, points):
-        rel = Fraction(abs(value), ref) if isinstance(value, int) else abs(value) / ref
-        if best is None or rel > best[1]:
-            best = (draws, rel)
+    best = max(_relative_draws(e, points), key=lambda draw: draw[1], default=None)
     if best is None:
         return None
     draws, rel = best
@@ -752,3 +761,14 @@ def numeric_witness(e, points: int = 20, tol=sp.Rational(1, 10**9)):
     if rel <= tol:
         return None
     return _point(draws), rel
+
+
+def witnessed(e) -> bool:
+    """True when e (an expression or a pair) is certified nonzero: one of
+    20 :func:`_relative_draws` has a relative value above ``_WITNESS_TOL``.
+
+    The sampling stops at the first such draw.  A draw above the tolerance
+    exists exactly when the best draw is above it, so this is
+    ``numeric_witness(e) is not None``.
+    """
+    return any(rel > _WITNESS_TOL for _, rel in _relative_draws(e, 20))

@@ -165,11 +165,25 @@ def render(e) -> str:
     """
     if not isinstance(e, sp.Basic):
         e = sp.sympify(e)
-    out = _direct(e)
+    out = _direct(e, str_order=False)
     if out is None:
         out = sp.StrPrinter({"order": "lex"}).doprint(e)
         out = out.replace("**", "^").replace("log(", "ln(")
     return out
+
+
+def sympy_text(e) -> str:
+    """``str(e)``, byte for byte: sympy's spelling, ``**`` and ``log``.
+
+    The kernel's shapes are written from the tree's args by the printer
+    that :func:`render` uses, in ``str``'s term order, and spelled with
+    ``**`` (they hold no ``log``); every other tree, Floats included, is
+    ``str(e)`` itself.
+    """
+    if not isinstance(e, sp.Basic):
+        e = sp.sympify(e)
+    out = _direct(e, str_order=True)
+    return str(e) if out is None else out.replace("^", "**")
 
 
 # The direct printer.  It follows StrPrinter's rules for these shapes:
@@ -182,6 +196,9 @@ def render(e) -> str:
 # - a sum's terms go in descending lex order of their exponent vectors
 #   over the sum's symbols sorted by name, ties by the coefficient, and a
 #   term that prints with a leading "-" joins as " - ";
+# - in ``str``'s default order (``str_order``) a sum of a positive
+#   Rational and a negative Rational times one factor prints the Rational
+#   first, 1 - y, where the lex order of the grammar prints -y + 1;
 # - a bare power prints as y^k, 1/y or y^(-k).
 
 
@@ -259,7 +276,7 @@ def _quotient_text(coefficient, powers, top=None, bottom=None) -> str:
     return f"{out}/({'*'.join(den)})" if den else out
 
 
-def _sum_text(e):
+def _sum_text(e, str_order):
     """The text of a sum of monomials, else None."""
     terms, names = [], set()
     for t in e.args:
@@ -270,8 +287,20 @@ def _sum_text(e):
         names.update(monomial[1])
     order = sorted(names)
     terms.sort(key=lambda t: (tuple(-t[2].get(name, 0) for name in order), t[1]))
+    if str_order and _rational_first(terms):
+        terms.reverse()
     texts = [_power_text(t) if type(t) is sp.Pow else _quotient_text(c, powers) for t, c, powers in terms]
     return texts[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in texts[1:])
+
+
+def _rational_first(terms) -> bool:
+    """True for the lex-ordered (term, coefficient, powers) of c - r*t, c
+    and r positive Rationals and t one symbol power: ``str`` prints them
+    with c first (``Expr.as_ordered_terms`` with no order)."""
+    if len(terms) != 2:
+        return False
+    (t, r, _), (c, _, _) = terms
+    return c.is_Rational and c.p > 0 and type(t) is sp.Mul and len(t.args) == 2 and r.p < 0
 
 
 def _power_text(e) -> str:
@@ -282,14 +311,14 @@ def _power_text(e) -> str:
     return f"1/{name}" if k == -1 else f"{name}^({k})"
 
 
-def _direct(e):
+def _direct(e, str_order):
     """e's text when e has a kernel shape, else None: a Rational, a Symbol,
     an integer power of one, a sum of monomials (a Rational first arg times
     symbol powers), or a quotient as sympy's ``/`` builds it: a Rational
     times symbol powers times at most one such sum and at most one
     Pow(sum, -1)."""
     if type(e) is sp.Add:
-        return _sum_text(e)
+        return _sum_text(e, str_order)
     parts = _quotient(e)
     if parts is None:
         return None
@@ -297,11 +326,11 @@ def _direct(e):
     if type(e) is sp.Pow and bottom is None:
         return _power_text(e)
     if top is not None:
-        top = _sum_text(top)
+        top = _sum_text(top, str_order)
         if top is None:
             return None
     if bottom is not None:
-        bottom = _sum_text(bottom)
+        bottom = _sum_text(bottom, str_order)
         if bottom is None:
             return None
     return _quotient_text(coefficient, powers, top, bottom)

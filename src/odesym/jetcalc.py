@@ -76,6 +76,7 @@ from .exprcore import (
 _BASE_RATES = exprcore.base_rates()
 _BASE_RATE_ATOMS = {s: frozenset(r.free_symbols) for s, r in _BASE_RATES.items()}
 _JETS = frozenset(JET)
+_Y1 = RingFraction.from_expr(JET[1])  # the characteristic's y_x, lifted once per process
 
 
 class JetOrderLimit(RuntimeError):
@@ -286,12 +287,15 @@ def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:
 def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list:
     """[e, D e, ..., D^order e] for D = scale * D_x, e and scale each an
     expression or a pair, as values of one algebra, each step cancelled in
-    the ring; no rung is printed."""
+    the ring; no rung is printed.  A scale of 1 is neither lifted nor
+    multiplied."""
     e, scale = (c if isinstance(c, RingFraction) else sp.sympify(c) for c in (e, scale))
     J = _algebra(rates, (e, order), (scale, order))
-    ladder, s = [J.lift(e)], J.lift(scale)
+    ladder, s = [J.lift(e)], None if scale == 1 else J.lift(scale)
     for _ in range(order):
-        f = s * J.dx(ladder[-1])
+        f = J.dx(ladder[-1])
+        if s is not None:
+            f = s * f
         ladder.append(RingFraction(*f.num.cancel(f.den)))
     return ladder
 
@@ -367,7 +371,7 @@ class VectorField:
     @functools.cached_property
     def characteristic_pair(self) -> RingFraction:
         """Q = psi - xi*y_x as a pair, not reduced."""
-        return self.pairs[1] - self.pairs[0] * JET[1]
+        return self.pairs[1] - self.pairs[0] * _Y1
 
     def __rmul__(self, scalar):
         return VectorField(*(c * scalar for c in self.pairs))

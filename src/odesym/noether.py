@@ -10,12 +10,12 @@ characteristic Q so that D_x F = Q*Delta exactly.
 Each check reduces its residual to one canonical (numerator, denominator)
 pair and decides on that pair with ``zero_test``.  The verdict, and a
 refusal of :func:`first_integral`, carries that pair to the claim status,
-whose ``numeric_witness`` certifies a refutation on it: a residual is
-lifted into the ring once, by the check, and becomes an expression only
-where it is printed.  A first integral is its pair too: F comes from the
-peel (``jetcalc._peel``) as a pair of the peel's algebra, D_x F - Q*Delta
-is verified in that algebra, and F, Q and the verified residual are
-printed only when read.
+whose ``witnessed`` certifies a refutation on it: a residual is lifted
+into the ring once, by the check, and becomes an expression only where
+it is printed, by the grammar's direct printer.  A first integral is its
+pair too: F comes from the peel (``jetcalc._peel``) as a pair of the
+peel's algebra, D_x F - Q*Delta is verified in that algebra, and F, Q
+and the verified residual are printed only when read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from . import jetcalc
+from . import grammar, jetcalc
 from .exprcore import JET, RingFraction, _canonical_pair, canon, zero_test
 from .jetcalc import (
     DiffEq,
@@ -155,7 +155,7 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     """
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:
-        raise NotADivergenceSymmetry(f"E(Q*Delta) = {verdict.witness} != 0", verdict.pair)
+        raise NotADivergenceSymmetry(f"E(Q*Delta) = {grammar.sympy_text(verdict.witness)} != 0", verdict.pair)
     product = _reduce(v.characteristic_pair * eq.pair, ctx)
     F, pieces, J = jetcalc._peel(product, ctx.deriv_rates() if ctx is not None else None)
     witness = _reduce(J.dx(F) - product, ctx)

@@ -1,4 +1,5 @@
 import pytest
+import sympy as sp
 
 from odesym import exprcore
 from odesym.casebook import run_case
@@ -77,3 +78,14 @@ def count_prints_and_lifts(monkeypatch):
     monkeypatch.setattr(exprcore.RingFraction, "as_expr", counted_as_expr)
     monkeypatch.setattr(exprcore, "_lift", counted_lift)
     return counts
+
+
+@pytest.fixture
+def forbid_str_printer(monkeypatch):
+    """A call that makes every later ``StrPrinter.doprint`` fail: ``str`` of
+    a tree, or ``render`` falling back to StrPrinter."""
+
+    def doprint(printer, e):
+        raise AssertionError(f"StrPrinter reached for {sp.srepr(e)}")
+
+    return lambda: monkeypatch.setattr(sp.StrPrinter, "doprint", doprint)

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 import sympy as sp
 
-from odesym import casebook
+from odesym import casebook, exprcore
 from odesym.casebook import (
     CASE_IDS,
     SingularityEncountered,
@@ -26,7 +26,7 @@ from odesym.maxsym import (
     reference_first_integral_homogeneity,
     specialize_q,
 )
-from odesym.noether import divergence_check, first_integral
+from odesym.noether import NotADivergenceSymmetry, divergence_check, first_integral
 from odesym.transform import PointTransformation, transform_equation
 
 CTX = SourceContext.make_symbolic()
@@ -228,7 +228,7 @@ def test_claim_status_contract(monkeypatch):
     def no_sampling(e):
         raise AssertionError("an inexact residual must not be sampled")
 
-    monkeypatch.setattr(casebook, "numeric_witness", no_sampling)
+    monkeypatch.setattr(casebook, "witnessed", no_sampling)
     assert claim_status(False, sp.Float(1e-9)) == "undecided"
 
 
@@ -242,8 +242,10 @@ def test_reproduce_all_report_is_byte_stable(case_report):
 
 
 # the prints of pairs and lifts of trees of each case, run in that order in
-# a fresh process, when a source context held its values as trees
-TREE_CONTEXT_COUNTS = dict(zip(CASE_IDS, zip((0, 6, 0, 14, 14, 19, 0), (22, 16, 142, 59, 136, 69, 23))))
+# a fresh process, with a source context that is its pair, ladders of scale
+# 1 and y_x lifted once per process; a source context that held its values
+# as trees took 0/6/0/14/14/19/0 prints and 22/16/142/59/136/69/23 lifts
+CASE_COUNT_BOUNDS = dict(zip(CASE_IDS, zip((0, 0, 0, 12, 0, 12, 0), (18, 10, 96, 25, 27, 46, 20))))
 
 
 def test_cases_print_and_lift_no_more_than_with_tree_contexts(count_prints_and_lifts):
@@ -252,9 +254,33 @@ def test_cases_print_and_lift_no_more_than_with_tree_contexts(count_prints_and_l
         before = dict(count_prints_and_lifts)
         run_case(case_id)
         counts[case_id] = tuple(count_prints_and_lifts[k] - before[k] for k in ("prints", "lifts"))
-    assert all(a <= b for c in CASE_IDS for a, b in zip(counts[c], TREE_CONTEXT_COUNTS[c])), counts
+    assert all(a <= b for c in CASE_IDS for a, b in zip(counts[c], CASE_COUNT_BOUNDS[c])), counts
     prints, lifts = map(sum, zip(*counts.values()))
     assert prints < 53 and lifts < 467, counts
+
+
+def test_refusal_is_certified_at_its_first_draw(monkeypatch):
+    # claim_status stops at the first draw above the tolerance, where
+    # numeric_witness evaluates all 20 to keep the best
+    with pytest.raises(NotADivergenceSymmetry) as refusal:
+        first_integral(generators(4).homogeneity, build_lode(4, CTX), CTX)
+    calls = []
+    evaluator = exprcore._evaluator
+
+    def counted(f):
+        evaluate = evaluator(f)
+
+        def counted_evaluate(draws):
+            calls.append(draws)
+            return evaluate(draws)
+
+        return counted_evaluate
+
+    monkeypatch.setattr(exprcore, "_evaluator", counted)
+    assert claim_status(False, refusal.value.pair) == "refuted-witness"
+    certified = len(calls)
+    assert exprcore.numeric_witness(refusal.value.pair) is not None
+    assert certified == 1 and len(calls) - certified == 20
 
 
 def test_refutation_is_certified_without_a_lift(forbid_lifts):

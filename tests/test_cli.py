@@ -511,14 +511,10 @@ KERNEL_COMMANDS = [
 
 @pytest.mark.parametrize("argv", [*KERNEL_COMMANDS, *((*argv, "--json", "-") for argv in KERNEL_COMMANDS)],
                          ids=lambda argv: " ".join(argv))
-def test_kernel_shapes_never_reach_strprinter(capsys, monkeypatch, argv):
+def test_kernel_shapes_never_reach_strprinter(capsys, forbid_str_printer, argv):
     # the generators, equations, Lagrangians and first integrals print directly
     expected = run(capsys, *argv)
-
-    def doprint(self, e):
-        raise AssertionError(f"StrPrinter reached for {sp.srepr(e)}")
-
-    monkeypatch.setattr(sp.StrPrinter, "doprint", doprint)
+    forbid_str_printer()
     assert run(capsys, *argv) == expected
     assert expected[0] == 0
 
@@ -577,7 +573,7 @@ def test_reproduce_exit_code_follows_the_witness(capsys, monkeypatch, witnessed,
 
     monkeypatch.setattr(casebook, "divergence_relation_check", corrupt_first)
     if not witnessed:
-        monkeypatch.setattr(casebook, "numeric_witness", lambda e: None)
+        monkeypatch.setattr(casebook, "witnessed", lambda e: False)
     got, out, err = run(capsys, "reproduce", "C7", "--json", "-")
     statuses = [c["status"] for c in json.loads(out)["claims"]]
     assert statuses == [status, "verified", "verified"]
@@ -591,7 +587,7 @@ def test_first_integral_refusal_exit_follows_the_witness(capsys, monkeypatch, wi
     # W_y is no divergence symmetry at even n; only a witness of the residual
     # makes the refusal a refutation, and the message is the same either way
     if not witnessed:
-        monkeypatch.setattr(casebook, "numeric_witness", lambda e: None)
+        monkeypatch.setattr(casebook, "witnessed", lambda e: False)
     got, out, err = run(capsys, "first-integral", "--vf", "0;y", "--n", "4")
     assert got == code
     assert out == ""
@@ -599,6 +595,22 @@ def test_first_integral_refusal_exit_follows_the_witness(capsys, monkeypatch, wi
         "not a divergence symmetry: E(Q*Delta) = "
         "18*q**2*y + 20*q*y2 + 20*q1*y1 + 6*q2*y + 2*y4 != 0\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("first-integral", "--vf", "0;y", "--n", "4"),
+    ("first-integral", "--vf", "0;y", "--n", "6"),
+    ("first-integral", "--vf", "0;y", "--n", "8"),
+    ("first-integral", "--vf", "2*u*v;2*(u*v1 + u1*v)*y", "--n", "3"),
+    ("check", "--kind", "divergence", "--vf", "0;y", "--eq", "y4", "--order", "4"),
+], ids=("Wy4", "Wy6", "Wy8", "G3", "check"))
+def test_refutation_text_skips_the_str_printer(capsys, forbid_str_printer, argv):
+    # the refusal's residual and a refuted check's are written by the
+    # grammar's direct printer: the same text with StrPrinter forbidden
+    expected = run(capsys, *argv)
+    assert expected[0] == 1
+    forbid_str_printer()
+    assert run(capsys, *argv) == expected
 
 
 @pytest.mark.parametrize("argv", [

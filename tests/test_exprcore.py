@@ -213,15 +213,20 @@ def test_numeric_witness_agrees_with_30_digit_path():
     assert abs(value - ref_value) < sp.Float("1e-25", 30) * value
 
 
-def test_node_witness_agrees_with_30_digit_path():
+def _node_residuals() -> tuple:
+    """Residuals with ln, exp or radical generators, sampled at 30 digits."""
     eq = DiffEq(casebook.example_equation_display(), 4)
     g4 = casebook.example_generators_expected()["G4"]
-    for residual in (
+    return (
         sp.log(2) - sp.log(3),  # no atoms: one point, {}
         sp.log(y) - y1 * sp.exp(X) + 1,
         (sp.sqrt(X + y) - 2 * y1) / (y + sp.log(X) ** 2),
         divergence_check(g4, eq).witness,  # holds ln(y), through w = k2 - ln(y)
-    ):
+    )
+
+
+def test_node_witness_agrees_with_30_digit_path():
+    for residual in _node_residuals():
         point, value = numeric_witness(residual)
         ref_point, ref_value = _witness_30_digits(canon(residual))
         assert isinstance(value, sp.Float) and value._prec == ref_value._prec
@@ -357,6 +362,26 @@ def test_numeric_witness_evaluates_an_atom_free_pair_once(monkeypatch):
 
 def test_numeric_witness_zero_expression():
     assert numeric_witness((y + 1) ** 2 - y**2 - 2 * y - 1) is None
+
+
+def test_witnessed_is_numeric_witness_not_none(case_report, monkeypatch):
+    residuals = [
+        c.residual_value
+        for case_id in casebook.CASE_IDS
+        for c in case_report(case_id).claims
+        if isinstance(c.residual_value, exprcore.RingFraction) or not c.residual.has(sp.Float)
+    ]
+    residuals += [
+        *_node_residuals(),
+        exprcore._canonical_pair((y + 1) ** 2 - y**2 - 2 * y - 1),  # the zero pair
+        y / 10**12,  # nonzero, below the tolerance at every draw
+    ]
+    for residual in residuals:
+        assert exprcore.witnessed(residual) == (numeric_witness(residual) is not None), residual
+    # x = y = 1/2 twice, where the denominator x - y vanishes
+    c = canon(1 / (X - y) + 1)
+    monkeypatch.setattr(exprcore, "_seeded_rng", lambda e: _ScriptedRandom([50, 50, 50, 50]))
+    assert exprcore.witnessed(c) is True and numeric_witness(c) is not None
 
 
 def _print_corpus():

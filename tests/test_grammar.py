@@ -2,8 +2,9 @@ import pytest
 import sympy as sp
 
 from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, X, canon
-from odesym.grammar import ParseError, parse, render
+from odesym.grammar import ParseError, parse, render, sympy_text
 from odesym import maxsym
+from odesym.casebook import CASE_IDS
 from odesym.jetcalc import DiffEq
 from odesym.noether import first_integral
 
@@ -89,13 +90,9 @@ EDGE_CASES = [
 
 
 @pytest.mark.parametrize("e", EDGE_CASES, ids=str)
-def test_render_prints_kernel_shapes_as_strprinter_does(monkeypatch, e):
+def test_render_prints_kernel_shapes_as_strprinter_does(forbid_str_printer, e):
     expected = _strprinter(e)
-
-    def doprint(self, e):
-        raise AssertionError("a kernel shape reached StrPrinter")
-
-    monkeypatch.setattr(sp.StrPrinter, "doprint", doprint)
+    forbid_str_printer()
     assert render(e) == expected
 
 
@@ -126,3 +123,33 @@ def _library_objects():
 def test_render_matches_strprinter_on_library_objects():
     for name, e in _library_objects():
         assert render(e) == _strprinter(e), name
+
+
+# sums that str's default order prints with the Rational first, and their
+# neighbours that it prints in lex order
+STR_ORDER_CASES = [
+    1 - y, sp.Rational(3, 2) - y / 2, 1 - y**2, 2 - 1 / y, 1 - y**-2, (1 - y) / x, x / (1 - y),
+    1 - x * y, y - 1, 1 + y, -1 - y,
+]
+
+
+@pytest.mark.parametrize("e", EDGE_CASES + STR_ORDER_CASES, ids=str)
+def test_sympy_text_prints_kernel_shapes_as_str_does(forbid_str_printer, e):
+    expected = str(e)
+    forbid_str_printer()
+    assert sympy_text(e) == expected
+
+
+def test_sympy_text_is_str(case_report):
+    # every residual of `reproduce all` (C6's Float through str itself),
+    # node trees and the library objects
+    trees = [c.residual for case_id in CASE_IDS for c in case_report(case_id).claims]
+    trees += [
+        sp.log(2) - sp.log(3),
+        sp.log(y) - y1 * sp.exp(x) + 1,
+        (sp.sqrt(x + y) - 2 * y1) / (y + sp.log(x) ** 2),
+        sp.exp(x / 2) * y2 - sp.Float("0.25", 30) * y,
+    ]
+    trees += [e for _, e in _library_objects()]
+    for e in trees:
+        assert sympy_text(e) == str(e), sp.srepr(e)
