@@ -289,8 +289,30 @@ def _as_fraction(e, R, index) -> tuple:
             groups[d] = groups.get(d, R.zero) + n
     if terms:
         groups[R.one] = groups.get(R.one, R.zero) + R.from_dict(terms)
-    den = functools.reduce(lambda a, b: a.lcm(b), groups)
-    return sum((n * den.exquo(d) for d, n in groups.items()), R.zero), den
+    den = functools.reduce(_lcm, groups)
+    return sum((n * _exquo(den, d) for d, n in groups.items()), R.zero), den
+
+
+def _lcm(a, b):
+    """lcm(a, b), the polynomial ``PolyElement.lcm`` returns.  When both are
+    an integer times a monomial, by exponents: ``R.monomial_lcm`` times the
+    integer lcm, negative when exactly one of a and b is, as sympy signs it.
+    The one call of ``PolyElement.lcm``."""
+    if len(a) == 1 == len(b):
+        ((ma, ca),), ((mb, cb),) = a.items(), b.items()
+        c = math.lcm(ca, cb)
+        return a.ring.dtype({a.ring.monomial_lcm(ma, mb): c if (ca < 0) == (cb < 0) else -c})
+    return a.lcm(b)
+
+
+def _exquo(p, d):
+    """p/d for a d that divides p: by exponents (``R.monomial_ldiv``) when d
+    is an integer times a monomial, else ``PolyElement.exquo``."""
+    if len(d) != 1:
+        return p.exquo(d)
+    ((m, c),) = d.items()
+    ldiv = p.ring.monomial_ldiv
+    return p.ring.dtype({ldiv(mp, m): cp // c for mp, cp in p.items()})
 
 
 class RingFraction:
@@ -333,8 +355,8 @@ class RingFraction:
         a, b = self.den, other.den
         if a == b:
             return RingFraction(self.num + other.num, a)
-        m = a.lcm(b)
-        return RingFraction(self.num * m.exquo(a) + other.num * m.exquo(b), m)
+        m = _lcm(a, b)
+        return RingFraction(self.num * _exquo(m, a) + other.num * _exquo(m, b), m)
 
     def __neg__(self):
         return RingFraction(-self.num, self.den)
@@ -379,7 +401,7 @@ def _symbols_only(R) -> bool:
     return all(s.is_Symbol for s in R.symbols)
 
 
-def _printed(p) -> sp.Expr:
+def _printed(p, den=None) -> sp.Expr:
     """p's expression, the tree ``p.as_expr()`` returns (equal srepr, the
     same args in the same order), built without sympy's flatten when every
     generator of its ring is a symbol.
@@ -391,25 +413,47 @@ def _printed(p) -> sp.Expr:
     A ring with a node generator prints through ``PolyElement.as_expr``,
     as sympy merges powers of nodes (exp(x)^2 = exp(2x), y*sqrt(y) =
     y^(3/2)).
+
+    With den, an integer c times a monomial m of a ring of symbols, this is
+    p/den expanded, its Laurent sum: each term a*t prints as above with the
+    coefficient ``Rational(a, c)`` and the powers of t/m, negative
+    exponents allowed.
     """
     R = p.ring
-    if not _symbols_only(R):
-        return p.as_expr()
-    symbols, to_sympy = R.symbols, R.domain.to_sympy
+    if den is None:
+        if not _symbols_only(R):
+            return p.as_expr()
+        shift, d = None, 1
+    else:
+        ((shift, d),) = den.items()
+    symbols, ldiv = R.symbols, R.monomial_ldiv
+    coefficient = R.domain.to_sympy if d == 1 else lambda c: sp.Rational(c, d)
     terms, constant = [], None
     for m, c in p.items():
+        if shift is not None:
+            m = ldiv(m, shift)
         factors = [symbols[i] if k == 1 else sp.Pow(symbols[i], k) for i, k in enumerate(m) if k]
         if not factors:
-            constant = to_sympy(c)
+            constant = coefficient(c)
             continue
         _mulsort(factors)
-        if c != 1:
-            factors.insert(0, to_sympy(c))
+        if c != d:
+            factors.insert(0, coefficient(c))
         terms.append(sp.Mul._from_args(factors))
     _addsort(terms)
     if constant is not None:
         terms.insert(0, constant)
     return sp.Add._from_args(terms)
+
+
+def _expanded(f, fallback=None) -> sp.Expr:
+    """f expanded, the tree ``sp.expand(f.as_expr())`` returns: the Laurent
+    sum of :func:`_printed` when f's ring holds only symbols and its
+    denominator is an integer times a monomial.  Any other pair prints by
+    ``fallback()``, or by that expand when there is none."""
+    if len(f.den) == 1 and _symbols_only(f.num.ring):
+        return _printed(f.num, f.den)
+    return fallback() if fallback is not None else sp.expand(f.as_expr())
 
 
 def _by_degree(p, i) -> dict:
@@ -650,21 +694,26 @@ def _point(draws) -> dict:
     return {s: _hundredths(k) for s, k in draws.items()}
 
 
-def _draws(f, points):
+def _atoms(f) -> list:
+    """The atoms of a pair's generators (nodes' arguments too), in name order."""
+    return sorted((s for s in _generators(f) if s.is_Symbol), key=lambda s: s.name)
+
+
+def _draws(f, points, symbols=None):
     """Seeded regular draws of a canonical pair.
 
     Yields (draws, value, ref) at up to ``points`` draws {atom: k}, k in
-    10..1000, of every atom of the pair's generators, in name order, from
-    the RNG of :func:`_seeded_rng`, skipping singular points and giving up
-    after 40*points draws; |value|/ref is the relative size of f at the
-    point of the draws (:func:`_point`).  Every pair goes through
-    :func:`_evaluator`: in integers when it is rational, with its node
-    generators at 30 digits otherwise; no step builds the pair's
-    expression.
+    10..1000, of every atom of symbols (the pair's :func:`_atoms`, read
+    here unless the caller has them), from the RNG of :func:`_seeded_rng`,
+    skipping singular points and giving up after 40*points draws;
+    |value|/ref is the relative size of f at the point of the draws
+    (:func:`_point`).  Every pair goes through :func:`_evaluator`: in
+    integers when it is rational, with its node generators at 30 digits
+    otherwise; no step builds the pair's expression.
     """
     rng = _seeded_rng(f)
     evaluate = _evaluator(f)
-    symbols = sorted((s for s in _generators(f) if s.is_Symbol), key=lambda s: s.name)
+    symbols = _atoms(f) if symbols is None else symbols
     taken = 0
     for _ in range(40 * points):
         if taken == points:
@@ -736,9 +785,8 @@ def _relative_draws(e, points):
     f = _canonical_pair(e)
     if not f.num:
         return
-    if not any(s.is_Symbol for s in _generators(f)):
-        points = 1
-    for draws, value, ref in _draws(f, points):
+    symbols = _atoms(f)
+    for draws, value, ref in _draws(f, points if symbols else 1, symbols):
         yield draws, Fraction(abs(value), ref) if isinstance(value, int) else abs(value) / ref
 
 

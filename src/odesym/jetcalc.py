@@ -49,7 +49,8 @@ The inverse total derivative peels in such an algebra too, grown only
 when a piece needs a generator it lacks (F and the remainder are moved
 there as pairs), from its first lift to its result: F is the sum of the
 pieces' pairs, a refusal carries the remainder's pair, and F is printed
-once, from its pieces, only when it is read.  Sympy's Risch integrator is
+once, only when it is read: as its Laurent sum when its denominator is an
+integer times a monomial, else from its pieces.  Sympy's Risch integrator is
 left only for log-type antiderivatives.
 """
 
@@ -96,10 +97,11 @@ class NotExact(ValueError):
 
 
 def _quotient_rule(num, den, dnum, dden, scale):
-    """(dnum*den - num*dden) / (scale*den^2), with gcd(den, dden) cancelled."""
-    g = den.gcd(dden)
-    cofactor = den.exquo(g)
-    return RingFraction(dnum * cofactor - num * dden.exquo(g), scale * den * cofactor)
+    """(dnum*den - num*dden) / (scale*den^2), with gcd(den, dden) cancelled:
+    ``PolyElement.cofactors`` returns den and dden over their gcd, by
+    exponents when den is an integer times a monomial."""
+    _, cofactor, dcofactor = den.cofactors(dden)
+    return RingFraction(dnum * cofactor - num * dcofactor, scale * den * cofactor)
 
 
 class _RingAlgebra:
@@ -216,7 +218,7 @@ class _RingAlgebra:
                 raise type(table[i])(*table[i].args)
             den = table[i][1]
             if den != scale:
-                scale = scale.lcm(den)
+                scale = exprcore._lcm(scale, den)
         results = []
         for out, part in zip(shifted, partials):
             num = R.dtype({m: c for m, c in out.items() if c})
@@ -224,7 +226,7 @@ class _RingAlgebra:
                 num *= scale
             for i, d in part.items():
                 rnum, rden = table[i]
-                factor = rnum if rden == scale else rnum * scale.exquo(rden)
+                factor = rnum if rden == scale else rnum * exprcore._exquo(scale, rden)
                 num += R.dtype({m: c for m, c in d.items() if c}) * factor
             results.append(num)
         return results, scale
@@ -378,8 +380,10 @@ class VectorField:
 
 
 def characteristic(v: VectorField) -> sp.Expr:
-    """Evolutionary representative Q = psi - xi*y_x, expanded."""
-    return sp.expand(v.psi - v.xi * JET[1])
+    """Evolutionary representative Q = psi - xi*y_x, expanded: the Laurent
+    sum of its pair when it has one (:func:`exprcore._expanded`), else the
+    expand of psi - xi*y_x."""
+    return exprcore._expanded(v.characteristic_pair, lambda: sp.expand(v.psi - v.xi * JET[1]))
 
 
 def prolong(v: VectorField, order: int, rates: dict | None = None) -> list:
@@ -477,9 +481,8 @@ class DiffEq(_Given):
     must be linear with a nonzero coefficient, and y^(n) must enter neither
     the denominator nor a node.  The y^(n) coefficient and the solved rhs
     come from that split as canonical pairs.  ``delta`` (the expression
-    given, or the pair's print, expanded unless it is a polynomial over
-    symbols, whose print is already a sum of monomials), ``leading`` and
-    ``solved_rhs()`` are prints, made when first read.  The declared order
+    given, or the pair's :func:`exprcore._expanded` print), ``leading``
+    and ``solved_rhs()`` are prints, made when first read.  The declared order
     is tested on the value as given, so a lead that cancels in the ring is
     reported as zero.
     """
@@ -501,11 +504,7 @@ class DiffEq(_Given):
     @functools.cached_property
     def delta(self) -> sp.Expr:
         f = self.value
-        if not isinstance(f, RingFraction):
-            return f
-        if f.den == 1 and exprcore._symbols_only(f.num.ring):
-            return f.as_expr()
-        return sp.expand(f.as_expr())
+        return exprcore._expanded(f) if isinstance(f, RingFraction) else f
 
     @functools.cached_property
     def leading(self) -> sp.Expr:
@@ -631,11 +630,18 @@ def _antiderivative(f, s) -> RingFraction:
     return RingFraction(R.dtype(terms), f.den * L)
 
 
+def _integral(F, pieces) -> sp.Expr:
+    """F, the pair of :func:`_peel`, printed once: its Laurent sum
+    (:func:`exprcore._expanded`) when it has one, else :func:`_printed` of
+    its pieces."""
+    return exprcore._expanded(F, lambda: _printed(pieces))
+
+
 def _printed(pieces) -> sp.Expr:
-    """F from the pieces of :func:`_peel`, its one print: each antiderivative
-    (pair, s) with each power of s over its own reduced denominator, as
-    sympy's integrate writes it, the integrator's pieces as they came, and
-    the sum expanded."""
+    """F from the pieces of :func:`_peel`, printed by pieces: each
+    antiderivative (pair, s) with each power of s over its own reduced
+    denominator, as sympy's integrate writes it, the integrator's pieces as
+    they came, and the sum expanded."""
     terms = [p for p in pieces if isinstance(p, sp.Expr)]
     for F, s in (p for p in pieces if not isinstance(p, sp.Expr)):
         groups = exprcore._by_degree(F.num, F.num.ring.symbols.index(s))
@@ -645,11 +651,11 @@ def _printed(pieces) -> sp.Expr:
 
 def inverse_total_derivative(P, rates: dict | None = None, check_exact: bool = True) -> sp.Expr:
     """An F with D_x F = P, for P (an expression or a pair) a total
-    derivative; constant fixed to 0: the :func:`_peel` of P, printed once.
-    With check_exact, P is refused unless E(P) is zero."""
+    derivative; constant fixed to 0: the :func:`_peel` of P, printed once
+    (:func:`_integral`).  With check_exact, P is refused unless E(P) is zero."""
     if check_exact and not zero_test(residual := _euler(rates, P)):
         raise NotExact("expression is not a total derivative", residual)
-    return _printed(_peel(P, rates)[1])
+    return _integral(*_peel(P, rates)[:2])
 
 
 def _peel(P, rates) -> tuple:

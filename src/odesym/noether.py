@@ -78,8 +78,8 @@ class FirstIntegral(_Residual):
 
     ``value`` is F as a pair, the sum of its peel ``pieces``, and ``pair``
     the residual D_x F - Q*Delta that was verified zero; ``expr`` (F
-    printed from its pieces), ``q`` and ``witness`` are prints, made when
-    first read.
+    printed by :func:`jetcalc._integral`), ``q`` and ``witness`` are
+    prints, made when first read.
     """
 
     value: RingFraction
@@ -90,7 +90,7 @@ class FirstIntegral(_Residual):
 
     @functools.cached_property
     def expr(self) -> sp.Expr:
-        return jetcalc._printed(self.pieces)
+        return jetcalc._integral(self.value, self.pieces)
 
     @functools.cached_property
     def q(self) -> sp.Expr:
@@ -190,8 +190,10 @@ def divergence_relation_check(
     """Linearity of S across equivalent Lagrangians L = theta*L0 + D_x P.
 
     D_x P, S(L), S(L0) and S(D_x P) are pairs, and their combination
-    S(L) - theta*S(L0) - S(D_x P) is reduced once.
+    S(L) - theta*S(L0) - S(D_x P) is reduced once.  A theta of 1 is neither
+    lifted nor multiplied.
     """
     dP = jetcalc.derivative_ladder(P, 1, _rates(ctx))[1]
-    s, s0, sdP = (_invariance(v, e, ctx) for e in (L0.pair * theta + dP, L0.pair, dP))
-    return _verdict("variational", _reduce(s - s0 * theta - sdP, ctx))
+    times_theta = (lambda f: f) if theta == 1 else (lambda f: f * theta)
+    s, s0, sdP = (_invariance(v, e, ctx) for e in (times_theta(L0.pair) + dP, L0.pair, dP))
+    return _verdict("variational", _reduce(s - times_theta(s0) - sdP, ctx))

@@ -112,11 +112,12 @@ def _images(sigma: PointTransformation, used) -> dict:
     return {X: sigma.pairs[0], **ladder_images(JET, sigma.pairs[1], used, sigma.rates, scale)}
 
 
-def _image(f, sigma: PointTransformation, weight=1) -> "exprcore._CanonicalPair":
+def _image(f, sigma: PointTransformation, weight=None) -> "exprcore._CanonicalPair":
     """The canonical pair of f (an expression or a pair) with the jet images
-    of sigma substituted, all at once, times weight lifted into its ring."""
+    of sigma substituted, all at once, times weight, if any, lifted into
+    its ring."""
     f = exprcore._substituted(f, _images(sigma, exprcore._generators(f)))
-    return exprcore._canonical_pair(f * weight)
+    return exprcore._canonical_pair(f if weight is None else f * weight)
 
 
 def transform_equation(eq: DiffEq, sigma: PointTransformation) -> DiffEq:

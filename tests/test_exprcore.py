@@ -458,6 +458,89 @@ def test_print_of_a_symbol_ring_skips_sympys_flatten(monkeypatch):
     assert nodes == 4
 
 
+def _laurent_corpus() -> list:
+    """Pairs over symbols whose denominator is an integer times a monomial,
+    none reduced: negative exponents, coefficient -1, a constant term,
+    rational coefficients, a single term, zero, a negative or ground
+    denominator, and random pairs of a wide ring."""
+    R = exprcore._ring({X, y, y1, y2, u})
+    x_, y_, y1_, y2_, u_ = (R.gens[R.symbols.index(s)] for s in (X, y, y1, y2, u))
+    pairs = [
+        (R.zero, R(3)),
+        (-y2_, 2 * x_),
+        (x_ - y_ * y1_, x_ * y1_**2),
+        (6 * x_ * y_ + 3 * y2_, 6 * x_ * y_),
+        (2 * x_ - 3 * y_ + 1, 4 * y_**2),
+        (x_ + y_, -3 * x_),
+        (x_ + y_, R(7)),
+        (x_ * y_ + 3 * x_, 2 * x_),
+        (4 * x_**2 * u_ - 2 * y_, -4 * x_ * u_**3),
+    ]
+    out = [exprcore.RingFraction(a, b) for a, b in pairs]
+    rng = random.Random(20261021)
+    wide = exprcore._ring({X, *JET[:12], u, u1, v, q, k1})
+    for _ in range(40):
+        terms = {
+            tuple(rng.choice((0, 0, 0, 1, 2)) for _ in wide.symbols): rng.choice((-1, 1, rng.randint(-30, 30)))
+            for _ in range(rng.randint(1, 8))
+        }
+        den = {tuple(rng.choice((0, 0, 0, 1, 3)) for _ in wide.symbols): rng.choice((-6, -1, 1, 2, 9))}
+        out.append(exprcore.RingFraction(wide.from_dict(terms), wide.from_dict(den)))
+    return out
+
+
+def test_laurent_print_is_sympys_expand(monkeypatch):
+    corpus = _laurent_corpus()
+    expected = [sp.expand(f.as_expr()) for f in corpus]
+
+    def expand(e, *args, **kwargs):
+        raise AssertionError(f"sp.expand reached for {e}")
+
+    monkeypatch.setattr(sp, "expand", expand)
+    for f, want in zip(corpus, expected):
+        assert _same_tree(exprcore._expanded(f), want), f
+    assert sp.Rational(3, 2) in expected[7].args and any(-1 in t.args for t in expected[2].args)
+    assert expected[1] == -y2 / (2 * X) and expected[0] == 0
+
+
+def test_expanded_print_falls_back_to_sympys_expand(monkeypatch):
+    # a denominator that is not a monomial, and ln, exp and radical rings
+    corpus = [
+        exprcore._canonical_pair(e)
+        for e in (
+            (y2 + y) / (X + 1),
+            (y2 - 3 * y) / (2 * X * (y1 + y)),
+            (y2 - sp.log(y) + 1) * (y1 + sp.log(y)) / X,
+            (y2 - sp.exp(X)) * (sp.exp(X) + 1) / (3 * y),
+            y * sp.sqrt(y) - sp.sqrt(X) / (2 * X),
+        )
+    ]
+    calls, expand = [], sp.expand
+    monkeypatch.setattr(sp, "expand", lambda e, *a, **k: calls.append(e) or expand(e, *a, **k))
+    for f in corpus:
+        calls.clear()
+        want = expand(f.as_expr())
+        assert _same_tree(exprcore._expanded(f), want) and len(calls) == 1, f
+        assert _same_tree(exprcore._expanded(f, lambda: want), want)
+
+
+def test_lcm_and_exact_quotient_match_polyelement():
+    R = exprcore._ring({X, y, y1, u})
+    x_, y_, y1_, u_ = (R.gens[R.symbols.index(s)] for s in (X, y, y1, u))
+    terms = [R.one, R(-1), R(6), R(-4), 2 * x_, -3 * x_**2 * y_, 4 * x_ * y1_, -6 * y1_**3 * u_, -u_, 10 * y_**2]
+    sums = [x_ + y_, 2 * x_ * y_ - 4 * u_, -(y1_**2) + 3]
+    for a in terms:
+        for b in terms + sums:
+            for first, second in ((a, b), (b, a)):
+                lcm = exprcore._lcm(first, second)
+                assert lcm == first.lcm(second), (first, second)
+                assert exprcore._exquo(lcm, first) == lcm.exquo(first), (lcm, first)
+    for a in sums:
+        for b in sums:
+            assert exprcore._lcm(a, b) == a.lcm(b)
+            assert exprcore._exquo(a * b, b) == a
+
+
 def test_canonical_pair_of_a_print_is_the_pair(monkeypatch):
     monomials = Counter()
     monomial = exprcore._monomial

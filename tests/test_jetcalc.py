@@ -606,14 +606,17 @@ def test_inverse_total_derivative_matches_tree_peel(case):
 
 def test_delta_expands_only_a_print_that_is_not_a_sum_of_monomials(monkeypatch):
     ctx = SourceContext.make_symbolic()
-    polynomial = [(build_lode(n, ctx).pair, n) for n in (2, 5, 8)]
-    polynomial.append((exprcore.RingFraction.from_expr(3 * y2 * JET[10] - y2**2 * X + 1), 10))
+    direct = [(build_lode(n, ctx).pair, n) for n in (2, 5, 8)]
+    direct.append((exprcore.RingFraction.from_expr(3 * y2 * JET[10] - y2**2 * X + 1), 10))
+    # a denominator that is an integer times a monomial prints its Laurent sum
+    direct.append((exprcore.RingFraction.from_expr((y2 + y) / X), 2))
+    direct.append((exprcore.RingFraction.from_expr((3 * y2 - y * X**2 + 2) / (-6 * X * y1**2)), 2))
     expanded = [
-        (exprcore.RingFraction.from_expr((y2 + y) / X), 2),
+        (exprcore.RingFraction.from_expr((y2 + y) / (X + 1)), 2),
         (exprcore.RingFraction.from_expr((y2 - sp.log(y) + 1) * (y1 + sp.log(y))), 2),
         (exprcore.RingFraction.from_expr((y2 - sp.exp(X)) * (sp.exp(X) + 1)), 2),
     ]
-    cases = [(f, n, False) for f, n in polynomial] + [(f, n, True) for f, n in expanded]
+    cases = [(f, n, False) for f, n in direct] + [(f, n, True) for f, n in expanded]
     wanted = [sp.expand(f.as_expr()) for f, _, _ in cases]
     calls, expand = [], sp.expand
     monkeypatch.setattr(sp, "expand", lambda e, *a, **k: calls.append(e) or expand(e, *a, **k))

@@ -1,7 +1,7 @@
 import pytest
 import sympy as sp
 
-from odesym import exprcore
+from odesym import exprcore, jetcalc
 from odesym.exprcore import COEF_Q, JET, SOL_U, SOL_V, X, canon, zero_test
 from odesym.jetcalc import (
     DiffEq,
@@ -19,6 +19,7 @@ from odesym.maxsym import (
     generators,
     natural_lagrangian,
     reference_first_integral_homogeneity,
+    specialize_q,
     transformed_lagrangian,
 )
 from odesym.noether import (
@@ -294,3 +295,47 @@ def test_verify_first_integral_reduces_inside_nodes():
     # F = ln(y3 - y1) is ln(y2 - y1) on solutions of y3 = y2
     mu = verify_first_integral(sp.log(y3 - y1), DiffEq(y3 - y2, 3))
     assert canon(mu - 1 / (y2 - y1)) == 0
+
+
+def _same_tree(a, b) -> bool:
+    return sp.srepr(a) == sp.srepr(b) and a == b
+
+
+def test_integral_prints_match_the_grouped_print():
+    for n in range(3, 9):
+        eq = build_lode(n, CTX)
+        for v in _divergence_symmetries(n):
+            F = first_integral(v, eq, CTX)
+            assert len(F.value.den) == 1, (n, v.name)
+            assert _same_tree(F.expr, jetcalc._printed(F.pieces)), (n, v.name)
+
+
+@pytest.mark.parametrize("qx", [1 / (X**2 + 1), sp.exp(X), sp.sqrt(X)], ids=["rational", "exp", "sqrt"])
+def test_integral_print_falls_back_to_the_grouped_print(monkeypatch, qx):
+    # a denominator that is not a monomial (the pinned integral{3,5,7}.Wy.q5),
+    # or a ring with a node, prints F by its pieces
+    wy = generators(3).homogeneity
+    calls, printed = [], jetcalc._printed
+    monkeypatch.setattr(jetcalc, "_printed", lambda pieces: calls.append(pieces) or printed(pieces))
+    for n in (3, 5, 7):
+        F = first_integral(wy, DiffEq(specialize_q(build_lode(n).pair, qx), n))
+        calls.clear()
+        assert _same_tree(F.expr, printed(F.pieces)) and len(calls) == 1, n
+        assert len(F.value.den) > 1 or not exprcore._symbols_only(F.value.num.ring), n
+
+
+def test_integral_prints_at_order_eight_expand_nothing(monkeypatch):
+    # every symbolic F at n = 8 prints as its Laurent sum, with neither
+    # sympy's expand nor the grouped print of its pieces
+    eq = build_lode(8, CTX)
+    integrals = [first_integral(v, eq, CTX) for v in _divergence_symmetries(8)]
+    expected = [jetcalc._printed(F.pieces) for F in integrals]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a first integral printed through sp.expand or by its pieces")
+
+    monkeypatch.setattr(sp, "expand", forbidden)
+    monkeypatch.setattr(jetcalc, "_printed", forbidden)
+    prints = [F.expr for F in integrals]
+    monkeypatch.undo()
+    assert len(prints) == 11 and all(_same_tree(a, b) for a, b in zip(prints, expected))
