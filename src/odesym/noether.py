@@ -16,11 +16,17 @@ it is printed, by the grammar's direct printer.  A first integral is its
 pair too: F comes from the peel (``jetcalc._peel``) as a pair of the
 peel's algebra, D_x F - Q*Delta is verified in that algebra, and F, Q
 and the verified residual are printed only when read.
+
+A divergence verdict and a first integral are decided once per process:
+:func:`divergence_check` and :func:`first_integral` share one bounded memo
+(:func:`_decided_once`) for the context None and for symbolic contexts.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import threading
 from dataclasses import dataclass
 
 import sympy as sp
@@ -113,6 +119,65 @@ def _rates(ctx: SourceContext | None):
     return ctx.rates if ctx is not None else None
 
 
+class _Memo:
+    """A bounded map from keys to frozen values, the least recently used
+    evicted first.  Each read and write holds the lock; a value is computed
+    outside it, so two threads that miss one key may both compute it, and
+    they get equal values."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.lock = threading.Lock()
+        self.values = collections.OrderedDict()
+
+    def get(self, key):
+        with self.lock:
+            value = self.values.get(key)
+            if value is not None:
+                self.values.move_to_end(key)
+            return value
+
+    def put(self, key, value) -> None:
+        with self.lock:
+            self.values[key] = value
+            self.values.move_to_end(key)
+            if len(self.values) > self.size:
+                self.values.popitem(last=False)
+
+    def clear(self) -> None:
+        with self.lock:
+            self.values.clear()
+
+
+# The verdicts and first integrals decided in this process: room for a
+# verdict and an integral of every generator at every order the builders
+# accept (2 * the sum of n + 4 over n = 2..24 is 782).
+_DECIDED = _Memo(1024)
+
+
+def _decided_once(decide):
+    """decide(v, eq, ctx), served from :data:`_DECIDED` when ctx is None or
+    symbolic.  The key is the field's two pairs, the equation's pair and
+    order, and the context: None, or the symbolic context's rates, under
+    which it reduces by the source relations.  A concrete context bypasses
+    the memo, a call that raises stores nothing, and ``__wrapped__`` is
+    decide itself."""
+
+    @functools.wraps(decide)
+    def decided(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None):
+        if ctx is not None and not ctx.symbolic:
+            return decide(v, eq, ctx)
+        rates = None if ctx is None else frozenset(ctx.rates.items())
+        key = (decide.__name__, *((f.num, f.den) for f in v.pairs), eq.pair.num, eq.pair.den, eq.order, rates)
+        value = _DECIDED.get(key)
+        if value is None:
+            value = decide(v, eq, ctx)
+            _DECIDED.put(key, value)
+        return value
+
+    return decided
+
+
 def invariance_expression(v: VectorField, L: Lagrangian, ctx: SourceContext | None = None) -> sp.Expr:
     """S(v) = pr v (L) + L * D_x xi, the variational invariance residual."""
     return _invariance(v, L.pair, ctx).as_expr()
@@ -137,12 +202,14 @@ def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None =
     return _verdict("variational", _reduce(_invariance(v, L.pair, ctx), ctx))
 
 
+@_decided_once
 def divergence_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
     """Test E(Q*Delta) = 0, with Q the characteristic of v."""
     residual = jetcalc._euler(_rates(ctx), v.characteristic_pair, eq.pair)
     return _verdict("divergence", _reduce(residual, ctx))
 
 
+@_decided_once
 def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> FirstIntegral:
     """Noether-style first integral of a divergence symmetry.
 
@@ -152,6 +219,11 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     from the field's and the equation's pairs, the peel returns F as a pair
     of its algebra, and the defining identity D_x F - Q*Delta = 0 is
     verified exactly in that algebra, with no lift, and stored.
+
+    The check comes first and is memoised: a refusal is never stored, and
+    a repeated one raises a new exception from the memoised verdict.  A
+    memoised integral is returned as it was made, so its ``field`` and
+    ``equation`` equal the given ones in value.
     """
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:

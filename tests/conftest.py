@@ -1,7 +1,7 @@
 import pytest
 import sympy as sp
 
-from odesym import exprcore
+from odesym import exprcore, noether
 from odesym.casebook import run_case
 
 
@@ -19,6 +19,14 @@ def case_report():
         return reports[case_id]
 
     return run
+
+
+@pytest.fixture(autouse=True)
+def fresh_decisions():
+    """Each test starts with an empty memo of divergence verdicts and first
+    integrals (``noether._DECIDED``), so a call or a print that a test
+    counts is not one an earlier test already made."""
+    noether._DECIDED.clear()
 
 
 @pytest.fixture

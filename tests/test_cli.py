@@ -699,3 +699,23 @@ def test_readme_command_line_block(capsys, monkeypatch, tmp_path):
         stated += 1
     assert stated >= 2
     assert json.loads((tmp_path / "report.json").read_text())["case"] == "all"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--vf=0;y", "--n=5"], 0),
+        (["--vf=0;y", "--n=4"], 1),
+        (["--vf=2*u*v;2*(u*v1 + u1*v)*y", "--n=3"], 1),
+        (["--vf=0;y", "--n=5", "--q=x"], 0),
+        (["--vf=0;y", "--n=4", "--q=x"], 1),
+    ],
+    ids=["Wy-n5", "Wy-n4", "G3", "Wy-n5-q", "Wy-n4-q"],
+)
+def test_a_repeated_first_integral_prints_the_same_bytes(capsys, monkeypatch, argv, code):
+    # the second request is decided from the memo, and says the same
+    first = run(capsys, "first-integral", *argv)
+    euler = []
+    monkeypatch.setattr(noether.jetcalc, "_euler", lambda *args: euler.append(args))
+    assert run(capsys, "first-integral", *argv) == first and not euler
+    assert first[0] == code and (first[2] == "") == (code == 0)

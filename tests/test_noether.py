@@ -1,7 +1,11 @@
+import concurrent.futures
+import sys
+
 import pytest
 import sympy as sp
 
-from odesym import exprcore, jetcalc
+from odesym import exprcore, jetcalc, noether
+from odesym.casebook import family_exponential, family_power, family_radical_log
 from odesym.exprcore import COEF_Q, JET, SOL_U, SOL_V, X, canon, zero_test
 from odesym.jetcalc import (
     DiffEq,
@@ -339,3 +343,174 @@ def test_integral_prints_at_order_eight_expand_nothing(monkeypatch):
     prints = [F.expr for F in integrals]
     monkeypatch.undo()
     assert len(prints) == 11 and all(_same_tree(a, b) for a, b in zip(prints, expected))
+
+
+# ---------------------------------------------------------------------------
+# The memo of divergence verdicts and first integrals.
+
+def _decision(v, eq, ctx, check, integral):
+    """The verdict's holds and witness, and F's prints or the refusal's text."""
+    verdict = check(v, eq, ctx)
+    try:
+        F = integral(v, eq, ctx)
+        made = (sp.srepr(F.expr), sp.srepr(F.q), sp.srepr(F.witness))
+    except NotADivergenceSymmetry as err:
+        made = (str(err), sp.srepr(err.witness))
+    return verdict.holds, sp.srepr(verdict.witness), made
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["none", "symbolic"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_memoised_decisions_match_the_unmemoised(n, symbolic):
+    ctx = SourceContext.make_symbolic() if symbolic else None
+    eq = build_lode(n, ctx)
+    decide = lambda *fns: [_decision(v, eq, ctx, *fns) for v in generators(n)]
+    memoised, again = decide(divergence_check, first_integral), decide(divergence_check, first_integral)
+    noether._DECIDED.clear()
+    fresh = decide(divergence_check.__wrapped__, first_integral.__wrapped__)
+    assert memoised == again == fresh
+    assert len(fresh) == n + 4 and sum(holds for holds, *_ in fresh) >= (n + 1 if symbolic else n % 2)
+
+
+def _counted(monkeypatch, *names):
+    """{name: calls} of the named jetcalc functions, counted from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(jetcalc, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(jetcalc, name, counted)
+    return counts
+
+
+def _concrete_contexts():
+    return [
+        *(family()[2] for family in (lambda: family_radical_log(1), lambda: family_radical_log(-1),
+                                     family_exponential, family_power)),
+        SourceContext.zero_q(),
+        SourceContext.from_solutions(X, sp.Integer(1)),
+    ]
+
+
+def test_concrete_contexts_bypass_the_memo(monkeypatch):
+    # C5's families, zero_q and a pair from from_solutions: every call runs
+    # the Euler operator, and nothing is stored
+    contexts = _concrete_contexts()
+    cases = [(v, build_lode(4, ctx), ctx) for ctx in contexts for v in generators(4).specialize(ctx)]
+    counts = _counted(monkeypatch, "_euler")
+    for v, eq, ctx in cases:
+        verdicts = [divergence_check(v, eq, ctx) for _ in range(2)]
+        assert verdicts[0] is not verdicts[1] and verdicts[0].holds == verdicts[1].holds
+        for _ in range(2):
+            try:
+                first_integral(v, eq, ctx)
+            except NotADivergenceSymmetry:
+                pass
+    assert counts["_euler"] == 4 * len(cases) == 4 * 8 * len(contexts)
+    assert not noether._DECIDED.values
+
+
+def test_a_field_of_another_ring_gets_the_same_verdict():
+    # the same values in a larger ring may miss the memo, not change the verdict
+    for n in (3, 4):
+        eq = build_lode(n, CTX)
+        for v in generators(n):
+            R = exprcore._ring({*v.pairs[0].num.ring.symbols, *v.pairs[1].num.ring.symbols, SOL_U[0], SOL_V[0], X})
+            moved = VectorField(*(exprcore._lift(p, R) for p in v.pairs))
+            assert _decision(moved, eq, CTX, divergence_check, first_integral) == _decision(
+                v, eq, CTX, divergence_check, first_integral), (n, v.name)
+
+
+def test_a_repeated_first_integral_runs_neither_euler_nor_the_peel(monkeypatch):
+    cases = [(v, build_lode(n, CTX)) for n in (4, 5) for v in _divergence_symmetries(n)]
+    integrals = [first_integral(v, eq, CTX) for v, eq in cases]
+    counts = _counted(monkeypatch, "_euler", "_peel")
+    assert [first_integral(v, eq, CTX) for v, eq in cases] == integrals
+    assert [first_integral(v, eq, SourceContext.make_symbolic()) for v, eq in cases] == integrals
+    assert counts == {"_euler": 0, "_peel": 0}
+
+
+def test_first_integral_reuses_the_verdict_of_the_table(monkeypatch):
+    eq = build_lode(6, CTX)
+    held = [v for v in generators(6) if divergence_check(v, eq, CTX).holds]
+    counts = _counted(monkeypatch, "_euler", "_peel")
+    for v in held:
+        first_integral(v, eq, CTX)
+    assert len(held) == 9 and counts == {"_euler": 0, "_peel": 9}
+
+
+def test_a_repeated_refusal_raises_a_new_exception_from_the_verdict(monkeypatch):
+    for n, v in ((4, generators(4).homogeneity), (3, generators(3).special[1])):
+        eq = build_lode(n, CTX)
+
+        def refusal():
+            with pytest.raises(NotADivergenceSymmetry) as err:
+                first_integral(v, eq, CTX)
+            return err.value
+
+        refusals = [refusal()]
+        counts = _counted(monkeypatch, "_euler")
+        refusals += [refusal(), refusal()]
+        assert counts["_euler"] == 0
+        assert len({id(e) for e in refusals}) == 3
+        assert len({str(e) for e in refusals}) == 1 and refusals[0].pair is refusals[2].pair
+        assert refusals[0].pair is divergence_check(v, eq, CTX).pair
+        monkeypatch.undo()
+
+
+def test_the_memo_is_bounded_and_holds_frozen_values():
+    memo = noether._Memo(2)
+    for k in range(3):
+        memo.put(k, str(k))
+    assert memo.get(1) == "1" and memo.get(0) is None
+    memo.put(3, "3")
+    assert list(memo.values) == [1, 3]
+    for n in (3, 4):
+        eq = build_lode(n, CTX)
+        for v in generators(n):
+            divergence_check(v, eq, None)
+            try:
+                first_integral(v, eq, CTX)
+            except NotADivergenceSymmetry:
+                pass
+    # 15 verdicts under None and under the symbolic context, and the 4 + 7
+    # first integrals; the refusals are not stored
+    values = list(noether._DECIDED.values.values())
+    assert len(values) == 2 * 15 + 11
+    assert all(type(f).__dataclass_params__.frozen for f in values)
+    assert {type(f) for f in values} == {noether.SymmetryVerdict, noether.FirstIntegral}
+
+
+def _in_threads(fn, items, workers=4):
+    """[fn(item) for item in items] from more threads than cores, switching
+    every 10 microseconds, each result awaited at most 60 s."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            return [f.result(timeout=60) for f in [pool.submit(fn, item) for item in items]]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_memo_keeps_its_bound_under_threads():
+    memo = noether._Memo(16)
+
+    def churn(t):
+        for k in range(400):
+            memo.put((t, k % 40), k)
+            memo.get((t, (k * 7) % 40))
+
+    _in_threads(churn, range(8), workers=8)
+    assert len(memo.values) == 16 and all(v % 40 == k for (t, k), v in memo.values.items())
+
+
+def test_concurrent_first_integrals_agree():
+    eq = build_lode(7, CTX)
+    fields = [*generators(7)] * 2
+    made = _in_threads(lambda v: _decision(v, eq, CTX, divergence_check, first_integral), fields)
+    noether._DECIDED.clear()
+    assert made == [_decision(v, eq, CTX, divergence_check.__wrapped__, first_integral.__wrapped__) for v in fields]
