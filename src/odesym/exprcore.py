@@ -25,7 +25,6 @@ import hashlib
 import math
 import random
 import types
-from fractions import Fraction
 
 import sympy as sp
 from sympy.core.add import _addsort
@@ -33,7 +32,7 @@ from sympy.core.exprtools import decompose_power
 from sympy.core.mul import _mulsort
 from sympy.polys.domains import ZZ
 from sympy.polys.polyerrors import GeneratorsError
-from sympy.polys.polyutils import _sort_gens
+from sympy.polys.polyutils import _gens_order, _max_order, _re_gen
 from sympy.polys.rings import PolyRing
 
 MAX_JET_ORDER = 24
@@ -178,6 +177,21 @@ def _ring(gens) -> PolyRing:
 @functools.lru_cache(maxsize=512)
 def _ring_of(gens: frozenset) -> PolyRing:
     return PolyRing(_sort_gens(gens), ZZ)
+
+
+def _sort_gens(gens) -> tuple:
+    """gens in the order of sympy's ``polyutils._sort_gens``, by the cached
+    :func:`_gen_key` of each: no generator is printed again."""
+    return tuple(sorted(gens, key=_gen_key))
+
+
+@functools.lru_cache(maxsize=4096)
+def _gen_key(g) -> tuple:
+    """The key ``polyutils._sort_gens`` sorts g by, with no ``sort`` or
+    ``wrt`` option: (rank of its name, name, index) read from ``str(g)``
+    once per process."""
+    name, index = _re_gen.match(str(g)).groups()
+    return _gens_order.get(name, _max_order), name, int(index) if index else 0
 
 
 @functools.lru_cache(maxsize=1024)
@@ -375,16 +389,35 @@ class RingFraction:
     @property
     def free_symbols(self) -> set:
         """The generators that occur in the numerator or the denominator."""
-        R = self.num.ring
-        return {
-            s
-            for s, a, b in zip(R.symbols, self.num.degrees(), self.den.degrees())
-            if a > 0 or b > 0
-        }
+        symbols = self.num.ring.symbols
+        return {symbols[i] for i in _used(self)}
 
     def as_expr(self) -> sp.Expr:
-        """num/den by sympy's ``/``, each side printed by :func:`_printed`."""
-        return _printed(self.num) / _printed(self.den)
+        """num/den, the tree sympy's ``/`` returns for the two
+        :func:`_printed` sides (equal srepr).
+
+        When the ring holds only symbols and den is an integer c > 0 times
+        a monomial m, the tree is built without ``Mul.flatten``: den 1
+        prints the numerator; a single term, or a sum over a ground c, is
+        the Laurent sum of :func:`_printed`, as ``/`` spreads a ground
+        denominator over a sum; any other sum is ``Mul._from_args`` of
+        ``Rational(1, c)`` and the powers of 1/m and the numerator's sum in
+        ``_mulsort`` order.  Other pairs divide by ``/``.
+        """
+        num, den = self.num, self.den
+        if len(den) != 1 or den.LC < 0 or not _symbols_only(num.ring):
+            return _printed(num) / _printed(den)
+        if den == 1:
+            return _printed(num)
+        ((m, c),) = den.items()
+        if len(num) <= 1 or not any(m):
+            return _printed(num, den)
+        factors = [sp.Pow(s, -k) for s, k in zip(num.ring.symbols, m) if k]
+        factors.append(_printed(num))
+        _mulsort(factors)
+        if c != 1:
+            factors.insert(0, sp.Rational(1, c))
+        return sp.Mul._from_args(factors)
 
     def _sympy_(self) -> sp.Expr:
         """``sp.sympify`` of a pair is its expression."""
@@ -394,6 +427,12 @@ class RingFraction:
         """The pair's expression, so that an equation or a Lagrangian given
         as a pair reads as its value."""
         return f"{type(self).__name__}({self.as_expr()})"
+
+
+def _used(f) -> list:
+    """The positions of the generators that occur in f's numerator or
+    denominator, in ring order."""
+    return [i for i, (a, b) in enumerate(zip(f.num.degrees(), f.den.degrees())) if a > 0 or b > 0]
 
 
 def _symbols_only(R) -> bool:
@@ -621,13 +660,10 @@ def _seeded_rng(e) -> random.Random:
     coefficients of numerator and denominator.  Generators absent from both
     do not enter, so the seed does not depend on the ring holding the pair."""
     f = _canonical_pair(e)
-    names = _names(f.num.ring)
+    names, used = _names(f.num.ring), _used(f)
 
     def terms(p):
-        return sorted(
-            (tuple((names[i], k) for i, k in enumerate(m) if k), c)
-            for m, c in p.items()
-        )
+        return sorted((tuple((names[i], m[i]) for i in used if m[i]), c) for m, c in p.items())
 
     digest = hashlib.md5(repr((terms(f.num), terms(f.den))).encode()).hexdigest()
     return random.Random(int(digest[:16], 16))
@@ -640,44 +676,47 @@ def _evaluator(f):
     With every atom at k/100, each term of numerator and denominator is
     scaled by 100^D over its degree in the atoms, D the largest such degree
     of the pair, so a rational pair is evaluated in integers and never
-    builds its point.  Each node generator the pair uses (ln, exp or
-    radical) is evaluated once per point at 30 digits, and the sums of a
-    pair with nodes are 30-digit floats.  value is the sum of the
-    numerator's terms n_i and ref is max(|d|, sum |n_i|): |value|/ref is
-    the relative size of the pair, which no common scaling changes, nor
-    does sympy spreading a ground denominator over the sum ((x+y)/2 prints
-    as x/2 + y/2).  None where d vanishes or a node value is not real and
-    finite.
+    builds its point: each term is compiled once to its scaled coefficient
+    and (position, exponent) pairs into the draws of the generators the
+    pair uses.  Each node generator the pair uses (ln, exp or radical) is
+    evaluated once per point at 30 digits, and the sums of a pair with
+    nodes are 30-digit floats.  value is the sum of the numerator's terms
+    n_i and ref is max(|d|, sum |n_i|): |value|/ref is the relative size of
+    the pair, which no common scaling changes, nor does sympy spreading a
+    ground denominator over the sum ((x+y)/2 prints as x/2 + y/2).  None
+    where d vanishes or a node value is not real and finite.
     """
-    symbols = f.num.ring.symbols
-    atom = [s.is_Symbol for s in symbols]
-    nodes = [g for g in f.free_symbols if not g.is_Symbol]
-
-    def degree(m):
-        return sum(k for k, a in zip(m, atom) if a)
-
-    D = max(degree(m) for p in (f.num, f.den) for m in p.itermonoms())
-    scale = [100**j for j in range(D + 1)]
+    symbols, used = f.num.ring.symbols, _used(f)
+    gens = [symbols[i] for i in used]
+    atom = [g.is_Symbol for g in gens]
+    nodes = [g for g, a in zip(gens, atom) if not a]
 
     def compiled(p):
-        return [
-            (c * scale[D - degree(m)], [(symbols[i], k) for i, k in enumerate(m) if k])
-            for m, c in p.items()
-        ]
+        """(c, [(position, exponent)], degree in the atoms) of each term."""
+        terms = []
+        for m, c in p.items():
+            factors = [(j, m[i]) for j, i in enumerate(used) if m[i]]
+            terms.append((c, factors, sum(k for j, k in factors if atom[j])))
+        return terms
 
     num, den = compiled(f.num), compiled(f.den)
+    D = max(d for _, _, d in num + den)
+    num, den = ([(c * 100 ** (D - d), factors) for c, factors, d in terms] for terms in (num, den))
     zero = sp.Float(0, 30) if nodes else 0
 
     def evaluate(draws):
         if nodes:
             point = _point(draws)
-            draws = {**draws, **{g: g.xreplace(point).evalf(30) for g in nodes}}
-            if not all(draws[g].is_real and draws[g].is_finite for g in nodes):
+            values = {**draws, **{g: g.xreplace(point).evalf(30) for g in nodes}}
+            if not all(values[g].is_real and values[g].is_finite for g in nodes):
                 return None
-        d = sum((c * math.prod(draws[s] ** k for s, k in m) for c, m in den), zero)
+            at = [values[g] for g in gens]
+        else:
+            at = [draws[g] for g in gens]
+        d = sum((c * math.prod(at[j] ** k for j, k in m) for c, m in den), zero)
         if d == 0:
             return None
-        vals = [c * math.prod(draws[s] ** k for s, k in m) for c, m in num]
+        vals = [c * math.prod(at[j] ** k for j, k in m) for c, m in num]
         return sum(vals, zero), max(abs(d), sum(map(abs, vals), zero))
 
     return evaluate
@@ -704,21 +743,27 @@ def _draws(f, points, symbols=None):
 
     Yields (draws, value, ref) at up to ``points`` draws {atom: k}, k in
     10..1000, of every atom of symbols (the pair's :func:`_atoms`, read
-    here unless the caller has them), from the RNG of :func:`_seeded_rng`,
+    here unless the caller has them), from the RNG of :func:`_seeded_rng`
+    (the stream of ``randint(10, 1000)``, read as 10 random bits),
     skipping singular points and giving up after 40*points draws;
     |value|/ref is the relative size of f at the point of the draws
     (:func:`_point`).  Every pair goes through :func:`_evaluator`: in
     integers when it is rational, with its node generators at 30 digits
     otherwise; no step builds the pair's expression.
     """
-    rng = _seeded_rng(f)
+    bits = _seeded_rng(f).getrandbits
     evaluate = _evaluator(f)
     symbols = _atoms(f) if symbols is None else symbols
     taken = 0
     for _ in range(40 * points):
         if taken == points:
             return
-        draws = {s: rng.randint(10, 1000) for s in symbols}
+        draws = {}
+        for s in symbols:  # rng.randint(10, 1000): 10 bits, rejected from 991 on
+            k = bits(10)
+            while k >= 991:
+                k = bits(10)
+            draws[s] = k + 10
         result = evaluate(draws)
         if result is None:
             continue
@@ -775,19 +820,23 @@ def zero_test(e, points: int = 20, tol=_WITNESS_TOL) -> bool:
     return True
 
 
-def _relative_draws(e, points):
-    """(draws, rel) at each regular draw of e's canonical pair: rel is the
-    relative value |value|/ref of :func:`_draws`, an exact ``Fraction`` for
-    a rational pair, otherwise a 30-digit float.  An expression is lifted
-    to its canonical pair once, and a canonical pair is taken as it is; a
-    zero pair has no draws, and a pair without atoms is drawn once, at the
-    one point {}."""
+def _pair_draws(e, points):
+    """The :func:`_draws` (draws, value, ref) of e's canonical pair: an
+    expression is lifted to its canonical pair once, and a canonical pair
+    is taken as it is; a zero pair has no draws, and a pair without atoms
+    is drawn once, at the one point {}."""
     f = _canonical_pair(e)
     if not f.num:
-        return
+        return ()
     symbols = _atoms(f)
-    for draws, value, ref in _draws(f, points if symbols else 1, symbols):
-        yield draws, Fraction(abs(value), ref) if isinstance(value, int) else abs(value) / ref
+    return _draws(f, points if symbols else 1, symbols)
+
+
+def _above(value, ref, tol) -> bool:
+    """|value|/ref > tol, in integers for a rational pair's draw."""
+    if isinstance(value, int):
+        return abs(value) * tol.q > tol.p * ref
+    return abs(value) / ref > tol
 
 
 def numeric_witness(e, points: int = 20, tol=_WITNESS_TOL):
@@ -795,17 +844,21 @@ def numeric_witness(e, points: int = 20, tol=_WITNESS_TOL):
     or None.
 
     A claim "e is not identically zero" is backed by a concrete sample
-    where the relative value exceeds ``tol``; this returns the best of the
-    :func:`_relative_draws`, the first on a tie, and builds only its point.
-    For a rational pair the relative value is an exact ``sp.Rational``,
-    otherwise a 30-digit float.
+    where the relative value |value|/ref exceeds ``tol``; this returns the
+    best of the :func:`_pair_draws`, the first on a tie, and builds only its
+    point and its value.  For a rational pair the draws compare in
+    integers, by cross-multiplying value and ref, and the relative value is
+    one exact ``sp.Rational``; otherwise it is a 30-digit float.
     """
-    best = max(_relative_draws(e, points), key=lambda draw: draw[1], default=None)
+    best = None
+    for draws, value, ref in _pair_draws(e, points):
+        value, ref = (abs(value), ref) if isinstance(value, int) else (abs(value) / ref, 1)
+        if best is None or value * best[2] > best[1] * ref:
+            best = draws, value, ref
     if best is None:
         return None
-    draws, rel = best
-    if isinstance(rel, Fraction):
-        rel = sp.Rational(rel.numerator, rel.denominator)
+    draws, value, ref = best
+    rel = sp.Rational(value, ref) if isinstance(value, int) else value
     if rel <= tol:
         return None
     return _point(draws), rel
@@ -813,10 +866,10 @@ def numeric_witness(e, points: int = 20, tol=_WITNESS_TOL):
 
 def witnessed(e) -> bool:
     """True when e (an expression or a pair) is certified nonzero: one of
-    20 :func:`_relative_draws` has a relative value above ``_WITNESS_TOL``.
+    20 :func:`_pair_draws` has a relative value above ``_WITNESS_TOL``.
 
     The sampling stops at the first such draw.  A draw above the tolerance
     exists exactly when the best draw is above it, so this is
     ``numeric_witness(e) is not None``.
     """
-    return any(rel > _WITNESS_TOL for _, rel in _relative_draws(e, 20))
+    return any(_above(value, ref, _WITNESS_TOL) for _, value, ref in _pair_draws(e, 20))

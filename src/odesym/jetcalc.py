@@ -126,6 +126,7 @@ class _RingAlgebra:
         R = exprcore._ring(gens)
         self.ring = R
         self.index = index = exprcore._index(R)
+        self.top = top_order(set().union(*(g.free_symbols for g in R.symbols)), JET)  # bounds every value's jet order
         overlay = dict(rates_key)
         total = {}
         for i, s in enumerate(R.symbols):
@@ -257,13 +258,18 @@ def _algebra(rates, *items):
     """The algebra for (expression, D_x steps) items under a rate table.
 
     The ring's generators are each expression's generators closed under
-    the rate table for its number of steps.
+    the rate table for its number of steps, and the table's own keys
+    closed for the largest step count: every value of one context, at one
+    number of steps, lives in one ring, whichever of the context's atoms it
+    holds.
     """
     key = _rates_key(rates)
     rate_atoms = _rate_atoms(key)
+    items = [(exprcore._generators(e), steps) for e, steps in items]
+    if key:
+        items.append(({s for s, _ in key}, max((steps for _, steps in items), default=0)))
     gens = set()
-    for e, steps in items:
-        closed = exprcore._generators(e)
+    for closed, steps in items:
         frontier = closed
         for _ in range(steps):
             frontier = set().union(*(rate_atoms.get(g, ()) for g in frontier)) - closed
@@ -544,9 +550,10 @@ def _alternating_sum(J, terms):
     one D_x step per term.  A nonzero t_k with jet order + k past the
     registry raises JetOrderLimit, as differentiating it k times would,
     even where the sum would not."""
-    for k, term in enumerate(terms):
-        if term.num and max_jet_order(term) + k > MAX_JET_ORDER:
-            raise JetOrderLimit("jet order limit exceeded")
+    if J.top + len(terms) - 1 > MAX_JET_ORDER:  # else no term of J can pass the registry
+        for k, term in enumerate(terms):
+            if term.num and max_jet_order(term) + k > MAX_JET_ORDER:
+                raise JetOrderLimit("jet order limit exceeded")
     out = terms[-1]
     for term in reversed(terms[:-1]):
         out = term - J.dx(out)

@@ -246,14 +246,15 @@ def test_sampling_a_node_pair_builds_no_tree(monkeypatch):
 
 
 class _ScriptedRandom(random.Random):
-    """Seeded RNG whose first draws are fixed."""
+    """Seeded RNG whose first draws k of ``randint(10, 1000)`` are fixed: the
+    sampler draws k - 10 as 10 random bits, as randint does."""
 
     def __init__(self, first):
         super().__init__(0)
         self._first = list(first)
 
-    def randint(self, a, b):
-        return self._first.pop(0) if self._first else super().randint(a, b)
+    def getrandbits(self, k):
+        return self._first.pop(0) - 10 if self._first and k == 10 else super().getrandbits(k)
 
 
 def _samples(c, points=20):
@@ -456,6 +457,50 @@ def test_print_of_a_symbol_ring_skips_sympys_flatten(monkeypatch):
             nodes += 1
             assert any(not s.is_Symbol for s in f.num.ring.symbols)
     assert nodes == 4
+
+
+def _quotient_corpus() -> list:
+    """Pairs over symbols: those of the print and Laurent corpora, and
+    random pairs, half of them reduced, whose numerator has zero, one or
+    more terms and whose denominator is a positive or negative integer
+    times a monomial, 1, or a sum."""
+    pairs = [f for f in (*_print_corpus(), *_laurent_corpus()) if exprcore._symbols_only(f.num.ring)]
+    rng = random.Random(20261022)
+    wide = exprcore._ring({X, *JET[:6], u, u1, v, q, k1})
+
+    def poly(terms, exponents):
+        return wide.from_dict({
+            tuple(rng.choice(exponents) for _ in wide.symbols): rng.choice((-1, 1, rng.randint(-30, 30)))
+            for _ in range(terms)
+        })
+
+    while len(pairs) < 400:
+        num = poly(rng.choice((0, 1, 1, 2, 5)), (0, 0, 0, 0, 1, 2))
+        den = wide.one if rng.random() < 0.1 else poly(rng.choice((1, 1, 1, 2)), (0, 0, 0, 0, 1, 3))
+        if den:
+            f = exprcore.RingFraction(num, den)
+            pairs.append(exprcore._reduced(f) if rng.random() < 0.5 else f)
+    return pairs
+
+
+def test_quotient_print_is_sympys_division(monkeypatch):
+    corpus = _quotient_corpus()
+    expected = [exprcore._printed(f.num) / exprcore._printed(f.den) for f in corpus]
+
+    def no_division(self, other):
+        raise AssertionError(f"divided through sympy's /: {self} / {other}")
+
+    direct = 0
+    for f, want in zip(corpus, expected):
+        if len(f.den) == 1 and f.den.LC > 0:
+            direct += 1
+            with monkeypatch.context() as patched:
+                patched.setattr(sp.Expr, "__truediv__", no_division)
+                got = f.as_expr()
+        else:
+            got = f.as_expr()
+        assert _same_tree(got, want), f
+    assert 200 < direct < len(corpus)
 
 
 def _laurent_corpus() -> list:
@@ -875,3 +920,23 @@ def test_case_sorts_each_generator_set_once_and_moves_no_pair_by_set_ring(monkey
     assert report.claims
     assert max(Counter(sorted_sets).values(), default=0) <= 1
     assert set_ring_calls == []
+
+
+def _generator_corpus() -> list:
+    """Every registry symbol and parameter, E, and ln, exp and radical
+    generators as :func:`exprcore._generators` reads them."""
+    nodes = exprcore._generators(
+        sp.log(y) + sp.log(X**2 + 1) + sp.exp(X) + sp.exp(y1 / X) + sp.sqrt(X + y) + sp.cbrt(q) * sp.E
+        + sp.sqrt(u1) + sp.log(JET[10]) + PARAMS["theta"] ** sp.Rational(3, 2)
+    )
+    return [*exprcore._REGISTRY.values(), *(g for g in nodes if not g.is_Symbol)]
+
+
+def test_cached_key_sorts_as_sort_gens():
+    corpus = _generator_corpus()
+    assert sp.E in corpus and any(isinstance(g, sp.log) for g in corpus) and any(g.is_Pow for g in corpus)
+    rng = random.Random(20261023)
+    samples = [corpus, corpus[::-1]]
+    samples += [rng.sample(corpus, rng.randint(1, 30)) for _ in range(300)]
+    for gens in samples:
+        assert exprcore._sort_gens(gens) == _sort_gens(gens), gens

@@ -1,4 +1,6 @@
 import concurrent.futures
+import json
+import pathlib
 import sys
 
 import pytest
@@ -514,3 +516,89 @@ def test_concurrent_first_integrals_agree():
     made = _in_threads(lambda v: _decision(v, eq, CTX, divergence_check, first_integral), fields)
     noether._DECIDED.clear()
     assert made == [_decision(v, eq, CTX, divergence_check.__wrapped__, first_integral.__wrapped__) for v in fields]
+
+
+# --- one operator algebra per context and jet order ---
+
+REFUTED_RESIDUALS = pathlib.Path(__file__).parent / "data" / "refuted_residuals.json"
+_TABLES = (("divergence", range(3, 9)), ("variational", (4, 6, 8)))
+
+
+def _recorded_rings(monkeypatch, name, result):
+    """The rings of the values the named jetcalc function returns, recorded
+    from now on: ``result`` picks the value from its return."""
+    rings, original = [], getattr(jetcalc, name)
+
+    def recorded(*args):
+        out = original(*args)
+        rings.append(result(out).num.ring)
+        return out
+
+    monkeypatch.setattr(jetcalc, name, recorded)
+    return rings
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_a_divergence_table_works_in_one_ring(monkeypatch, n):
+    # V_k, W_y and F_n hold different ones of u, u', v and v', yet the
+    # algebra holds the context's atoms, so each check's Euler operator
+    # works in the same ring
+    eq = build_lode(n, CTX)
+    rings = _recorded_rings(monkeypatch, "_euler", lambda f: f)
+    verdicts = [divergence_check(v, eq, CTX) for v in generators(n)]
+    assert len(rings) == n + 4 and len(set(rings)) == 1
+    assert sum(verdict.holds for verdict in verdicts) >= n + 1
+
+
+def test_a_variational_table_works_in_one_ring(monkeypatch):
+    L = transformed_lagrangian(6, CTX)
+    rings = _recorded_rings(monkeypatch, "_prolonged_action", lambda out: out[0])
+    for v in generators(6):
+        variational_check(v, L, CTX)
+    assert len(rings) == 10 and len(set(rings)) == 1
+
+
+def _refuted_residuals() -> dict:
+    """The srepr of each refuted residual of the divergence tables n = 3..8
+    and the variational tables n = 4, 6, 8 under the symbolic context."""
+    out = {}
+    for kind, orders in _TABLES:
+        for n in orders:
+            if kind == "divergence":
+                obj, check = build_lode(n, CTX), divergence_check
+            else:
+                obj, check = transformed_lagrangian(n, CTX), variational_check
+            for name, v in generators(n).by_name().items():
+                verdict = check(v, obj, CTX)
+                if not verdict.holds:
+                    out[f"{kind}-n{n}-{name}"] = sp.srepr(verdict.witness)
+    return out
+
+
+def test_refuted_residuals_match_the_pins():
+    pinned = json.loads(REFUTED_RESIDUALS.read_text())
+    assert _refuted_residuals() == pinned
+    assert len(pinned) == 27
+
+
+def test_c3_refuted_residuals_print_without_division(monkeypatch):
+    # each residual's denominator is a positive integer times a monomial,
+    # so its print is built directly, never through sympy's /
+    pinned = json.loads(REFUTED_RESIDUALS.read_text())
+    verdicts = {}
+    for n, kinds in ((3, ("divergence",)), (4, ("divergence", "variational")),
+                     (5, ("divergence",)), (6, ("divergence", "variational"))):
+        for kind in kinds:
+            obj = build_lode(n, CTX) if kind == "divergence" else transformed_lagrangian(n, CTX)
+            check = divergence_check if kind == "divergence" else variational_check
+            for name, v in generators(n).by_name().items():
+                verdicts[f"{kind}-n{n}-{name}"] = check(v, obj, CTX)
+    refuted = {key: verdict.pair for key, verdict in verdicts.items() if not verdict.holds}
+
+    def no_division(self, other):
+        raise AssertionError(f"divided through sympy's /: {self} / {other}")
+
+    monkeypatch.setattr(sp.Expr, "__truediv__", no_division)
+    assert refuted and {key: sp.srepr(pair.as_expr()) for key, pair in refuted.items()} == {
+        key: pinned[key] for key in refuted
+    }
