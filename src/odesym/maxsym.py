@@ -3,7 +3,8 @@
 Everything here is generated by a solution pair (u, v) of the second-order
 source equation y'' + q(x) y = 0 with unit Wronskian: the rewrite context
 whose rates are that equation, the n+4 symmetry generators, the
-linear equation of order n built by transforming the trivial equation, and
+order-n linear equation Delta_n by its three-term recurrence, the source
+transformation (tests check that it carries w^(n) = 0 to Delta_n), and
 three Lagrangian families (canonical, transformed, natural).
 
 The symbolic objects depend on the order alone, so each process builds the
@@ -56,7 +57,8 @@ class OddOrder(ValueError):
 
 
 class EliminationFailed(RuntimeError):
-    """Residual solution-symbol dependence survived the reduction."""
+    """Residual solution-symbol dependence survived the reduction; no
+    builder raises it now, and the CLI maps it to exit 3."""
 
     def __init__(self, residue):
         super().__init__(f"u/v dependence not eliminated: {residue}")
@@ -222,15 +224,9 @@ class GeneratorSet:
     def specialize(self, ctx: "SourceContext") -> "GeneratorSet":
         """Generators with a concrete solution pair substituted: each
         coefficient pair reduced by the context, and not printed."""
-        def conv(vf: VectorField) -> VectorField:
-            return VectorField(*map(ctx._reduce_pair, vf.pairs), name=vf.name)
-
-        return GeneratorSet(
-            n=self.n,
-            solution=tuple(conv(vf) for vf in self.solution),
-            homogeneity=conv(self.homogeneity),
-            special=tuple(conv(vf) for vf in self.special),
-        )
+        conv = lambda vf: VectorField(*map(ctx._reduce_pair, vf.pairs), name=vf.name)
+        return GeneratorSet(self.n, tuple(map(conv, self.solution)), conv(self.homogeneity),
+                            tuple(map(conv, self.special)))
 
 
 def _memoised_by_order(builder):
@@ -310,16 +306,18 @@ def source_transformation(n: int, ctx: SourceContext | None = None):
 def build_lode(n: int, ctx: SourceContext | None = None) -> DiffEq:
     """Monic normal-form linear equation of order n and maximal symmetry.
 
-    Delta_n is the transform of w^(n) = 0 under the source transformation;
-    in symbolic mode the solution symbol u must cancel identically from the
-    monic result, leaving coefficients in q and its derivatives only.
+    Delta_n = y_n, the (n-1)-th symmetric power of y'' + q y: y_0 = y,
+    y_1 = D_x y, y_{k+1} = D_x y_k + k(n-k) q y_{k-1}, run on pairs in one
+    algebra, so no u or v enters; the pair, in the ring of the generators it
+    uses, is reduced by the context.  Tests check it against the transform
+    of w^(n) = 0 under the source transformation.
     """
     ctx = ctx or SourceContext.make_symbolic()
-    sigma = source_transformation(n, ctx)
-    eq = _transform.transform_equation(DiffEq(JET[n], n), sigma)
-    if ctx.symbolic and _generators(eq.pair) & (set(SOL_U) | set(SOL_V)):
-        raise EliminationFailed(eq.delta)
-    return eq
+    J = _algebra(None, (JET[0] * COEF_Q[0], _order(n)))
+    q, prev, cur = J.lift(COEF_Q[0]), J.jet(0), J.jet(1)
+    for k in range(1, n):
+        prev, cur = cur, J.dx(cur) + RingFraction(k * (n - k) * q.num, q.den) * prev
+    return DiffEq(ctx._reduce_pair(RingFraction.from_expr(cur)), n)
 
 
 def canonical_lagrangian(n: int) -> Lagrangian:

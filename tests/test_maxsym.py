@@ -1,5 +1,6 @@
 import sys
 import threading
+from math import comb
 
 import pytest
 import sympy as sp
@@ -14,8 +15,23 @@ from odesym.casebook import (
     family_power,
     family_radical_log,
 )
-from odesym.exprcore import COEF_Q, JET, PARAMS, SOL_U, SOL_V, X, base_rates, canon, zero_test
-from odesym.jetcalc import DiffEq, Lagrangian, VectorField, euler, total_derivative
+from odesym.exprcore import (
+    COEF_Q,
+    JET,
+    PARAMS,
+    SOL_U,
+    SOL_V,
+    X,
+    RingFraction,
+    _by_degree,
+    _generators,
+    _lift,
+    _ring,
+    base_rates,
+    canon,
+    zero_test,
+)
+from odesym.jetcalc import DiffEq, Lagrangian, VectorField, euler, frechet_adjoint, total_derivative
 from odesym.maxsym import (
     BadOrder,
     OddOrder,
@@ -171,6 +187,34 @@ def _build_lode_by_tree(n):
 def test_build_lode_matches_tree_reference():
     for n in range(2, 11):
         assert sp.srepr(build_lode(n, CTX).delta) == sp.srepr(_build_lode_by_tree(n)), n
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_build_lode_is_the_transform_of_the_trivial_equation(n):
+    # the reference route: w^(n) = 0 under the source transformation, where
+    # u and v cancel, is the recurrence's Delta_n as a pair and as a print
+    eq, lode = transform_equation(DiffEq(JET[n], n), source_transformation(n)), build_lode(n)
+    assert not _generators(eq.pair) & {*SOL_U, *SOL_V}
+    assert canon(eq.pair - lode.pair) == 0
+    assert sp.srepr(eq.delta) == sp.srepr(lode.delta)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_build_lode_is_adjoint_up_to_sign(n):
+    # Delta_n* = (-1)^n Delta_n: self-adjoint at even n, skew at odd n
+    delta = build_lode(n).delta
+    assert canon(frechet_adjoint(delta, y) - (-1) ** n * delta) == 0
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_build_lode_coefficients_below_the_top(n):
+    # no y^(n-1) term, and binom(n+1, 3) q at y^(n-2), read off the pair
+    f = build_lode(n).pair
+    R = _ring({*f.num.ring.symbols, JET[n - 1]})
+    num = _lift(f, R).num
+    assert f.den == 1 and set(_by_degree(num, R.symbols.index(JET[n - 1]))) == {0}
+    below = _by_degree(num, R.symbols.index(JET[n - 2]))[1]
+    assert canon(RingFraction(below, R.one) - comb(n + 1, 3) * q) == 0
 
 
 def test_specialize_q_matches_diff_ladder():
