@@ -289,10 +289,22 @@ def _case_c2() -> CaseReport:
     return rec.report
 
 
-def _membership_claims(rec, n, ctx, kind, positives):
+def membership_pattern(n: int, kind: str) -> frozenset:
+    """The names of the generators the paper lists as symmetries of kind
+    "divergence" or "variational" at order n: divergence at even n, all
+    but W_y; at odd n, the V_k and W_y; variational (even n), V_0 ..
+    V_{(n-2)/2}, F_n and G_n."""
+    solution = [f"V{k}" for k in range(n)]
+    if kind == "variational":
+        return frozenset([*solution[: n // 2], f"F{n}", f"G{n}"])
+    return frozenset([*solution, *(["Wy"] if n % 2 else [f"F{n}", f"G{n}", f"H{n}"])])
+
+
+def _membership_claims(rec, n, ctx, kind):
     gens = generators(n)
     eq = build_lode(n, ctx) if kind == "divergence" else None
     lag = transformed_lagrangian(n, ctx) if kind == "variational" else None
+    positives = membership_pattern(n, kind)
     for name, vf in gens.by_name().items():
         if kind == "divergence":
             verdict = divergence_check(vf, eq, ctx)
@@ -310,13 +322,10 @@ def _case_c3() -> CaseReport:
     rec = _Recorder("C3")
     ctx = SourceContext.make_symbolic()
     for n in (4, 6):
-        var_pos = {f"V{k}" for k in range((n - 2) // 2 + 1)} | {f"F{n}", f"G{n}"}
-        div_pos = {f"V{k}" for k in range(n)} | {f"F{n}", f"G{n}", f"H{n}"}
-        _membership_claims(rec, n, ctx, "variational", var_pos)
-        _membership_claims(rec, n, ctx, "divergence", div_pos)
+        _membership_claims(rec, n, ctx, "variational")
+        _membership_claims(rec, n, ctx, "divergence")
     for n in (3, 5):
-        div_pos = {f"V{k}" for k in range(n)} | {"Wy"}
-        _membership_claims(rec, n, ctx, "divergence", div_pos)
+        _membership_claims(rec, n, ctx, "divergence")
     return rec.report
 
 

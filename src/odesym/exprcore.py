@@ -15,7 +15,7 @@ ring, and a pair moves between two rings by an index map built once per
 ring pair.
 
 All atoms carry positive-real assumptions, matching the sampling domain
-(1/10, 10) used by the randomized part of :func:`zero_test`.
+(1/10, 10) of :func:`_draws`, the randomized part of :func:`zero_test`.
 """
 
 from __future__ import annotations
@@ -738,22 +738,27 @@ def _atoms(f) -> list:
     return sorted((s for s in _generators(f) if s.is_Symbol), key=lambda s: s.name)
 
 
-def _draws(f, points, symbols=None):
-    """Seeded regular draws of a canonical pair.
+def _draws(e, points):
+    """Seeded regular draws of e, an expression or a pair, the one sampler
+    of :func:`zero_test`, :func:`numeric_witness` and :func:`witnessed`.
 
-    Yields (draws, value, ref) at up to ``points`` draws {atom: k}, k in
-    10..1000, of every atom of symbols (the pair's :func:`_atoms`, read
-    here unless the caller has them), from the RNG of :func:`_seeded_rng`
-    (the stream of ``randint(10, 1000)``, read as 10 random bits),
-    skipping singular points and giving up after 40*points draws;
-    |value|/ref is the relative size of f at the point of the draws
-    (:func:`_point`).  Every pair goes through :func:`_evaluator`: in
-    integers when it is rational, with its node generators at 30 digits
-    otherwise; no step builds the pair's expression.
+    e goes to its canonical pair once (a canonical pair is taken as it is).
+    A zero pair has no draws, and an atom-free pair one, at {}.  Others
+    yield (draws, value, ref) at up to ``points`` draws {atom: k}, k in
+    10..1000, of its :func:`_atoms`, from the RNG of :func:`_seeded_rng`
+    (``randint(10, 1000)``'s stream, read as 10 random bits), skipping
+    singular points and giving up after 40*points draws; |value|/ref is
+    the pair's relative size at the point of the draws (:func:`_point`),
+    from :func:`_evaluator`: in integers for a rational pair, with node
+    generators at 30 digits otherwise.  No step builds the expression.
     """
+    f = _canonical_pair(e)
+    if not f.num:
+        return
+    symbols = _atoms(f)
+    points = points if symbols else 1
     bits = _seeded_rng(f).getrandbits
     evaluate = _evaluator(f)
-    symbols = _atoms(f) if symbols is None else symbols
     taken = 0
     for _ in range(40 * points):
         if taken == points:
@@ -789,18 +794,17 @@ def _symbolic_confirm(e) -> bool:
 _WITNESS_TOL = sp.Rational(1, 10**9)  # relative value above which a draw is nonzero
 
 
-def zero_test(e, points: int = 20, tol=_WITNESS_TOL) -> bool:
+def zero_test(e) -> bool:
     """Decide whether an expression or a pair vanishes identically.
 
-    e is reduced to its canonical pair once (a pair that
-    :func:`_canonical_pair` returned is taken as it is), and rational input
-    is decided exactly by that pair.  For input with elementary atoms the
-    pair decides only the nonzero direction; a nonzero is then sampled by
-    :func:`_draws` at ``points`` random rational points in (1/10, 10),
-    all atoms independent (a pair without atoms at its one point, each
-    time), against the relative tolerance ``tol``.  If every sample is
-    below it, a cheap symbolic confirmation on the pair's expression must
-    succeed, otherwise :class:`Inconclusive` is raised.
+    e is reduced to its canonical pair once, which decides rational input
+    exactly.  With ln, exp or radical nodes the pair decides only the
+    nonzero direction, and the pair is nonzero when one of its 20
+    :func:`_draws` (one without atoms) is :func:`_above` ``_WITNESS_TOL``,
+    the draws and comparison by which :func:`witnessed` certifies it.
+    Otherwise a cheap symbolic confirmation on the pair's expression must
+    succeed; :class:`Inconclusive` is raised when it fails, or when fewer
+    draws are regular.
     """
     f = _canonical_pair(e)
     if not f.num:
@@ -808,28 +812,16 @@ def zero_test(e, points: int = 20, tol=_WITNESS_TOL) -> bool:
     if is_rational_expr(f):
         return False
     taken = 0
-    for _, value, ref in _draws(f, points):
-        if abs(value) > tol * ref:
+    for _, value, ref in _draws(f, 20):
+        if _above(value, ref, _WITNESS_TOL):
             return False
         taken += 1
     c = f.as_expr()
-    if taken < points:
+    if taken < (20 if _atoms(f) else 1):
         raise Inconclusive(c, "could not find regular sample points")
     if not _symbolic_confirm(c):
         raise Inconclusive(c)
     return True
-
-
-def _pair_draws(e, points):
-    """The :func:`_draws` (draws, value, ref) of e's canonical pair: an
-    expression is lifted to its canonical pair once, and a canonical pair
-    is taken as it is; a zero pair has no draws, and a pair without atoms
-    is drawn once, at the one point {}."""
-    f = _canonical_pair(e)
-    if not f.num:
-        return ()
-    symbols = _atoms(f)
-    return _draws(f, points if symbols else 1, symbols)
 
 
 def _above(value, ref, tol) -> bool:
@@ -845,13 +837,13 @@ def numeric_witness(e, points: int = 20, tol=_WITNESS_TOL):
 
     A claim "e is not identically zero" is backed by a concrete sample
     where the relative value |value|/ref exceeds ``tol``; this returns the
-    best of the :func:`_pair_draws`, the first on a tie, and builds only its
+    best of the :func:`_draws`, the first on a tie, and builds only its
     point and its value.  For a rational pair the draws compare in
     integers, by cross-multiplying value and ref, and the relative value is
     one exact ``sp.Rational``; otherwise it is a 30-digit float.
     """
     best = None
-    for draws, value, ref in _pair_draws(e, points):
+    for draws, value, ref in _draws(e, points):
         value, ref = (abs(value), ref) if isinstance(value, int) else (abs(value) / ref, 1)
         if best is None or value * best[2] > best[1] * ref:
             best = draws, value, ref
@@ -866,10 +858,10 @@ def numeric_witness(e, points: int = 20, tol=_WITNESS_TOL):
 
 def witnessed(e) -> bool:
     """True when e (an expression or a pair) is certified nonzero: one of
-    20 :func:`_pair_draws` has a relative value above ``_WITNESS_TOL``.
+    20 :func:`_draws` has a relative value above ``_WITNESS_TOL``.
 
     The sampling stops at the first such draw.  A draw above the tolerance
     exists exactly when the best draw is above it, so this is
     ``numeric_witness(e) is not None``.
     """
-    return any(_above(value, ref, _WITNESS_TOL) for _, value, ref in _pair_draws(e, 20))
+    return any(_above(value, ref, _WITNESS_TOL) for _, value, ref in _draws(e, 20))

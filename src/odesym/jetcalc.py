@@ -281,15 +281,10 @@ def _algebra(rates, *items):
 
 
 def total_derivative(e, times: int = 1, rates: dict | None = None) -> sp.Expr:
-    """Apply the total derivative D_x ``times`` times."""
+    """Apply the total derivative D_x ``times`` times: the last rung of
+    the :func:`derivative_ladder` of e."""
     e = sp.sympify(e)
-    if times == 0:
-        return e
-    J = _algebra(rates, (e, times))
-    f = J.lift(e)
-    for _ in range(times):
-        f = J.dx(f)
-    return f.as_expr()
+    return derivative_ladder(e, times, rates)[-1].as_expr() if times else e
 
 
 def derivative_ladder(e, order: int, rates: dict | None = None, scale=1) -> list:
@@ -577,19 +572,17 @@ def _euler(rates, *factors):
 
 
 def frechet(delta, q, rates: dict | None = None) -> sp.Expr:
-    """Frechet derivative D_Delta(Q) = sum_k dDelta/dy^(k) * D_x^k Q."""
+    """Frechet derivative D_Delta(Q) = sum_k dDelta/dy^(k) * D_x^k Q, the
+    D_x^k Q the rungs of the :func:`derivative_ladder` of Q."""
     delta = sp.sympify(delta)
     q = sp.sympify(q)
     m = max_jet_order(delta)
     if m < 0:
         return sp.Integer(0)
     J = _algebra(rates, (delta, 0), (q, m))
-    f, dq = J.lift(delta), J.lift(q)
-    out = J.partial(f, JET[0]) * dq
-    for y in JET[1 : m + 1]:
-        dq = J.dx(dq)
-        out = out + J.partial(f, y) * dq
-    return out.as_expr()
+    f = J.lift(delta)
+    terms = (J.partial(f, y) * J.lift(dq) for y, dq in zip(JET, derivative_ladder(q, m, rates)))
+    return functools.reduce(RingFraction.__add__, terms).as_expr()
 
 
 def frechet_adjoint(delta, q, rates: dict | None = None) -> sp.Expr:

@@ -348,15 +348,16 @@ def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
     solved highest first, each a ring partial of the Euler pair, and the
     density is the sum of the squares as a pair.  This reduction of
     y*Delta_n/2 to order n/2 is the canonical representative used by the
-    variational identities.
+    variational identities.  Delta_n and the rates are ctx's, if given.
     """
     _order(n, even=True)
-    target, dens = _euler(None, JET[0] / 2, build_lode(n).pair), 0
+    rates = ctx.rates if ctx else None
+    target, dens = _euler(rates, JET[0] / 2, build_lode(n, ctx).pair), 0
     for m in range(n // 2, -1, -1):
-        J = _algebra(None, (target, 0))
+        J = _algebra(rates, (target, 0))
         square = J.partial(J.lift(target), JET[2 * m]) * ((-1) ** m * JET[m] ** 2 / 2)
-        target, dens = target - _euler(None, square), square + dens
-    if not zero_test(target):
+        target, dens = target - _euler(rates, square), square + dens
+    if not zero_test(ctx._reduce_pair(target) if ctx else target):
         raise ValueError("density is not quadratic in the jets")
     return Lagrangian(dens, n // 2)
 

@@ -13,6 +13,7 @@ from odesym.casebook import (
     example_first_integral_components,
     example_map,
     independence_determinant,
+    membership_pattern,
     numeric_validate,
     run_case,
 )
@@ -25,8 +26,9 @@ from odesym.maxsym import (
     generators,
     reference_first_integral_homogeneity,
     specialize_q,
+    transformed_lagrangian,
 )
-from odesym.noether import NotADivergenceSymmetry, divergence_check, first_integral
+from odesym.noether import NotADivergenceSymmetry, divergence_check, first_integral, variational_check
 from odesym.transform import PointTransformation, transform_equation
 
 CTX = SourceContext.make_symbolic()
@@ -60,6 +62,18 @@ def test_report_dict_shape(case_report):
     assert set(d) == {"case", "claims"}
     for claim in d["claims"]:
         assert set(claim) == {"id", "status", "residual", "paper_ref", "millis"}
+
+
+@pytest.mark.parametrize("kind, n", [*(("divergence", n) for n in range(3, 13)),
+                                     *(("variational", n) for n in range(4, 13, 2))])
+def test_membership_pattern_is_the_computed_table(kind, n):
+    # the generators the paper lists are exactly those whose check holds
+    # under the symbolic context; every other one is refuted by a witness
+    check, obj = ((divergence_check, build_lode(n, CTX)) if kind == "divergence"
+                  else (variational_check, transformed_lagrangian(n, CTX)))
+    verdicts = {name: check(vf, obj, CTX) for name, vf in generators(n).by_name().items()}
+    assert membership_pattern(n, kind) == {name for name, verdict in verdicts.items() if verdict.holds}
+    assert all(claim_status(False, v.pair) == "refuted-witness" for v in verdicts.values() if not v.holds)
 
 
 def test_numeric_drift_small_for_true_integral():

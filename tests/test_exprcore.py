@@ -245,6 +245,37 @@ def test_sampling_a_node_pair_builds_no_tree(monkeypatch):
     assert zero_test(pair) is False
 
 
+def test_zero_test_refutes_exactly_what_is_witnessed(case_report):
+    # zero_test and witnessed read one draw loop with one comparison: a
+    # residual with nodes that zero_test calls nonzero is certified, and
+    # one it calls zero is not; every exact residual of the cases is
+    # rational so far, and one with nodes joins the list when it appears
+    exact = [c.residual_value for cid in casebook.CASE_IDS for c in case_report(cid).claims
+             if not c.residual.has(sp.Float)]
+    residuals = [*_node_residuals(), sp.log(6) - sp.log(2) - sp.log(3),
+                 *(r for r in exact if not exprcore.is_rational_expr(r))]
+    for residual in residuals:
+        assert (zero_test(residual) is False) == exprcore.witnessed(residual), residual
+
+
+def test_zero_test_evaluates_an_atom_free_pair_once(monkeypatch):
+    calls = []
+    evaluator = exprcore._evaluator
+
+    def counted(f):
+        evaluate = evaluator(f)
+
+        def counted_evaluate(draws):
+            calls.append(draws)
+            return evaluate(draws)
+
+        return counted_evaluate
+
+    monkeypatch.setattr(exprcore, "_evaluator", counted)
+    assert zero_test(sp.log(6) - sp.log(2) - sp.log(3)) is True
+    assert calls == [{}]
+
+
 class _ScriptedRandom(random.Random):
     """Seeded RNG whose first draws k of ``randint(10, 1000)`` are fixed: the
     sampler draws k - 10 as 10 random bits, as randint does."""

@@ -575,3 +575,23 @@ def test_concrete_context_gets_the_memo_reduced(ctx):
     for n in range(2, 6):
         for builder in (build_lode, transformed_lagrangian) if n % 2 == 0 else (build_lode,):
             assert _srepr_of(builder(n, ctx)) == _srepr_of(builder.__wrapped__(n, ctx)), (builder.__name__, n)
+
+
+SIX_CONTEXTS = {
+    **CONCRETE,
+    "power": family_power()[2],
+    "radical-log-F4": family_radical_log(+1)[2],
+    "radical-log-H4": family_radical_log(-1)[2],
+}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("ctx", SIX_CONTEXTS.values(), ids=SIX_CONTEXTS.keys())
+def test_natural_lagrangian_is_solved_under_its_context(ctx, n):
+    # the unmemoised body solves the density from Delta_n under ctx: it
+    # holds no q, and equals the memoised symbolic density reduced by ctx
+    # before any reduction of the difference
+    memoised, built = natural_lagrangian(n, ctx), natural_lagrangian.__wrapped__(n, ctx)
+    assert canon(memoised.pair - built.pair) == 0
+    half_y_delta = y * build_lode(n, ctx).delta / 2
+    assert ctx.reduce(euler(built, ctx.rates) - euler(half_y_delta, ctx.rates)) == 0
