@@ -42,9 +42,9 @@ a table take it as it is, an equation is validated on it once (a degree
 test in y^(n)), and the tree (``delta``, ``density``) is a print, made
 only when it is read.  A vector field holds its two coefficients the same
 way: ``pairs`` is lifted when first read, ``xi`` and ``psi`` are
-prints, and its prolongation, prolonged action and the characteristic
-pair psi - xi*y1 that the checks take are formed from its pairs (pairs of
-two rings meet in one ring, by :class:`exprcore.RingFraction` arithmetic).
+prints, and its prolongation, prolonged action and characteristic
+Q = psi - xi*y1 are formed from its pairs in the operator's algebra (a
+field is a factor of :func:`_product`, which forms its Q there).
 The inverse total derivative peels in such an algebra too, grown only
 when a piece needs a generator it lacks (F and the remainder are moved
 there as pairs), from its first lift to its result: F is the sum of the
@@ -77,7 +77,6 @@ from .exprcore import (
 _BASE_RATES = exprcore.base_rates()
 _BASE_RATE_ATOMS = {s: frozenset(r.free_symbols) for s, r in _BASE_RATES.items()}
 _JETS = frozenset(JET)
-_Y1 = RingFraction.from_expr(JET[1])  # the characteristic's y_x, lifted once per process
 
 
 class JetOrderLimit(RuntimeError):
@@ -371,20 +370,14 @@ class VectorField:
     def psi(self) -> sp.Expr:
         return sp.sympify(self.psi_value)
 
-    @functools.cached_property
-    def characteristic_pair(self) -> RingFraction:
-        """Q = psi - xi*y_x as a pair, not reduced."""
-        return self.pairs[1] - self.pairs[0] * _Y1
-
     def __rmul__(self, scalar):
         return VectorField(*(c * scalar for c in self.pairs))
 
 
 def characteristic(v: VectorField) -> sp.Expr:
-    """Evolutionary representative Q = psi - xi*y_x, expanded: the Laurent
-    sum of its pair when it has one (:func:`exprcore._expanded`), else the
-    expand of psi - xi*y_x."""
-    return exprcore._expanded(v.characteristic_pair, lambda: sp.expand(v.psi - v.xi * JET[1]))
+    """Evolutionary representative Q = psi - xi*y_x, expanded: the Laurent sum
+    of its :func:`_product` pair if it has one, else sp.expand of the trees."""
+    return exprcore._expanded(_product(None, 0, v)[1], lambda: sp.expand(v.psi - v.xi * JET[1]))
 
 
 def prolong(v: VectorField, order: int, rates: dict | None = None) -> list:
@@ -561,14 +554,23 @@ def euler(L, rates: dict | None = None) -> sp.Expr:
 
 
 def _euler(rates, *factors):
-    """E of the product of factors (expressions or pairs), formed from their
-    lifts in one operator algebra; 0 when no factor holds a jet."""
-    m = max(map(max_jet_order, factors))
+    """E of the :func:`_product` of factors; 0 when no factor holds a jet
+    (a field's Q holds y_x)."""
+    m = max(1 if isinstance(f, VectorField) else max_jet_order(f) for f in factors)
     if m < 0:
         return sp.Integer(0)
-    J = _algebra(rates, *((e, m) for e in factors))
-    f = functools.reduce(RingFraction.__mul__, map(J.lift, factors))
+    J, f = _product(rates, m, *factors)
     return _alternating_sum(J, [J.partial(f, y) for y in JET[: m + 1]])
+
+
+def _product(rates, steps: int, *factors) -> tuple:
+    """(J, the product of factors in J): each an expression, a pair, or a
+    vector field standing for its Q = psi - xi*y_x, formed from the field's
+    lifts; J holds the factors, y_x with a field, closed for steps D_x steps."""
+    parts = (c for f in factors for c in ((*f.pairs, JET[1]) if isinstance(f, VectorField) else (f,)))
+    J = _algebra(rates, *((e, steps) for e in parts))
+    lift = lambda f: J.lift(f.pairs[1]) - J.lift(f.pairs[0]) * J.jet(1) if isinstance(f, VectorField) else J.lift(f)
+    return J, functools.reduce(RingFraction.__mul__, map(lift, factors))
 
 
 def frechet(delta, q, rates: dict | None = None) -> sp.Expr:

@@ -3,9 +3,9 @@
 Everything here is generated by a solution pair (u, v) of the second-order
 source equation y'' + q(x) y = 0 with unit Wronskian: the rewrite context
 whose rates are that equation, the n+4 symmetry generators, the
-order-n linear equation Delta_n by its three-term recurrence, the source
-transformation (tests check that it carries w^(n) = 0 to Delta_n), and
-three Lagrangian families (canonical, transformed, natural).
+order-n linear equation Delta_n by its three-term recurrence, the canonical,
+transformed (one scaled derivative ladder) and natural Lagrangians, and the
+source transformation, a map for users and for tests of Delta_n and L_n.
 
 The symbolic objects depend on the order alone, so each process builds the
 generators, Delta_n and the transformed and natural Lagrangians once per
@@ -292,14 +292,17 @@ def source_transformation(n: int, ctx: SourceContext | None = None):
     symbolic mode) its D_x cancels to 1/u^2 in the ring.  The dependent
     map is w = u^(1-n) y (scaling constant fixed to 1).  Both components
     are formed from the context's pairs and handed to the map as canonical
-    pairs; nothing is printed.
+    pairs; nothing is printed.  Users and tests build the map; no builder does.
     """
     ctx = ctx or SourceContext.make_symbolic()
     _order(n)
     u, v, _, w = ctx.pairs
-    zeta = _canonical_pair(v / (w * u))
-    phi = _canonical_pair(RingFraction(u.den ** (n - 1), u.num ** (n - 1)) * JET[0])
-    return _transform.PointTransformation(zeta, phi, ctx.deriv_rates())
+    return _transform.PointTransformation(_canonical_pair(v / (w * u)), _scaled_y(u, n), ctx.deriv_rates())
+
+
+def _scaled_y(u, n: int):
+    """The canonical pair of u^(1-n) y, u a pair."""
+    return _canonical_pair(RingFraction(u.den ** (n - 1), u.num ** (n - 1)) * JET[0])
 
 
 @_memoised_by_order
@@ -332,12 +335,13 @@ def canonical_lagrangian(n: int) -> Lagrangian:
 
 @_memoised_by_order
 def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
-    """The canonical Lagrangian pushed through the source transformation."""
+    """The canonical Lagrangian pulled back by z = v/u, w = phi = u^(1-n) y:
+    as D_z = u^2 D_x and dz/dx = 1/u^2, it is (-1)^m (D^m phi)^2 / (2 u^2),
+    m = n/2 and D = u^2 D_x, reduced by the context (one scaled ladder)."""
     ctx = ctx or SourceContext.make_symbolic()
-    _order(n, even=True)
-    sigma = source_transformation(n, ctx)
-    L = _transform.transform_lagrangian(canonical_lagrangian(n), sigma)
-    return Lagrangian(ctx._reduce_pair(L.pair), n // 2)
+    m, u = _order(n, even=True) // 2, ctx.pairs[0]
+    top = derivative_ladder(_scaled_y(u, n), m, ctx.deriv_rates(), u * u)[-1]
+    return Lagrangian(ctx._reduce_pair(top * top / (u * u) * sp.Rational((-1) ** m, 2)), m)
 
 
 @_memoised_by_order

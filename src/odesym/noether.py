@@ -204,8 +204,8 @@ def variational_check(v: VectorField, L: Lagrangian, ctx: SourceContext | None =
 
 @_decided_once
 def divergence_check(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None) -> SymmetryVerdict:
-    """Test E(Q*Delta) = 0, with Q the characteristic of v."""
-    residual = jetcalc._euler(_rates(ctx), v.characteristic_pair, eq.pair)
+    """Test E(Q*Delta) = 0, Q the characteristic of v formed in E's algebra."""
+    residual = jetcalc._euler(_rates(ctx), v, eq.pair)
     return _verdict("divergence", _reduce(residual, ctx))
 
 
@@ -216,8 +216,8 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     F is the inverse total derivative of Q*Delta, computed with the
     context's reduced derivative table (Q*Delta is exact in the quotient
     algebra, not as a free differential polynomial).  Q*Delta is formed
-    from the field's and the equation's pairs, the peel returns F as a pair
-    of its algebra, and the defining identity D_x F - Q*Delta = 0 is
+    from the field's and the equation's pairs in one algebra, the peel
+    returns F as a pair of its algebra, and the identity D_x F - Q*Delta = 0 is
     verified exactly in that algebra, with no lift, and stored.
 
     The check comes first and is memoised: a refusal is never stored, and
@@ -228,7 +228,7 @@ def first_integral(v: VectorField, eq: DiffEq, ctx: SourceContext | None = None)
     verdict = divergence_check(v, eq, ctx)
     if not verdict.holds:
         raise NotADivergenceSymmetry(f"E(Q*Delta) = {grammar.sympy_text(verdict.witness)} != 0", verdict.pair)
-    product = _reduce(v.characteristic_pair * eq.pair, ctx)
+    product = _reduce(jetcalc._product(None, 0, v, eq.pair)[1], ctx)
     F, pieces, J = jetcalc._peel(product, ctx.deriv_rates() if ctx is not None else None)
     witness = _reduce(J.dx(F) - product, ctx)
     if not zero_test(witness):

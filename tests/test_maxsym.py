@@ -5,6 +5,7 @@ from math import comb
 import pytest
 import sympy as sp
 
+from odesym import maxsym
 from odesym.casebook import (
     CASE_IDS,
     example_equation_display,
@@ -31,7 +32,15 @@ from odesym.exprcore import (
     canon,
     zero_test,
 )
-from odesym.jetcalc import DiffEq, Lagrangian, VectorField, euler, frechet_adjoint, total_derivative
+from odesym.jetcalc import (
+    DiffEq,
+    Lagrangian,
+    VectorField,
+    derivative_ladder,
+    euler,
+    frechet_adjoint,
+    total_derivative,
+)
 from odesym.maxsym import (
     BadOrder,
     OddOrder,
@@ -197,6 +206,41 @@ def test_build_lode_is_the_transform_of_the_trivial_equation(n):
     assert not _generators(eq.pair) & {*SOL_U, *SOL_V}
     assert canon(eq.pair - lode.pair) == 0
     assert sp.srepr(eq.delta) == sp.srepr(lode.delta)
+
+
+def _transformed_by_the_map(n, ctx):
+    # the reference route: the canonical Lagrangian under the source
+    # transformation, reduced by the context
+    L = transform_lagrangian(canonical_lagrangian(n), source_transformation(n, ctx))
+    return Lagrangian(ctx._reduce_pair(L.pair), n // 2)
+
+
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_transformed_lagrangian_is_the_transform_of_the_canonical_lagrangian(n):
+    ref, lag = _transformed_by_the_map(n, CTX), transformed_lagrangian(n)
+    assert canon(ref.pair - lag.pair) == 0
+    assert sp.srepr(ref.density) == sp.srepr(lag.density)
+    assert lag.order == n // 2
+
+
+def test_transformed_lagrangian_is_one_ladder(monkeypatch):
+    # one scaled ladder, and no map is built or applied
+    ladders = []
+
+    def counted(*args):
+        ladders.append(args)
+        return derivative_ladder(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the transform route was taken")
+
+    monkeypatch.setattr(maxsym, "derivative_ladder", counted)
+    for name in ("source_transformation", "canonical_lagrangian"):
+        monkeypatch.setattr(maxsym, name, refused)
+    for name in ("PointTransformation", "transform_lagrangian"):
+        monkeypatch.setattr(maxsym._transform, name, refused)
+    transformed_lagrangian.__wrapped__(8, CTX)
+    assert len(ladders) == 1
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -583,6 +627,14 @@ SIX_CONTEXTS = {
     "radical-log-F4": family_radical_log(+1)[2],
     "radical-log-H4": family_radical_log(-1)[2],
 }
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("ctx", SIX_CONTEXTS.values(), ids=SIX_CONTEXTS.keys())
+def test_transformed_lagrangian_under_a_context_is_the_transform(ctx, n):
+    ref, lag = _transformed_by_the_map(n, ctx), transformed_lagrangian.__wrapped__(n, ctx)
+    assert canon(ref.pair - lag.pair) == 0
+    assert sp.srepr(ref.density) == sp.srepr(lag.density)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -550,6 +550,24 @@ def test_a_divergence_table_works_in_one_ring(monkeypatch, n):
     assert sum(verdict.holds for verdict in verdicts) >= n + 1
 
 
+def test_divergence_tables_form_q_in_the_checks_algebra(monkeypatch):
+    # Q = psi - xi*y1 is formed among the Euler operator's lifts, so no
+    # pair moves between rings by RingFraction arithmetic in the checks;
+    # the fields are fresh copies, so nothing an earlier test cached hides work
+    cases = [(VectorField(*v.pairs, name=v.name), build_lode(n, CTX)) for n in range(3, 7) for v in generators(n)]
+    moves, original = [], exprcore.RingFraction._with
+
+    def counted(self, other):
+        if not (isinstance(other, exprcore.RingFraction) and other.num.ring is self.num.ring):
+            moves.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(exprcore.RingFraction, "_with", counted)
+    for v, eq in cases:
+        divergence_check(v, eq, CTX)
+    assert not moves
+
+
 def test_a_variational_table_works_in_one_ring(monkeypatch):
     L = transformed_lagrangian(6, CTX)
     rings = _recorded_rings(monkeypatch, "_prolonged_action", lambda out: out[0])
