@@ -346,7 +346,7 @@ class RingFraction:
     of both operands' generators, and two pairs of one ring stay there.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_positions")
 
     def __init__(self, num, den):
         self.num, self.den = num, den
@@ -429,10 +429,12 @@ class RingFraction:
         return f"{type(self).__name__}({self.as_expr()})"
 
 
-def _used(f) -> list:
+def _used(f) -> tuple:
     """The positions of the generators that occur in f's numerator or
-    denominator, in ring order."""
-    return [i for i, (a, b) in enumerate(zip(f.num.degrees(), f.den.degrees())) if a > 0 or b > 0]
+    denominator, in ring order, read once per pair and kept."""
+    if getattr(f, "_positions", None) is None:
+        f._positions = tuple(i for i, (a, b) in enumerate(zip(f.num.degrees(), f.den.degrees())) if a > 0 or b > 0)
+    return f._positions
 
 
 def _symbols_only(R) -> bool:

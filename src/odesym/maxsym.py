@@ -4,8 +4,8 @@ Everything here is generated by a solution pair (u, v) of the second-order
 source equation y'' + q(x) y = 0 with unit Wronskian: the rewrite context
 whose rates are that equation, the n+4 symmetry generators, the
 order-n linear equation Delta_n by its three-term recurrence, the canonical,
-transformed (one scaled derivative ladder) and natural Lagrangians, and the
-source transformation, a map for users and for tests of Delta_n and L_n.
+transformed (one scaled ladder) and natural (read off Delta_n) Lagrangians,
+and the source transformation, a map for users and tests of Delta_n and L_n.
 
 The symbolic objects depend on the order alone, so each process builds the
 generators, Delta_n and the transformed and natural Lagrangians once per
@@ -40,7 +40,6 @@ from .jetcalc import (
     Lagrangian,
     VectorField,
     _algebra,
-    _euler,
     _prolonged_action,
     derivative_ladder,
     ladder_images,
@@ -119,7 +118,7 @@ class SourceContext:
         claim checked against a concrete context is invariant under
         constant rescaling of the pair).  u', u'', v' and v'' are pairs of
         one :func:`jetcalc.derivative_ladder` per solution, each test is
-        decided on a pair (D_x of the Wronskian u v' - u' v is u v'' - u'' v),
+        decided on a pair (the Wronskian's D_x is u (v'' + q v), q = -u''/u),
         and the context is given the q and Wronskian pairs decided on.
         """
         (u0, u1, u2), (v0, v1, v2) = (derivative_ladder(e, 2, rates) for e in (u, v))
@@ -127,8 +126,6 @@ class SourceContext:
         if not zero_test(v2 + q * v0):
             raise ValueError("v does not solve the source equation of u")
         w = _canonical_pair(u0 * v1 - u1 * v0)
-        if not zero_test(u0 * v2 - u2 * v0):
-            raise ValueError("Wronskian is not constant")
         if zero_test(w):
             raise ValueError("solution pair is linearly dependent")
         return SourceContext(u, v, q, rates=rates, wronskian=w)
@@ -346,24 +343,27 @@ def transformed_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangi
 
 @_memoised_by_order
 def natural_lagrangian(n: int, ctx: SourceContext | None = None) -> Lagrangian:
-    """The diagonal density sum_m c_m(x) (y^(m))^2 with E(L) = E(y*Delta_n/2).
+    """The diagonal density sum_m c_m(x) (-1)^m (y^(m))^2 / 2 with E(L) = Delta_n
+    (ctx's Delta_n and rates, if given), which is E(y*Delta_n/2) as Delta_n is
+    self-adjoint at even n: the representative the variational identities use.
 
-    y^(2m) enters E((y^(m))^2) with coefficient 2 (-1)^m, so the c_m are
-    solved highest first, each a ring partial of the Euler pair, and the
-    density is the sum of the squares as a pair.  This reduction of
-    y*Delta_n/2 to order n/2 is the canonical representative used by the
-    variational identities.  Delta_n and the rates are ctx's, if given.
+    As E(c (-1)^m (y^(m))^2 / 2) = D_x^m(c y^(m)) for a jet-free c, each c_m
+    is the ring partial at y^(2m) of what is left of Delta_n, highest first,
+    and its ladder is subtracted in one algebra; the remainder must be an
+    exact zero.  The density moves to the ring of the generators it uses.
     """
-    _order(n, even=True)
-    rates = ctx.rates if ctx else None
-    target, dens = _euler(rates, JET[0] / 2, build_lode(n, ctx).pair), 0
+    n, delta = _order(n, even=True), build_lode(n, ctx).pair
+    J = _algebra(ctx.rates if ctx else None, (delta, n // 2), (JET[0], n))
+    target, dens = J.lift(delta), 0
     for m in range(n // 2, -1, -1):
-        J = _algebra(rates, (target, 0))
-        square = J.partial(J.lift(target), JET[2 * m]) * ((-1) ** m * JET[m] ** 2 / 2)
-        target, dens = target - _euler(rates, square), square + dens
+        c = J.partial(target, JET[2 * m])
+        ladder = c * J.jet(m)
+        for _ in range(m):
+            ladder = J.dx(ladder)
+        target, dens = target - ladder, c * ((-1) ** m * JET[m] ** 2 / 2) + dens
     if not zero_test(ctx._reduce_pair(target) if ctx else target):
         raise ValueError("density is not quadratic in the jets")
-    return Lagrangian(dens, n // 2)
+    return Lagrangian(RingFraction.from_expr(dens), n // 2)
 
 
 def reference_transformed_lagrangian(n: int) -> Lagrangian:

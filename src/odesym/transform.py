@@ -150,14 +150,12 @@ def pushforward(v: VectorField, sigma: PointTransformation) -> VectorField:
     Supported for fiber-preserving maps z = zeta(x), w = phi(x, y) with
     phi_y != 0, which is the family the construction needs; general
     (x,y)-mixing maps would require a symbolic inverse.  The coefficients
-    are substituted as pairs, and the result holds canonical pairs.  Both
-    refusals are decided by ``zero_test`` on the map's partials.
+    are substituted as pairs, and the result holds canonical pairs.  With
+    zeta_y = 0 (``zero_test``), the map's nonzero Jacobian is zeta_x*phi_y.
     """
     zeta_x, zeta_y, phi_x, phi_y = sigma.partials
     if not zero_test(zeta_y):
         raise MissingInverse("push-forward implemented for fiber-preserving maps only")
-    if zero_test(phi_y):
-        raise SingularMap("phi_y vanishes identically")
     base = _images(sigma, JET[:1])
     xi_t, psi_t = (exprcore._substituted(c, base) for c in v.pairs)
     xi = exprcore._canonical_pair(xi_t / zeta_x)

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from odesym import casebook, exprcore
 from odesym.casebook import (
@@ -308,3 +309,28 @@ def test_refutation_is_certified_without_a_lift(forbid_lifts):
     rec = casebook._Recorder("C3")
     rec.negative("n4-div-Wy", verdict.pair)
     assert [c.status for c in rec.report.claims] == ["verified"]
+
+
+def test_a_witness_reads_its_pair_once(monkeypatch):
+    # the seed, the evaluator and the atoms of one sampling share one reading
+    # of the used generators: two PolyElement.degrees calls, num and den
+    with pytest.raises(NotADivergenceSymmetry) as refusal:
+        first_integral(generators(4).homogeneity, build_lode(4, CTX), CTX)
+    pair = refusal.value.pair
+    degrees, calls = PolyElement.degrees, []
+
+    def counted(p):
+        calls.append(p)
+        return degrees(p)
+
+    monkeypatch.setattr(PolyElement, "degrees", counted)
+    assert exprcore.witnessed(exprcore.RingFraction(pair.num, pair.den)) is True
+    assert len(calls) == 2
+
+
+def test_numeric_validate_rejects_its_input():
+    eq = DiffEq(JET[2], 2)
+    with pytest.raises(ValueError, match="need 2 initial values, got 1"):
+        numeric_validate(JET[1], ic=(1.0,), equation=eq)
+    with pytest.raises(ValueError, match=r"unbound symbols for numeric validation: \[k1\]"):
+        numeric_validate(exprcore.PARAMS["k1"] * JET[1], ic=(1.0, 0.5), equation=eq)

@@ -719,3 +719,26 @@ def test_a_repeated_first_integral_prints_the_same_bytes(capsys, monkeypatch, ar
     monkeypatch.setattr(noether.jetcalc, "_euler", lambda *args: euler.append(args))
     assert run(capsys, "first-integral", *argv) == first and not euler
     assert first[0] == code and (first[2] == "") == (code == 0)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("check", "--kind", "lie", "--vf", "0", "--eq", "y2", "--order", "2"),
+     'vector field must be given as "<xi>;<psi>"'),
+    (("transform", "--map", "z=x; w", "--eq", "y2", "--order", "2"), 'map must be given as "z=<expr>; w=<expr>"'),
+    (("transform", "--map", "z=x; z=y", "--eq", "y2", "--order", "2"), "map must define exactly z and w"),
+    (("transform", "--map", "z=x", "--eq", "y2", "--order", "2"), "map must define exactly z and w"),
+    (("check", "--kind", "variational", "--vf", "0;y", "--order", "1"),
+     "variational checks need --lagrangian <expr> --order m"),
+    (("check", "--kind", "lie", "--vf", "0;y", "--order", "2"), "lie checks need --eq <expr> --order n"),
+    (("transform", "--map", "z=x; w=y", "--eq", "y2"), "--eq needs --order n"),
+    (("transform", "--map", "z=x; w=y", "--lagrangian", "y1^2"), "--lagrangian needs --order m"),
+], ids=["vf", "map-shape", "map-repeated", "map-missing", "no-lagrangian", "no-eq", "eq-order", "lagrangian-order"])
+def test_malformed_input_is_usage_error(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_reproduce_text_report(capsys):
+    code, out, _ = run(capsys, "reproduce", "C1")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == "case C1" and len(lines) > 1
+    assert all(re.search(r"\[[^\]]+\]$", line) for line in lines[1:]), lines

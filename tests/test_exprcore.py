@@ -971,3 +971,20 @@ def test_cached_key_sorts_as_sort_gens():
     samples += [rng.sample(corpus, rng.randint(1, 30)) for _ in range(300)]
     for gens in samples:
         assert exprcore._sort_gens(gens) == _sort_gens(gens), gens
+
+
+def test_jet_rejects_an_order_outside_the_registry():
+    assert exprcore.jet(3) is JET[3]
+    with pytest.raises(ValueError, match="jet order 25 outside supported range"):
+        exprcore.jet(25)
+
+
+def test_partial_rejects_a_non_atom():
+    with pytest.raises(ValueError, match="partial expects an atom symbol"):
+        partial(X, X + 1)
+
+
+def test_a_function_outside_the_grammar_is_not_rational():
+    assert exprcore.is_rational_expr(sp.sin(X)) is False
+    with pytest.raises(UnsupportedForm):
+        exprcore._generators(sp.sin(X))

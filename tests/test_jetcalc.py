@@ -625,3 +625,10 @@ def test_delta_expands_only_a_print_that_is_not_a_sum_of_monomials(monkeypatch):
         calls.clear()
         assert sp.srepr(eq.delta) == sp.srepr(want) and eq.delta == want
         assert bool(calls) == expands
+
+
+def test_declared_orders_are_checked():
+    with pytest.raises(ValueError, match="density has jet order 2 > declared 1"):
+        Lagrangian(y2**2, 1)
+    with pytest.raises(ValueError, match="prolongation order must be >= 0"):
+        prolong(VectorField(0, y), -1)

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 import sympy as sp
 
-from odesym import maxsym
+from odesym import jetcalc, maxsym
 from odesym.casebook import (
     CASE_IDS,
     example_equation_display,
@@ -243,7 +243,46 @@ def test_transformed_lagrangian_is_one_ladder(monkeypatch):
     assert len(ladders) == 1
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+def _natural_by_the_euler_route(n, ctx):
+    # the reference route: E(y*Delta_n/2), each square's coefficient a ring
+    # partial of what is left, and E of each square subtracted
+    rates = ctx.rates if ctx else None
+    target, dens = jetcalc._euler(rates, JET[0] / 2, build_lode(n, ctx).pair), 0
+    for m in range(n // 2, -1, -1):
+        J = jetcalc._algebra(rates, (target, 0))
+        square = J.partial(J.lift(target), JET[2 * m]) * ((-1) ** m * JET[m] ** 2 / 2)
+        target, dens = target - jetcalc._euler(rates, square), square + dens
+    assert zero_test(ctx._reduce_pair(target) if ctx else target)
+    return Lagrangian(dens, n // 2)
+
+
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_natural_lagrangian_is_the_euler_route(n):
+    ref, lag = _natural_by_the_euler_route(n, None), natural_lagrangian(n)
+    assert sp.srepr(ref.density) == sp.srepr(lag.density)
+    assert lag.order == n // 2
+
+
+def test_natural_lagrangian_is_one_algebra(monkeypatch):
+    # Delta_n read in one algebra, and no Euler operator is run
+    algebras = []
+
+    def counted(*args):
+        algebras.append(args)
+        return jetcalc._algebra(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the Euler route was taken")
+
+    build_lode(8)
+    monkeypatch.setattr(maxsym, "_algebra", counted)
+    for name in ("_euler", "euler", "frechet_adjoint"):
+        monkeypatch.setattr(jetcalc, name, refused)
+    natural_lagrangian.__wrapped__(8, CTX)
+    assert len(algebras) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 25))
 def test_build_lode_is_adjoint_up_to_sign(n):
     # Delta_n* = (-1)^n Delta_n: self-adjoint at even n, skew at odd n
     delta = build_lode(n).delta
@@ -367,6 +406,12 @@ def test_concrete_context_validation():
     ctx = SourceContext.from_solutions(sp.Integer(1), X)
     assert ctx.q == 0 and ctx.wronskian == 1
     assert canon(ctx.reduce(u * v1 - u1 * v) - 1) == 0
+
+
+def test_a_wronskian_that_is_not_constant_is_a_wrong_source_equation():
+    # x^2 does not solve u'' = 0, and u v' - u' v = 2x is not constant
+    with pytest.raises(ValueError, match="v does not solve the source equation of u"):
+        SourceContext.from_solutions(1, X**2)
 
 
 def _reduce_by_cancel(ctx, e):
@@ -647,3 +692,10 @@ def test_natural_lagrangian_is_solved_under_its_context(ctx, n):
     assert canon(memoised.pair - built.pair) == 0
     half_y_delta = y * build_lode(n, ctx).delta / 2
     assert ctx.reduce(euler(built, ctx.rates) - euler(half_y_delta, ctx.rates)) == 0
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("ctx", SIX_CONTEXTS.values(), ids=SIX_CONTEXTS.keys())
+def test_natural_lagrangian_under_a_context_is_the_euler_route(ctx, n):
+    ref, lag = _natural_by_the_euler_route(n, ctx), natural_lagrangian.__wrapped__(n, ctx)
+    assert canon(ref.pair - lag.pair) == 0
