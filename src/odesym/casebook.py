@@ -27,13 +27,15 @@ from .exprcore import (
     SOL_V,
     X,
     RingFraction,
+    _atoms,
     _canonical_pair,
+    _evaluator,
     canon,
     witnessed,
     zero_test,
 )
 from .grammar import sympy_text
-from .jetcalc import DiffEq, Lagrangian, VectorField, derivative_ladder
+from .jetcalc import DiffEq, Lagrangian, VectorField, _algebra, derivative_ladder
 from .maxsym import (
     SourceContext,
     build_lode,
@@ -42,7 +44,6 @@ from .maxsym import (
     natural_lagrangian,
     reference_first_integral_homogeneity,
     reference_transformed_lagrangian,
-    specialize_q,
     _specialized,
     transformed_lagrangian,
 )
@@ -51,7 +52,6 @@ from .noether import (
     divergence_check,
     divergence_relation_check,
     first_integral,
-    invariance_expression,
     variational_check,
     verify_first_integral,
 )
@@ -334,10 +334,13 @@ def _case_c4() -> CaseReport:
     sym = SourceContext.make_symbolic()
     L4 = natural_lagrangian(4, sym)
     gens = generators(4)
-    # symbolic q: no solution symmetry is variational
+    # symbolic q: no solution symmetry is variational; each pair is S(V_k)
+    # reduced by the context, kept for the coefficient claims below
+    invariances = []
     for k in range(4):
         verdict = variational_check(gens.solution[k], L4, sym)
         rec.negative(f"symbolic-q-V{k}", verdict.pair, f"natural-lagrangian-symbolic-q-V{k}")
+        invariances.append(verdict.pair)
     # q = 0 with u = 1, v = x: exactly k in {0, 1} pass
     flat = SourceContext.zero_q()
     L4_flat = natural_lagrangian(4, flat)
@@ -349,13 +352,14 @@ def _case_c4() -> CaseReport:
             rec.check(f"flat-q-V{k}", verdict.holds, verdict.pair, label)
         else:
             rec.negative(f"flat-q-V{k}", verdict.pair, label)
-    # first-order coefficient of the expansion of S(V_k)
+    # first-order coefficient of the expansion of S(V_k): its ring partial
+    # in y1, in one algebra
     u, u1, v, v1 = SOL_U[0], SOL_U[1], SOL_V[0], SOL_V[1]
-    for k in range(4):
-        s = sym.reduce(invariance_expression(gens.solution[k], L4, sym))
+    J = _algebra(None, *((s, 0) for s in invariances))
+    for k, s in enumerate(invariances):
         b0 = (k - 3) * v * u1 - k * u * v1
-        target = sym.reduce(10 * u ** (2 - k) * v ** (k - 1) * COEF_Q[0] * b0)
-        rec.positive(f"coeff-y1-V{k}", sp.diff(s, JET[1]) - target, f"first-order-coefficient-V{k}")
+        target = sym._reduce_pair(10 * u ** (2 - k) * v ** (k - 1) * COEF_Q[0] * b0)
+        rec.positive(f"coeff-y1-V{k}", J.partial(J.lift(s), JET[1]) - target, f"first-order-coefficient-V{k}")
     return rec.report
 
 
@@ -411,26 +415,37 @@ def _case_c6() -> CaseReport:
     ok = not ratio.free_symbols and bool(ratio.num)
     rec.check("lagrangian", ok, _canonical_pair(lag.pair - ratio * expected_lag), "transformed-lagrangian")
 
-    for j, component in enumerate(example_first_integral_components()):
+    components = [_canonical_pair(c) for c in example_first_integral_components()]
+    for j, component in enumerate(components):
         try:
             verify_first_integral(component, transformed)
             rec.check(f"integral-a{j}", True, sp.Integer(0), f"first-integral-a{j}")
         except NotFirstIntegral as err:
             rec.check(f"integral-a{j}", False, err.pair, f"first-integral-a{j}")
 
-    det = independence_determinant(example_first_integral_components())
+    det = independence_determinant(components)
     rec.check("independence", abs(det) > 1e-6, sp.Float(det), "independent-first-integrals")
     return rec.report
 
 
 def independence_determinant(components, seed: int = 0xC6) -> float:
-    """Determinant of component values at random jet points (k2 fixed)."""
+    """Determinant of the components' values at seeded points.
+
+    Each component, an expression or a pair, goes to its canonical pair
+    once.  Row i draws every atom of the components, k2 included, as
+    ``randint(110, 900)`` in name order, read as k/100 (``exprcore._point``),
+    and evaluates each pair there by ``exprcore._evaluator``: in integers
+    for a rational pair, with ln(y) at 30 digits otherwise.
+    """
+    pairs = [_canonical_pair(c) for c in components]
+    evaluators = [_evaluator(f) for f in pairs]
+    symbols = sorted(set().union(*map(_atoms, pairs)), key=str)
     rng = random.Random(seed)
-    symbols = sorted(set().union(*[c.free_symbols for c in components]), key=str)
     rows = []
-    for _ in range(len(components)):
-        point = {s: sp.Rational(rng.randint(110, 900), 100) for s in symbols}
-        rows.append([float(c.subs(point).evalf(30)) for c in components])
+    for _ in range(len(pairs)):
+        draws = {s: rng.randint(110, 900) for s in symbols}
+        values = (evaluate(draws) for evaluate in evaluators)
+        rows.append([float(value / den) for value, _, den in values])
     return float(sp.Matrix(rows).det())
 
 
@@ -537,21 +552,26 @@ def numeric_validate(F, q_expr=None, ic=(), span=2.0, steps=2000, equation=None)
 
     ``F`` is a FirstIntegral or a plain expression (then ``equation`` is
     required).  ``q_expr`` substitutes a concrete coefficient function for
-    the symbolic q; initial conditions give (y, y', ..., y^(n-1)) at x=0.
+    the symbolic q, into a FirstIntegral's pair (``value``) rather than its
+    print; initial conditions give (y, y', ..., y^(n-1)) at x=0.  A run of
+    no step (``steps < 1``) or of zero ``span`` integrates nothing and is
+    refused with ValueError.
     The rhs and F are printed once, by the printer and settings that
     ``lambdify(..., modules="math")`` uses, into one generated loop
     (:func:`_rk4_source`) run in the namespace of ``math``.
     """
-    expr = F.expr if hasattr(F, "expr") else sp.sympify(F)
     eq = equation if equation is not None else F.equation
     n = eq.order
     if len(ic) != n:
         raise ValueError(f"need {n} initial values, got {len(ic)}")
+    if steps < 1 or span == 0:
+        raise ValueError(f"need steps >= 1 and a nonzero span, got steps={steps}, span={span}")
     if q_expr is None:
         rhs_expr = eq.solved_rhs()
+        expr = F.expr if hasattr(F, "expr") else sp.sympify(F)
     else:
         rhs_expr = _specialized(eq._lead_and_rhs[1], q_expr).as_expr()
-        expr = specialize_q(expr, q_expr)
+        expr = _specialized(F.value if hasattr(F, "value") else sp.sympify(F), q_expr).as_expr()
     state_syms = [X, *JET[:n]]
     extra = (set(rhs_expr.free_symbols) | set(expr.free_symbols)) - set(state_syms)
     if extra:

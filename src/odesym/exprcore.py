@@ -672,8 +672,8 @@ def _seeded_rng(e) -> random.Random:
 
 
 def _evaluator(f):
-    """(value, ref) of a canonical pair at a point: ``evaluate(draws)`` with
-    each atom drawn as k, the point each atom at k/100 (:func:`_point`).
+    """(value, ref, den) of a canonical pair at a point: ``evaluate(draws)``
+    with each atom drawn as k, the point each atom at k/100 (:func:`_point`).
 
     With every atom at k/100, each term of numerator and denominator is
     scaled by 100^D over its degree in the atoms, D the largest such degree
@@ -685,8 +685,10 @@ def _evaluator(f):
     nodes are 30-digit floats.  value is the sum of the numerator's terms
     n_i and ref is max(|d|, sum |n_i|): |value|/ref is the relative size of
     the pair, which no common scaling changes, nor does sympy spreading a
-    ground denominator over the sum ((x+y)/2 prints as x/2 + y/2).  None
-    where d vanishes or a node value is not real and finite.
+    ground denominator over the sum ((x+y)/2 prints as x/2 + y/2).  den is
+    d, the denominator's sum under the same scaling, so value/den is the
+    pair's value at the point.  None where d vanishes or a node value is
+    not real and finite.
     """
     symbols, used = f.num.ring.symbols, _used(f)
     gens = [symbols[i] for i in used]
@@ -719,7 +721,7 @@ def _evaluator(f):
         if d == 0:
             return None
         vals = [c * math.prod(at[j] ** k for j, k in m) for c, m in num]
-        return sum(vals, zero), max(abs(d), sum(map(abs, vals), zero))
+        return sum(vals, zero), max(abs(d), sum(map(abs, vals), zero)), d
 
     return evaluate
 
@@ -775,7 +777,7 @@ def _draws(e, points):
         if result is None:
             continue
         taken += 1
-        yield draws, *result
+        yield draws, *result[:2]
 
 
 def _symbolic_confirm(e) -> bool:

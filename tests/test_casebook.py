@@ -1,5 +1,6 @@
 import math
 import pathlib
+import random
 
 import pytest
 import sympy as sp
@@ -221,6 +222,42 @@ def test_independence_determinant_nonzero():
     assert abs(det) > 1e-6
 
 
+def _tree_determinant(components, seed=0xC6):
+    """independence_determinant on trees: each row's values by Basic.subs at
+    the drawn point and evalf at 30 digits, the reference the evaluator's
+    determinant must equal bit for bit."""
+    rng = random.Random(seed)
+    symbols = sorted(set().union(*[c.free_symbols for c in components]), key=str)
+    rows = []
+    for _ in range(len(components)):
+        point = {s: sp.Rational(rng.randint(110, 900), 100) for s in symbols}
+        rows.append([float(c.subs(point).evalf(30)) for c in components])
+    return float(sp.Matrix(rows).det())
+
+
+def test_independence_determinant_matches_the_tree_route(monkeypatch):
+    y, y1, y2 = JET[:3]
+    trees = example_first_integral_components()
+    rational = [y1 / y, (X * y2 - y1) / y**2, y * y1 + X, (y2 + casebook.K2) / (y1**2 + 1)]
+    cases = [trees, [exprcore._canonical_pair(c) for c in trees], rational]
+    expected = [_tree_determinant(c) for c in (trees, trees, rational)]
+    assert str(sp.Float(expected[0])) == "-384.391639729540"
+
+    def subs(*args, **kwargs):
+        raise AssertionError("independence_determinant substituted into a tree")
+
+    monkeypatch.setattr(sp.Basic, "subs", subs)
+    assert [independence_determinant(c) for c in cases] == expected
+
+
+def test_c4_prints_no_pair(forbid_pair_prints):
+    # the coefficient claims take the ring partial of the variational
+    # checks' pairs, and the targets are reduced as pairs
+    forbid_pair_prints()
+    report = run_case("C4")
+    assert [c.status for c in report.claims] == ["verified"] * 12
+
+
 def test_symbolic_and_numeric_agree():
     # every symbolically verified first integral stays flat numerically
     wy = generators(3).homogeneity
@@ -260,8 +297,10 @@ def test_reproduce_all_report_is_byte_stable(case_report):
 # a fresh process, with a source context that is its pair, ladders of scale
 # 1, image weights of 1 and a theta of 1 not lifted, and y_x lifted once per
 # process; a source context that held its values as trees took
-# 0/6/0/14/14/19/0 prints and 22/16/142/59/136/69/23 lifts
-CASE_COUNT_BOUNDS = dict(zip(CASE_IDS, zip((0, 0, 0, 12, 0, 12, 0), (15, 10, 94, 25, 27, 45, 18))))
+# 0/6/0/14/14/19/0 prints and 22/16/142/59/136/69/23 lifts.  C4 decides its
+# coefficient claims on the pairs of its variational checks, and C6's 8
+# prints are its four components' and verify_first_integral's multipliers
+CASE_COUNT_BOUNDS = dict(zip(CASE_IDS, zip((0, 0, 0, 0, 0, 8, 0), (15, 10, 94, 25, 27, 45, 18))))
 
 
 def test_cases_print_and_lift_no_more_than_with_tree_contexts(count_prints_and_lifts):
@@ -334,3 +373,11 @@ def test_numeric_validate_rejects_its_input():
         numeric_validate(JET[1], ic=(1.0,), equation=eq)
     with pytest.raises(ValueError, match=r"unbound symbols for numeric validation: \[k1\]"):
         numeric_validate(exprcore.PARAMS["k1"] * JET[1], ic=(1.0, 0.5), equation=eq)
+    # a run of no step or of zero span integrates nothing: it would read a
+    # corrupted integral as conserved (drift 0.0), or divide by zero
+    corrupted = reference_first_integral_homogeneity(3) + JET[0] ** 2 / 50
+    options = {"q_expr": sp.Rational(3, 2), "ic": (1.0, 0.5, 0.2), "equation": build_lode(3)}
+    assert numeric_validate(corrupted, steps=300, **options) > 1e-3
+    for run in ({"steps": -5}, {"span": 0}, {"steps": 0}):
+        with pytest.raises(ValueError, match="need steps >= 1 and a nonzero span"):
+            numeric_validate(corrupted, **run, **options)
